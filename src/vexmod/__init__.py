@@ -33,7 +33,6 @@ from .exponent import (
     ExponentFunction,
     ExponentRangeError,
     ParseError,
-    log_holder_constant_estimate,
     parse_exponent,
 )
 from .quadrature import (
@@ -78,7 +77,6 @@ __all__ = [
     "extremality_gap",
     "integrate",
     "log_density_upper_bound",
-    "log_holder_constant_estimate",
     "modulus_sweep",
     "normalization_value",
     "parse_exponent",

@@ -3,7 +3,10 @@
 Subcommands: ``annulus`` and ``cylinder`` solve a single problem, ``sweep``
 varies the outer radius or the length, ``tables`` regenerates the reference
 normalization tables and headline numbers, and ``oracle-check`` runs the
-brute-force verification suite.  Output formats: human, csv, json.
+brute-force verification suite.  Each subcommand fills in one ``Report``,
+which one of three renderers prints: human, csv or json.  Each option is
+declared once, in ``OPTIONS``, which drives both the argument parser and the
+``--config`` file.
 
 Exit codes: 0 success, 2 validation error, 3 solver error, 4 failed
 verification check.
@@ -12,12 +15,12 @@ verification check.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -34,12 +37,12 @@ from .cylinder import (
     cylinder_normalization_value,
     solve_cylinder,
 )
-from .exponent import DomainError, ExponentRangeError, ParseError, parse_exponent
+from .exponent import parse_exponent
 from .quadrature import IntervalTooFine, NonFiniteIntegrand, QuadratureConfig, realized_step
 from .rootfind import BisectionConfig, BracketFailure, MaxItersExceeded
 from . import oracle
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -60,66 +63,94 @@ def reference_cylinder_problem() -> CylinderProblem:
     return CylinderProblem(1.0, 1.0, parse_exponent("2+t", "t", (0.0, 1.0)))
 
 
-@dataclass
-class RunConfig:
-    """Everything a single CLI invocation needs, after flag/file merging."""
-
-    command: str
-    n: int = 2
-    r1: float = 1.0
-    r2: float = 2.0
-    area: float = 1.0
-    length: float = 1.0
-    p_text: str | None = None
-    step_hint: float = 1e-2
-    max_subintervals: int = 1_000_000
-    residual_tol: float = 1e-6
-    lambda_tol: float = 1e-10
-    max_iters: int = 200
-    fmt: str = "human"
-    output: str | None = None
-    density_samples: int = 0
-    geometry: str = "annulus"
-    values: list[float] = field(default_factory=list)
-    grid: int = 200
-    draws: int = 20
-    el_tol: float = 1e-8
-    pgd_iters: int = 10_000
-    seed: int = 42
-
-    def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(self.step_hint, self.max_subintervals)
-
-    def bisection(self) -> BisectionConfig:
-        return BisectionConfig(self.residual_tol, self.lambda_tol, self.max_iters)
+_ALL = ("annulus", "cylinder", "sweep", "tables", "oracle-check")
+_RING = ("annulus", "sweep")
+_ORACLE = ("oracle-check",)
 
 
-def _fmt(x: float) -> str:
-    """Human-facing number: six significant digits."""
-    return f"{x:.6g}"
+@dataclass(frozen=True)
+class Option:
+    """One ``--flag`` of the listed subcommands; a config file key under ``dest``."""
+
+    flag: str
+    type: Callable = str
+    default: object = None
+    commands: tuple[str, ...] = _ALL
+    choices: tuple[str, ...] | None = None
+    help: str | dict | None = None  # a dict gives each subcommand its own text
+
+    @property
+    def dest(self) -> str:
+        return self.flag.replace("-", "_")
+
+    def from_file(self, value):
+        """Parse a config file value as the flag would parse the same text."""
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        try:
+            parsed = self.type(text)
+            if self.choices is None or parsed in self.choices:
+                return parsed
+        except ValueError:
+            pass
+        expected = f"one of {', '.join(self.choices)}" if self.choices else self.type.__name__
+        raise ValueError(f"config key {self.dest!r}: invalid value {text!r}, expected {expected}")
 
 
-def _cell(x) -> str:
-    """CSV cell: shortest round-trip text for floats, empty for None."""
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+# Declaration order is the order each subcommand's usage line lists them in.
+OPTIONS = (
+    Option("config", help="JSON file with defaults; flags override it"),
+    Option("format", default="human", choices=("human", "csv", "json")),
+    Option("output", help="write the report here instead of stdout"),
+    Option("step-hint", float, 1e-2, help="quadrature step target"),
+    Option("max-subintervals", int, 1_000_000),
+    Option("residual-tol", float, 1e-6),
+    Option("lambda-tol", float, 1e-10),
+    Option("max-iters", int, 200),
+    Option("geometry", default="annulus", commands=("sweep",), choices=("annulus", "cylinder")),
+    Option("n", int, 2, _RING),
+    Option("r1", float, 1.0, _RING),
+    Option("r2", float, 2.0, ("annulus",)),
+    Option("area", float, 1.0, ("cylinder", "sweep")),
+    Option("length", float, 1.0, ("cylinder",)),
+    Option("p", commands=("annulus", "cylinder", "sweep"), help={
+        "annulus": "radial exponent expression in r",
+        "cylinder": "axial exponent expression in t",
+    }),
+    Option("density-samples", int, 0, ("annulus", "cylinder")),
+    Option("values", commands=("sweep",), help="comma-separated parameter list"),
+    Option("geometric", commands=("sweep",), help="start:stop:count geometric range"),
+    Option("grid", int, 200, _ORACLE),
+    Option("draws", int, 20, _ORACLE),
+    Option("el-tol", float, 1e-8, _ORACLE),
+    Option("pgd-iters", int, 10_000, _ORACLE),
+    Option("seed", int, 42, _ORACLE),
+)
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_cell(x) for x in row) + "\n")
-    return out.getvalue()
+def _settings(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill every option in: the flag, else the config file's value, else the default.
+
+    A file key that is an option of no subcommand is an error; a key that
+    only other subcommands take is ignored, so one file can serve them all.
+    """
+    file_values: dict = {}
+    if args.config:
+        file_values = json.loads(Path(args.config).read_text())
+        if not isinstance(file_values, dict):
+            raise ValueError("the config file must hold a JSON object")
+    unknown = sorted(set(file_values) - {opt.dest for opt in OPTIONS})
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}: no subcommand takes it")
+    for opt in OPTIONS:
+        if getattr(args, opt.dest, None) is None:
+            value = file_values.get(opt.dest) if args.command in opt.commands else None
+            setattr(args, opt.dest, opt.default if value is None else opt.from_file(value))
+    return args
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _tolerances(cfg) -> tuple[QuadratureConfig, BisectionConfig]:
+    return (QuadratureConfig(cfg.step_hint, cfg.max_subintervals),
+            BisectionConfig(cfg.residual_tol, cfg.lambda_tol, cfg.max_iters))
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -142,121 +173,132 @@ def _geometric_range(text: str) -> list[float]:
     return [float(v) for v in np.geomspace(start, stop, count)]
 
 
+@dataclass
+class Table:
+    """Rows of one kind: a JSON list of objects, a CSV block, one human line each."""
+
+    name: str
+    columns: tuple[str, ...]
+    rows: list
+    line: Callable[[dict], str] | None = None  # human line of a row of display strings
+    title: str | None = None
+
+
+@dataclass
+class Report:
+    """One subcommand's result, in the shape all three renderers print.
+
+    JSON: ``command``, the fields, the diagnostics, each table under its name.
+    CSV: the ``csv`` tables, by default ``tables``.  Human: the ``head``
+    templates, the tables, the ``tail`` templates; templates name fields.
+    """
+
+    command: str
+    fields: dict
+    diagnostics: dict = field(default_factory=dict)
+    tables: list[Table] = field(default_factory=list)
+    head: list[str] = field(default_factory=list)
+    tail: list[str] = field(default_factory=list)
+    csv: list[Table] | None = None
+    code: int = EXIT_OK
+
+
+def _text(x, number: str = ".6g", yes: str = "PASS", no: str = "FAIL"):
+    """Report text of a value (of each item of a dict): human text by default."""
+    if isinstance(x, dict):
+        return {k: _text(v, number, yes, no) for k, v in x.items()}
+    if isinstance(x, bool):
+        return yes if x else no
+    if isinstance(x, float):
+        return format(x, number)
+    return "" if x is None else str(x)
+
+
+def _render_human(rep: Report) -> str:
+    values = _text({**rep.fields, **rep.diagnostics})
+    lines = [template.format_map(values) for template in rep.head]
+    for table in rep.tables:
+        lines += [table.title] if table.title else []
+        lines += [table.line(_text(dict(zip(table.columns, row)))) for row in table.rows]
+    lines += [template.format_map(values) for template in rep.tail]
+    return "\n".join(lines) + "\n"
+
+
+def _render_csv(rep: Report) -> str:
+    lines = []
+    for table in rep.tables if rep.csv is None else rep.csv:
+        lines.append(",".join(table.columns))
+        lines += [",".join(_text(x, "", "true", "false") for x in row) for row in table.rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _render_json(rep: Report) -> str:
+    payload = {"command": rep.command, **rep.fields}
+    if rep.diagnostics:
+        payload["diagnostics"] = rep.diagnostics
+    for table in rep.tables:
+        payload[table.name] = [dict(zip(table.columns, row)) for row in table.rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+_RENDERERS = {"human": _render_human, "csv": _render_csv, "json": _render_json}
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def _cmd_annulus(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.p_text is None:
+def _solve(prob, quad: QuadratureConfig, bis: BisectionConfig):
+    """Extremal solution of one problem, and lambda, the modulus, the test-density
+    upper bound and the bound/modulus ratio (ring) or extremality gap (cylinder)."""
+    if isinstance(prob, AnnulusProblem):
+        sol, bound = solve_annulus(prob, quad, bis), log_density_upper_bound(prob, quad)
+        extra = {"ratio": bound / sol.modulus}
+    else:
+        sol, bound = solve_cylinder(prob, quad, bis), constant_density_upper_bound(prob, quad)
+        extra = {"gap": bound - sol.modulus}
+    return sol, {"lambda": sol.lam, "modulus": sol.modulus, "upper_bound": bound, **extra}
+
+
+def _cmd_solve(cfg) -> Report:
+    """``annulus`` and ``cylinder``: one problem, its bound, optional density samples."""
+    if cfg.p is None:
         raise ValueError("missing exponent expression, pass --p")
-    if not 0.0 < cfg.r1 < cfg.r2:
-        raise ValueError(f"radii must satisfy 0 < r1 < r2, got r1={cfg.r1} r2={cfg.r2}")
-    p = parse_exponent(cfg.p_text, "r", (cfg.r1, cfg.r2))
-    prob = AnnulusProblem(cfg.n, cfg.r1, cfg.r2, p)
-    quad, bis = cfg.quadrature(), cfg.bisection()
-    sol = solve_annulus(prob, quad, bis)
-    bound = log_density_upper_bound(prob, quad)
-    ratio = bound / sol.modulus
-    step = realized_step(cfg.r1, cfg.r2, quad)
-    samples = _density_samples(sol, cfg.r1, cfg.r2, cfg.density_samples)
-
-    if cfg.fmt == "json":
-        payload = {
-            "command": "annulus",
-            "problem": {"n": cfg.n, "r1": cfg.r1, "r2": cfg.r2, "p": cfg.p_text},
-            "lambda": sol.lam,
-            "modulus": sol.modulus,
-            "upper_bound": bound,
-            "ratio": ratio,
-            "diagnostics": {
-                "quadrature_step": step,
-                "bisection_iters": sol.solver_iters,
-                "residual": sol.residual,
-            },
-        }
-        if samples is not None:
-            payload["density"] = [{"r": r, "value": v} for r, v in samples]
-        return EXIT_OK, _json_text(payload)
-    if cfg.fmt == "csv":
-        text = _csv_lines(
-            ["lambda", "modulus", "upper_bound", "ratio", "residual", "bisection_iters", "quadrature_step"],
-            [[sol.lam, sol.modulus, bound, ratio, sol.residual, sol.solver_iters, step]],
-        )
-        if samples is not None:
-            text += _csv_lines(["r", "density"], [[r, v] for r, v in samples])
-        return EXIT_OK, text
-    lines = [
-        f"ring modulus: n={cfg.n} r1={_fmt(cfg.r1)} r2={_fmt(cfg.r2)} p={cfg.p_text}",
-        f"  lambda       {_fmt(sol.lam)}",
-        f"  modulus      {_fmt(sol.modulus)}",
-        f"  upper bound  {_fmt(bound)}   (log test density)",
-        f"  bound/modulus ratio  {_fmt(ratio)}",
-        f"  quadrature step {_fmt(step)}, bisection iters {sol.solver_iters}, residual {_fmt(sol.residual)}",
+    if cfg.command == "annulus":
+        if not 0.0 < cfg.r1 < cfg.r2:
+            raise ValueError(f"radii must satisfy 0 < r1 < r2, got r1={cfg.r1} r2={cfg.r2}")
+        a, b, var = cfg.r1, cfg.r2, "r"
+        problem = {"n": cfg.n, "r1": cfg.r1, "r2": cfg.r2, "p": cfg.p}
+        prob = AnnulusProblem(cfg.n, a, b, parse_exponent(cfg.p, var, (a, b)))
+        title = "ring modulus: n={problem[n]} r1={problem[r1]} r2={problem[r2]} p={problem[p]}"
+        density, compared = "log", "  bound/modulus ratio  {ratio}"
+    else:
+        if not cfg.length > 0.0:
+            raise ValueError(f"length must be positive, got length={cfg.length}")
+        a, b, var = 0.0, cfg.length, "t"
+        problem = {"area": cfg.area, "length": cfg.length, "p": cfg.p}
+        prob = CylinderProblem(cfg.area, b, parse_exponent(cfg.p, var, (a, b)))
+        title = "cylinder modulus: area={problem[area]} length={problem[length]} p={problem[p]}"
+        density, compared = "constant", "  extremality gap  {gap}"
+    quad, bis = _tolerances(cfg)
+    sol, results = _solve(prob, quad, bis)
+    diagnostics = {"residual": sol.residual, "bisection_iters": sol.solver_iters,
+                   "quadrature_step": realized_step(a, b, quad)}
+    head = [
+        title, "  lambda       {lambda}", "  modulus      {modulus}",
+        "  upper bound  {upper_bound}   (" + density + " test density)", compared,
+        "  quadrature step {quadrature_step}, bisection iters {bisection_iters},"
+        " residual {residual}",
     ]
-    if samples is not None:
-        lines.append("  density samples:")
-        lines.extend(f"    r={_fmt(r)}  value={_fmt(v)}" for r, v in samples)
-    return EXIT_OK, "\n".join(lines) + "\n"
-
-
-def _cmd_cylinder(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.p_text is None:
-        raise ValueError("missing exponent expression, pass --p")
-    if not cfg.length > 0.0:
-        raise ValueError(f"length must be positive, got length={cfg.length}")
-    p = parse_exponent(cfg.p_text, "t", (0.0, cfg.length))
-    prob = CylinderProblem(cfg.area, cfg.length, p)
-    quad, bis = cfg.quadrature(), cfg.bisection()
-    sol = solve_cylinder(prob, quad, bis)
-    bound = constant_density_upper_bound(prob, quad)
-    gap = bound - sol.modulus
-    step = realized_step(0.0, cfg.length, quad)
-    samples = _density_samples(sol, 0.0, cfg.length, cfg.density_samples)
-
-    if cfg.fmt == "json":
-        payload = {
-            "command": "cylinder",
-            "problem": {"area": cfg.area, "length": cfg.length, "p": cfg.p_text},
-            "lambda": sol.lam,
-            "modulus": sol.modulus,
-            "upper_bound": bound,
-            "gap": gap,
-            "diagnostics": {
-                "quadrature_step": step,
-                "bisection_iters": sol.solver_iters,
-                "residual": sol.residual,
-            },
-        }
-        if samples is not None:
-            payload["density"] = [{"t": t, "value": v} for t, v in samples]
-        return EXIT_OK, _json_text(payload)
-    if cfg.fmt == "csv":
-        text = _csv_lines(
-            ["lambda", "modulus", "upper_bound", "gap", "residual", "bisection_iters", "quadrature_step"],
-            [[sol.lam, sol.modulus, bound, gap, sol.residual, sol.solver_iters, step]],
-        )
-        if samples is not None:
-            text += _csv_lines(["t", "density"], [[t, v] for t, v in samples])
-        return EXIT_OK, text
-    lines = [
-        f"cylinder modulus: area={_fmt(cfg.area)} length={_fmt(cfg.length)} p={cfg.p_text}",
-        f"  lambda       {_fmt(sol.lam)}",
-        f"  modulus      {_fmt(sol.modulus)}",
-        f"  upper bound  {_fmt(bound)}   (constant test density)",
-        f"  extremality gap  {_fmt(gap)}",
-        f"  quadrature step {_fmt(step)}, bisection iters {sol.solver_iters}, residual {_fmt(sol.residual)}",
-    ]
-    if samples is not None:
-        lines.append("  density samples:")
-        lines.extend(f"    t={_fmt(t)}  value={_fmt(v)}" for t, v in samples)
-    return EXIT_OK, "\n".join(lines) + "\n"
-
-
-def _density_samples(sol, a: float, b: float, count: int):
-    if count <= 0:
-        return None
-    xs = np.linspace(a, b, count)
-    return [(float(x), float(sol.density(x))) for x in xs]
+    summary = {**results, **diagnostics}
+    rep = Report(cfg.command, {"problem": problem, **results}, diagnostics, head=head,
+                 csv=[Table("", tuple(summary), [list(summary.values())])])
+    if cfg.density_samples > 0:
+        rows = [[float(x), float(sol.density(x))] for x in np.linspace(a, b, cfg.density_samples)]
+        rep.tables.append(Table("density", (var, "value"), rows, title="  density samples:",
+                                line=lambda r: f"    {var}={r[var]}  value={r['value']}"))
+        rep.csv.append(Table("", (var, "density"), rows))
+    return rep
 
 
 def _safe_step(a: float, b: float, quad: QuadratureConfig) -> float | None:
@@ -267,151 +309,106 @@ def _safe_step(a: float, b: float, quad: QuadratureConfig) -> float | None:
         return None
 
 
-def _cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.p_text is None:
+def _sweep_line(r: dict) -> str:
+    if r["error"]:
+        return f"  {r['param']:>10}  error: {r['error']}"
+    return ("  {param:>10}  lambda={lambda}  modulus={modulus}  bound={upper_bound}"
+            "  residual={residual}  step={quadrature_step}").format_map(r)
+
+
+def _cmd_sweep(cfg) -> Report:
+    params = []
+    if cfg.values:
+        params = _parse_float_list(cfg.values)
+    elif cfg.geometric:
+        params = _geometric_range(cfg.geometric)
+    if cfg.p is None:
         raise ValueError("missing exponent expression, pass --p")
-    if not cfg.values:
+    if not params:
         raise ValueError("the sweep needs --values or --geometric")
-    quad, bis = cfg.quadrature(), cfg.bisection()
+    quad, bis = _tolerances(cfg)
     rows = []
     if cfg.geometry == "annulus":
-        top = max(cfg.values)
+        top = max(params)
         if top <= cfg.r1:
             raise ValueError(f"all sweep radii must exceed r1={cfg.r1}")
-        p = parse_exponent(cfg.p_text, "r", (cfg.r1, top))
+        p = parse_exponent(cfg.p, "r", (cfg.r1, top))
         template = AnnulusProblem(cfg.n, cfg.r1, top, p)
-        for row in modulus_sweep(template, cfg.values, quad, bis):
+        for row in modulus_sweep(template, params, quad, bis):
             bound = None
             step = _safe_step(cfg.r1, row.r2, quad)
             if row.error is None:
                 sub = AnnulusProblem(cfg.n, cfg.r1, row.r2, p.restricted(cfg.r1, row.r2))
                 bound = log_density_upper_bound(sub, quad)
             rows.append([row.r2, row.lam, row.modulus, bound, row.residual, step, row.error])
-    elif cfg.geometry == "cylinder":
-        for length in cfg.values:
+    else:
+        for length in params:
             step = _safe_step(0.0, length, quad)
             try:
-                p = parse_exponent(cfg.p_text, "t", (0.0, length))
-                prob = CylinderProblem(cfg.area, length, p)
-                sol = solve_cylinder(prob, quad, bis)
-                bound = constant_density_upper_bound(prob, quad)
-                rows.append([length, sol.lam, sol.modulus, bound, sol.residual, step, None])
+                prob = CylinderProblem(cfg.area, length, parse_exponent(cfg.p, "t", (0.0, length)))
+                sol, results = _solve(prob, quad, bis)
+                rows.append([length, sol.lam, sol.modulus, results["upper_bound"], sol.residual,
+                             step, None])
             except Exception as exc:  # report the row, keep sweeping
                 rows.append([length, None, None, None, None, step, f"{type(exc).__name__}: {exc}"])
-    else:
-        raise ValueError(f"unknown sweep geometry {cfg.geometry!r}")
 
-    header = ["param", "lambda", "modulus", "upper_bound", "residual", "quadrature_step", "error"]
-    if cfg.fmt == "json":
-        payload = {
-            "command": "sweep",
-            "geometry": cfg.geometry,
-            "rows": [dict(zip(header, r)) for r in rows],
-        }
-        return EXIT_OK, _json_text(payload)
-    if cfg.fmt == "csv":
-        return EXIT_OK, _csv_lines(header, rows)
-    lines = [f"sweep over {cfg.geometry} ({'r2' if cfg.geometry == 'annulus' else 'length'}):"]
-    for r in rows:
-        if r[6] is None:
-            lines.append(
-                f"  {_fmt(r[0]):>10}  lambda={_fmt(r[1])}  modulus={_fmt(r[2])}"
-                f"  bound={_fmt(r[3])}  residual={_fmt(r[4])}  step={_fmt(r[5])}"
-            )
-        else:
-            lines.append(f"  {_fmt(r[0]):>10}  error: {r[6]}")
-    return EXIT_OK, "\n".join(lines) + "\n"
+    columns = ("param", "lambda", "modulus", "upper_bound", "residual", "quadrature_step", "error")
+    title = f"sweep over {cfg.geometry} ({'r2' if cfg.geometry == 'annulus' else 'length'}):"
+    return Report("sweep", {"geometry": cfg.geometry},
+                  tables=[Table("rows", columns, rows, _sweep_line, title)])
 
 
-def _cmd_tables(cfg: RunConfig) -> tuple[int, str]:
-    quad, bis = cfg.quadrature(), cfg.bisection()
+def _normalization_rows(value_at, prob, lambdas, quad: QuadratureConfig) -> list[list]:
+    """Rows (lambda, value, |value - 1|) of one normalization table."""
+    values = [value_at(prob, lam, quad) for lam in lambdas]
+    return [[lam, value, abs(value - 1.0)] for lam, value in zip(lambdas, values)]
+
+
+def _cmd_tables(cfg) -> Report:
+    quad, bis = _tolerances(cfg)
     ann = reference_annulus_problem()
     cyl = reference_cylinder_problem()
+    g_rows = _normalization_rows(normalization_value, ann, ANNULUS_TABLE_LAMBDAS, quad)
+    h_rows = _normalization_rows(cylinder_normalization_value, cyl, CYLINDER_TABLE_LAMBDAS, quad)
+    sol_a, results_a = _solve(ann, quad, bis)
+    sol_c, results_c = _solve(cyl, quad, bis)
+    headline = {"annulus": results_a, "cylinder": results_c}
+    diagnostics = {"quadrature_step": realized_step(ann.r1, ann.r2, quad),
+                   "bisection_iters": sol_a.solver_iters, "residual": sol_a.residual}
 
-    g_rows = []
-    for lam in ANNULUS_TABLE_LAMBDAS:
-        value = normalization_value(ann, lam, quad)
-        g_rows.append((lam, value, abs(value - 1.0)))
-    h_rows = []
-    for lam in CYLINDER_TABLE_LAMBDAS:
-        value = cylinder_normalization_value(cyl, lam, quad)
-        h_rows.append((lam, value, abs(value - 1.0)))
-
-    sol_a = solve_annulus(ann, quad, bis)
-    bound_a = log_density_upper_bound(ann, quad)
-    sol_c = solve_cylinder(cyl, quad, bis)
-    bound_c = constant_density_upper_bound(cyl, quad)
-    step = realized_step(ann.r1, ann.r2, quad)
-
-    if cfg.fmt == "json":
-        payload = {
-            "command": "tables",
-            "normalization_g": [
-                {"lambda": l, "value": v, "abs_residual": d} for l, v, d in g_rows
-            ],
-            "normalization_h": [
-                {"lambda": l, "value": v, "abs_residual": d} for l, v, d in h_rows
-            ],
-            "headline": {
-                "annulus": {
-                    "lambda": sol_a.lam,
-                    "modulus": sol_a.modulus,
-                    "upper_bound": bound_a,
-                    "ratio": bound_a / sol_a.modulus,
-                },
-                "cylinder": {
-                    "lambda": sol_c.lam,
-                    "modulus": sol_c.modulus,
-                    "upper_bound": bound_c,
-                    "gap": bound_c - sol_c.modulus,
-                },
-            },
-            "diagnostics": {
-                "quadrature_step": step,
-                "bisection_iters": sol_a.solver_iters,
-                "residual": sol_a.residual,
-            },
-        }
-        return EXIT_OK, _json_text(payload)
-    if cfg.fmt == "csv":
-        rows = [["g", l, v, d] for l, v, d in g_rows]
-        rows += [["h", l, v, d] for l, v, d in h_rows]
-        rows += [
-            ["annulus_lambda", None, sol_a.lam, sol_a.residual],
-            ["annulus_modulus", None, sol_a.modulus, None],
-            ["annulus_upper_bound", None, bound_a, None],
-            ["annulus_ratio", None, bound_a / sol_a.modulus, None],
-            ["cylinder_lambda", None, sol_c.lam, sol_c.residual],
-            ["cylinder_modulus", None, sol_c.modulus, None],
-            ["cylinder_upper_bound", None, bound_c, None],
-            ["cylinder_gap", None, bound_c - sol_c.modulus, None],
-        ]
-        return EXIT_OK, _csv_lines(["name", "lambda", "value", "abs_residual"], rows)
-    lines = ["normalization g on the reference ring (lambda, value, |value-1|):"]
-    lines += [f"  {_fmt(l):>8}  {_fmt(v):>12}  {_fmt(d):>12}" for l, v, d in g_rows]
-    lines.append("normalization h on the reference cylinder:")
-    lines += [f"  {_fmt(l):>8}  {_fmt(v):>12}  {_fmt(d):>12}" for l, v, d in h_rows]
-    lines.append(
-        f"ring headline: lambda={_fmt(sol_a.lam)} modulus={_fmt(sol_a.modulus)} "
-        f"bound={_fmt(bound_a)} ratio={_fmt(bound_a / sol_a.modulus)}"
+    columns = ("lambda", "value", "abs_residual")
+    line = "  {lambda:>8}  {value:>12}  {abs_residual:>12}".format_map
+    csv_rows = [["g", *row] for row in g_rows] + [["h", *row] for row in h_rows]
+    for geometry, sol in (("annulus", sol_a), ("cylinder", sol_c)):
+        for key, value in headline[geometry].items():
+            csv_rows.append([f"{geometry}_{key}", None, value,
+                             sol.residual if key == "lambda" else None])
+    return Report(
+        "tables", {"headline": headline}, diagnostics,
+        tables=[Table("normalization_g", columns, g_rows, line,
+                      "normalization g on the reference ring (lambda, value, |value-1|):"),
+                Table("normalization_h", columns, h_rows, line,
+                      "normalization h on the reference cylinder:")],
+        tail=[
+            "ring headline: lambda={headline[annulus][lambda]} "
+            "modulus={headline[annulus][modulus]} bound={headline[annulus][upper_bound]} "
+            "ratio={headline[annulus][ratio]}",
+            "cylinder headline: lambda={headline[cylinder][lambda]} "
+            "modulus={headline[cylinder][modulus]} bound={headline[cylinder][upper_bound]} "
+            "gap={headline[cylinder][gap]}",
+            "quadrature step {quadrature_step}, bisection residual {residual}",
+        ],
+        csv=[Table("", ("name", *columns), csv_rows)],
     )
-    lines.append(
-        f"cylinder headline: lambda={_fmt(sol_c.lam)} modulus={_fmt(sol_c.modulus)} "
-        f"bound={_fmt(bound_c)} gap={_fmt(bound_c - sol_c.modulus)}"
-    )
-    lines.append(
-        f"quadrature step {_fmt(step)}, bisection residual {_fmt(sol_a.residual)}"
-    )
-    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _cmd_oracle_check(cfg: RunConfig) -> tuple[int, str]:
-    quad = cfg.quadrature()
+def _cmd_oracle_check(cfg) -> Report:
+    quad, _ = _tolerances(cfg)
     tight = BisectionConfig(residual_tol=1e-10, lambda_tol=1e-13)
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[list] = []
 
     def record(name: str, passed: bool, detail: str) -> None:
-        checks.append((name, bool(passed), detail))
+        checks.append([name, bool(passed), detail])
 
     ann = reference_annulus_problem()
     cyl = reference_cylinder_problem()
@@ -426,104 +423,68 @@ def _cmd_oracle_check(cfg: RunConfig) -> tuple[int, str]:
         gd = oracle.discrete_minimize(w, p, delta)
         energy = oracle.discrete_energy(gd, w, p)
         rel = abs(energy - sol.modulus) / sol.modulus
-        if cfg.grid >= 10:
-            record(
-                f"{label} grid energy vs solver",
-                rel <= 1e-2,
-                f"relative gap {rel:.3e} (grid {cfg.grid})",
-            )
-        else:
-            record(
-                f"{label} grid energy vs solver",
-                True,
-                f"coarse grid {cfg.grid}, gap {rel:.3e} reported only",
-            )
+        coarse = cfg.grid < 10
+        record(f"{label} grid energy vs solver", coarse or rel <= 1e-2,
+               f"coarse grid {cfg.grid}, gap {rel:.3e} reported only" if coarse
+               else f"relative gap {rel:.3e} (grid {cfg.grid})")
         stat = w * p * gd.values ** (p - 1.0)
         spread = float((stat.max() - stat.min()) / np.median(stat)) if gd.n_cells > 1 else 0.0
-        record(
-            f"{label} stationarity spread",
-            spread <= cfg.el_tol,
-            f"relative spread {spread:.3e}, tolerance {cfg.el_tol:.1e}",
-        )
+        record(f"{label} stationarity spread", spread <= cfg.el_tol,
+               f"relative spread {spread:.3e}, tolerance {cfg.el_tol:.1e}")
         try:
             pg = oracle.projected_gradient_minimize(w, p, delta, iters=cfg.pgd_iters)
             e_pg = oracle.discrete_energy(pg, w, p)
             rel_two = abs(e_pg - energy) / max(abs(energy), 1e-300)
-            record(
-                f"{label} two-oracle agreement",
-                rel_two <= 1e-3,
-                f"projected gradient vs stationarity {rel_two:.3e}",
-            )
+            record(f"{label} two-oracle agreement", rel_two <= 1e-3,
+                   f"projected gradient vs stationarity {rel_two:.3e}")
         except oracle.NonConvergence as exc:
             record(f"{label} two-oracle agreement", False, str(exc))
 
     rng = np.random.default_rng(cfg.seed)
-    r_centers = ann.r1 + (np.arange(40) + 0.5) * (ann.r2 - ann.r1) / 40
-    ok, worst = True, 0.0
-    try:
-        for _ in range(cfg.draws):
-            rho = oracle.random_admissible_2d(
-                r_centers, (ann.r2 - ann.r1) / 40, 64, 2.0 * math.pi / 64, rng
-            )
-            rep = oracle.spherical_average_check(rho, ann)
-            ok = ok and rep.admissible_after and rep.energy_after <= rep.energy_before
-            worst = max(worst, rep.energy_after - rep.energy_before)
-        detail = f"{cfg.draws} draws, worst increase {worst:.3e}"
-    except oracle.NotAdmissible as exc:
-        ok, detail = False, str(exc)
-    record("spherical averaging never increases energy", ok, detail)
-
-    t_centers = (np.arange(40) + 0.5) * cyl.length / 40
-    ok, worst = True, 0.0
-    try:
-        for _ in range(cfg.draws):
-            rho = oracle.random_admissible_2d(
-                t_centers, cyl.length / 40, 32, cyl.area / 32, rng
-            )
-            rep = oracle.fibre_average_check(rho, cyl)
-            ok = ok and rep.admissible_after and rep.energy_after <= rep.energy_before
-            worst = max(worst, rep.energy_after - rep.energy_before)
-        detail = f"{cfg.draws} draws, worst increase {worst:.3e}"
-    except oracle.NotAdmissible as exc:
-        ok, detail = False, str(exc)
-    record("fibre averaging never increases energy", ok, detail)
+    for name, prob, centers, width, columns, cell, check in (
+        ("spherical", ann, ann.r1 + (np.arange(40) + 0.5) * (ann.r2 - ann.r1) / 40,
+         (ann.r2 - ann.r1) / 40, 64, 2.0 * math.pi / 64, oracle.spherical_average_check),
+        ("fibre", cyl, (np.arange(40) + 0.5) * cyl.length / 40,
+         cyl.length / 40, 32, cyl.area / 32, oracle.fibre_average_check),
+    ):
+        ok, worst = True, 0.0
+        try:
+            for _ in range(cfg.draws):
+                rho = oracle.random_admissible_2d(centers, width, columns, cell, rng)
+                rep = check(rho, prob)
+                ok = ok and rep.admissible_after and rep.energy_after <= rep.energy_before
+                worst = max(worst, rep.energy_after - rep.energy_before)
+            detail = f"{cfg.draws} draws, worst increase {worst:.3e}"
+        except oracle.NotAdmissible as exc:
+            ok, detail = False, str(exc)
+        record(f"{name} averaging never increases energy", ok, detail)
 
     w, p, delta = oracle.annulus_grid(ann, max(cfg.grid, 2))
     scale = 1.3
     super_adm = np.full(w.size, scale / (w.size * delta))
     e_super = float((w * super_adm**p).sum() * delta)
     e_scaled = float((w * (super_adm / scale) ** p).sum() * delta)
-    record(
-        "rescaling a super-admissible density lowers energy",
-        e_scaled < e_super,
-        f"{e_super:.6g} -> {e_scaled:.6g}",
-    )
+    record("rescaling a super-admissible density lowers energy", e_scaled < e_super,
+           f"{e_super:.6g} -> {e_scaled:.6g}")
 
     passed = all(c[1] for c in checks)
-    code = EXIT_OK if passed else EXIT_ORACLE
-    if cfg.fmt == "json":
-        payload = {
-            "command": "oracle-check",
-            "passed": passed,
-            "checks": [{"name": n, "passed": p_, "detail": d} for n, p_, d in checks],
-            "diagnostics": {
-                "grid": cfg.grid,
-                "draws": cfg.draws,
-                "seed": cfg.seed,
-                "quadrature_step": realized_step(ann.r1, ann.r2, quad),
-                "residual": sol_a.residual,
-            },
-        }
-        return code, _json_text(payload)
-    if cfg.fmt == "csv":
-        return code, _csv_lines(
-            ["name", "passed", "detail"], [[n, p_, d] for n, p_, d in checks]
-        )
-    lines = [
-        f"{'PASS' if p_ else 'FAIL'}  {n}  ({d})" for n, p_, d in checks
-    ]
-    lines.append("all checks passed" if passed else "some checks FAILED")
-    return code, "\n".join(lines) + "\n"
+    diagnostics = {"grid": cfg.grid, "draws": cfg.draws, "seed": cfg.seed,
+                   "quadrature_step": realized_step(ann.r1, ann.r2, quad),
+                   "residual": sol_a.residual}
+    table = Table("checks", ("name", "passed", "detail"), checks,
+                  "{passed}  {name}  ({detail})".format_map)
+    return Report("oracle-check", {"passed": passed}, diagnostics, [table],
+                  tail=["all checks passed" if passed else "some checks FAILED"],
+                  code=EXIT_OK if passed else EXIT_ORACLE)
+
+
+_COMMANDS = {
+    "annulus": (_cmd_solve, "solve one ring problem"),
+    "cylinder": (_cmd_solve, "solve one cylinder problem"),
+    "sweep": (_cmd_sweep, "vary the outer radius or the length"),
+    "tables": (_cmd_tables, "regenerate the reference tables"),
+    "oracle-check": (_cmd_oracle_check, "run the brute-force verification suite"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -536,140 +497,33 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Variable-exponent moduli of ring and cylinder curve families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--config", help="JSON file with defaults; flags override it")
-        sp.add_argument("--format", choices=("human", "csv", "json"), default=None)
-        sp.add_argument("--output", help="write the report here instead of stdout")
-        sp.add_argument("--step-hint", type=float, default=None, help="quadrature step target")
-        sp.add_argument("--max-subintervals", type=int, default=None)
-        sp.add_argument("--residual-tol", type=float, default=None)
-        sp.add_argument("--lambda-tol", type=float, default=None)
-        sp.add_argument("--max-iters", type=int, default=None)
-
-    sp = sub.add_parser("annulus", help="solve one ring problem")
-    add_common(sp)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--r1", type=float, default=None)
-    sp.add_argument("--r2", type=float, default=None)
-    sp.add_argument("--p", default=None, help="radial exponent expression in r")
-    sp.add_argument("--density-samples", type=int, default=None)
-
-    sp = sub.add_parser("cylinder", help="solve one cylinder problem")
-    add_common(sp)
-    sp.add_argument("--area", type=float, default=None)
-    sp.add_argument("--length", type=float, default=None)
-    sp.add_argument("--p", default=None, help="axial exponent expression in t")
-    sp.add_argument("--density-samples", type=int, default=None)
-
-    sp = sub.add_parser("sweep", help="vary the outer radius or the length")
-    add_common(sp)
-    sp.add_argument("--geometry", choices=("annulus", "cylinder"), default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--r1", type=float, default=None)
-    sp.add_argument("--area", type=float, default=None)
-    sp.add_argument("--p", default=None)
-    sp.add_argument("--values", default=None, help="comma-separated parameter list")
-    sp.add_argument("--geometric", default=None, help="start:stop:count geometric range")
-
-    sp = sub.add_parser("tables", help="regenerate the reference tables")
-    add_common(sp)
-
-    sp = sub.add_parser("oracle-check", help="run the brute-force verification suite")
-    add_common(sp)
-    sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--draws", type=int, default=None)
-    sp.add_argument("--el-tol", type=float, default=None)
-    sp.add_argument("--pgd-iters", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for opt in OPTIONS:
+            if command in opt.commands:
+                text = opt.help.get(command) if isinstance(opt.help, dict) else opt.help
+                sp.add_argument("--" + opt.flag, type=opt.type, choices=opt.choices, help=text)
     return parser
-
-
-_FLAG_FIELDS = {
-    "n": "n",
-    "r1": "r1",
-    "r2": "r2",
-    "area": "area",
-    "length": "length",
-    "p": "p_text",
-    "step_hint": "step_hint",
-    "max_subintervals": "max_subintervals",
-    "residual_tol": "residual_tol",
-    "lambda_tol": "lambda_tol",
-    "max_iters": "max_iters",
-    "format": "fmt",
-    "output": "output",
-    "density_samples": "density_samples",
-    "geometry": "geometry",
-    "grid": "grid",
-    "draws": "draws",
-    "el_tol": "el_tol",
-    "pgd_iters": "pgd_iters",
-    "seed": "seed",
-}
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        file_values = json.loads(Path(args.config).read_text())
-        if not isinstance(file_values, dict):
-            raise ValueError("the config file must hold a JSON object")
-
-    for key, fieldname in _FLAG_FIELDS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, fieldname, flag)
-        elif key in file_values:
-            setattr(cfg, fieldname, file_values[key])
-
-    if args.command == "sweep":
-        values_text = getattr(args, "values", None) or file_values.get("values")
-        geometric = getattr(args, "geometric", None) or file_values.get("geometric")
-        if values_text is not None:
-            cfg.values = (
-                _parse_float_list(values_text)
-                if isinstance(values_text, str)
-                else [float(v) for v in values_text]
-            )
-        elif geometric is not None:
-            cfg.values = _geometric_range(geometric)
-    return cfg
-
-
-_COMMANDS = {
-    "annulus": _cmd_annulus,
-    "cylinder": _cmd_cylinder,
-    "sweep": _cmd_sweep,
-    "tables": _cmd_tables,
-    "oracle-check": _cmd_oracle_check,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        code, text = _COMMANDS[cfg.command](cfg)
+        cfg = _settings(args)
+        report = _COMMANDS[cfg.command][0](cfg)
     except (BracketFailure, MaxItersExceeded, NonFiniteIntegrand, IntervalTooFine) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ParseError, DomainError, ExponentRangeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # parse, domain and range errors included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    text = _RENDERERS[cfg.format](report)
     if cfg.output:
         Path(cfg.output).write_text(text)
     else:
         sys.stdout.write(text)
-    return code
+    return report.code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Variable exponents p(.) on an interval.
 
 Holds a tiny expression language so exponents such as "1+r" or "2+t" can be
-given textually, computes inf/sup bounds by dense sampling plus golden-section
-refinement, and offers a log-Hoelder continuity estimate as a diagnostic.
+given textually, and computes inf/sup bounds by dense sampling plus
+golden-section refinement.
 
 Grammar::
 
@@ -39,7 +39,6 @@ __all__ = [
     "parse_expression",
     "parse_exponent",
     "unparse",
-    "log_holder_constant_estimate",
 ]
 
 _MIN_EXPONENT_MARGIN = 1e-6  # p_minus must exceed 1 by at least this much
@@ -428,26 +427,8 @@ def parse_exponent(text: str, variable: str, interval: tuple[float, float]) -> E
     inferred inf does not exceed 1.
     """
     a, b = _valid_interval(interval)
-    expr = parse_expression(text, variable, (a, b))
+    expr = parse_expression(text, variable)
     evaluate = _compiled(expr.root)
     p_minus, p_plus = _sampled_bounds(evaluate, a, b)
     return _checked(ExponentFunction(evaluate, p_minus, p_plus, text, (a, b)))
 
-
-def log_holder_constant_estimate(p: ExponentFunction, samples: int = 512) -> float:
-    """Max over sampled pairs of |p(x) - p(y)| * log(e + 1/|x - y|).
-
-    A lower estimate of the log-Hoelder constant; purely diagnostic, nothing
-    downstream consumes it.
-    """
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
-    a, b = p.interval
-    xs = np.linspace(a, b, samples)
-    ps = np.asarray(p.eval(xs), dtype=float)
-    best = 0.0
-    for i in range(samples - 1):
-        dx = xs[i + 1 :] - xs[i]
-        dp = np.abs(ps[i + 1 :] - ps[i])
-        best = max(best, float(np.max(dp * np.log(np.e + 1.0 / dx))))
-    return best

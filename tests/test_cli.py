@@ -183,6 +183,36 @@ def test_flags_override_the_config_file(tmp_path):
     assert payload["modulus"] == pytest.approx(math.tau / math.log(2.0), rel=1e-5)
 
 
+def test_config_values_parse_like_their_flags(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": "3", "r2": "4", "step_hint": "0.02", "p": 2}))
+    from_file = run_cli("annulus", "--config", str(config), "--format", "json")
+    from_flags = run_cli(
+        "annulus", "--n", "3", "--r2", "4", "--step-hint", "0.02", "--p", "2",
+        "--format", "json",
+    )
+    assert json.loads(from_file.stdout) == json.loads(from_flags.stdout)
+
+
+def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"p": "2", "grid": "not a number", "values": "1,2"}))
+    run_cli("annulus", "--config", str(config))
+
+
+@pytest.mark.parametrize(
+    "values, key",
+    [({"n": 2.5}, "'n'"), ({"r2": "four"}, "'r2'"), ({"format": "xml"}, "'format'"),
+     ({"step-hint": 0.01}, "'step-hint'")],
+)
+def test_bad_config_values_are_validation_errors(tmp_path, values, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"p": "2", **values}))
+    proc = run_cli("annulus", "--config", str(config), expect=2)
+    assert f"config key {key}" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_unreadable_config_is_a_validation_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -17,14 +17,10 @@ from vexmod.exponent import (
     Power,
     Unary,
     Var,
-    log_holder_constant_estimate,
     parse_exponent,
     parse_expression,
     unparse,
 )
-
-# max over d in (0, 1] of d * log(e + 1/d), attained at d = 1.
-SLOPE_ONE_ENVELOPE = 1.3132616875182228
 
 
 def test_linear_in_r_bounds():
@@ -131,35 +127,6 @@ def test_interval_validation():
         parse_exponent("2+r", "r", (2.0, 1.0))
     with pytest.raises(ValueError):
         parse_exponent("2+r", "r", (0.0, math.inf))
-
-
-def test_log_holder_constant_of_constant_is_zero():
-    p = parse_exponent("3", "r", (1.0, 2.0))
-    assert log_holder_constant_estimate(p) == 0.0
-
-
-def test_log_holder_estimate_is_sampling_stable():
-    p = parse_exponent("1+r", "r", (1.0, 2.0))
-    base = log_holder_constant_estimate(p, samples=512)
-    assert base > 0.0
-    for samples in (1024, 4096):
-        other = log_holder_constant_estimate(p, samples=samples)
-        assert abs(other - base) <= 0.05 * base
-
-
-def test_log_holder_slope_one_envelope():
-    # p has slope 1 on [0, 1]; the pair at the endpoints attains the maximum
-    # of d * log(e + 1/d), so the estimate equals the envelope.
-    p = parse_exponent("1.5+t", "t", (0.0, 1.0))
-    estimate = log_holder_constant_estimate(p, samples=512)
-    assert estimate <= SLOPE_ONE_ENVELOPE + 1e-12
-    assert estimate == pytest.approx(SLOPE_ONE_ENVELOPE, rel=1e-12)
-
-
-def test_log_holder_needs_two_samples():
-    p = parse_exponent("2+r", "r", (1.0, 2.0))
-    with pytest.raises(ValueError):
-        log_holder_constant_estimate(p, samples=1)
 
 
 def test_restricted_narrows_bounds():
