@@ -2,10 +2,10 @@
 
 For a radial exponent p(|x|) the extremal density is an explicit radial
 formula with one free scalar, the Lagrange multiplier of the unit-integral
-normalization.  Everything here reduces to one-dimensional integrals: solving
-the multiplier by bisection, evaluating the modulus, the closed constant
-exponent form, the logarithmic test-density upper bound, and a capacity
-certificate built from the radial potential.
+normalization.  The ring is the weighted 1-D problem of ``_WeightedCore``
+with weight omega_n r^(n-1), which the cylinder shares with weight 1: the
+multiplier solve, the modulus, the logarithmic test-density upper bound and
+a capacity certificate built from the radial potential all run on it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exponent import ExponentFunction
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import QuadratureConfig, integrate, simpson_nodes, simpson_sum
 from .rootfind import BisectionConfig, solve_increasing
 
 __all__ = [
@@ -82,18 +82,61 @@ class ExtremalSolution:
     solver_iters: int
 
 
-def _extremal_density(prob: AnnulusProblem, lam: float) -> Callable:
-    omega = unit_sphere_area(prob.n)
-    k = prob.n - 1
-    peval = prob.p.eval
+@np.errstate(all="ignore")
+def _density(lam: float, p: np.ndarray, c: float, xk) -> np.ndarray:
+    """Pointwise minimizer (lam / (p w))^(1/(p-1)) of the energy with weight w = c x^k.
 
-    def rho(r):
-        rr = np.asarray(r, dtype=float)
-        pr = np.asarray(peval(rr), dtype=float)
-        out = (lam / (pr * omega * rr**k)) ** (1.0 / (pr - 1.0))
-        return float(out) if rr.ndim == 0 else out
+    In two new arrays: at 10^5 nodes a plain expression's temporaries set the peak memory.
+    """
+    rho = np.multiply(p, c, out=np.empty_like(p))
+    rho *= xk
+    np.divide(lam, rho, out=rho)
+    inv = np.subtract(p, 1.0, out=np.empty_like(p))
+    np.divide(1.0, inv, out=inv)
+    return np.power(rho, inv, out=rho)
 
-    return rho
+
+class _WeightedCore:
+    """Minimize the integral of w rho^p over [a, b], w(x) = c x^k, given integral rho = 1.
+
+    The Simpson nodes, p and x^k are evaluated once, at construction; every
+    multiplier the solve tries reuses them.
+    """
+
+    @np.errstate(all="ignore")
+    def __init__(self, p: ExponentFunction, c: float, k: int, a: float, b: float,
+                 quad: QuadratureConfig | None) -> None:
+        self.peval, self.c, self.k = p.eval, c, k
+        self.x = simpson_nodes(a, b, quad)
+        self.p = np.asarray(p.eval(self.x), dtype=float)
+        self.xk = self.x**k
+
+    def normalization(self, lam: float) -> float:
+        if lam <= 0:
+            raise ValueError(f"lam must be positive, got {lam}")
+        return simpson_sum(self.x, _density(lam, self.p, self.c, self.xk))
+
+    @np.errstate(all="ignore")
+    def energy(self, rho) -> float:
+        """Integral of w rho^p, for rho given at the nodes or as one constant."""
+        return self.c * simpson_sum(self.x, rho**self.p * self.xk)
+
+    def solve(self, bis: BisectionConfig | None) -> ExtremalSolution:
+        root, residual, iters = solve_increasing(self.normalization, 1.0, bis)
+        modulus = self.energy(_density(root, self.p, self.c, self.xk))
+        peval, c, k = self.peval, self.c, self.k
+
+        def rho(x):  # on scalars or arrays; holds none of the node arrays
+            xx = np.asarray(x, dtype=float)
+            px = np.asarray(peval(xx), dtype=float)
+            out = _density(root, px, c, xx**k)
+            return float(out) if xx.ndim == 0 else out
+
+        return ExtremalSolution(root, modulus, rho, residual, iters)
+
+
+def _ring_core(prob: AnnulusProblem, quad: QuadratureConfig | None) -> _WeightedCore:
+    return _WeightedCore(prob.p, unit_sphere_area(prob.n), prob.n - 1, prob.r1, prob.r2, quad)
 
 
 def normalization_value(
@@ -104,9 +147,7 @@ def normalization_value(
     Strictly increasing in lam, from 0 to infinity; the multiplier is its
     unique preimage of 1.
     """
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    return integrate(_extremal_density(prob, lam), prob.r1, prob.r2, quad)
+    return _ring_core(prob, quad).normalization(lam)
 
 
 def solve_annulus(
@@ -115,14 +156,7 @@ def solve_annulus(
     bis: BisectionConfig | None = None,
 ) -> ExtremalSolution:
     """Extremal density and modulus for the spherical-ring curve family."""
-    root, residual, iters = solve_increasing(
-        lambda lam: normalization_value(prob, lam, quad), 1.0, bis
-    )
-    rho = _extremal_density(prob, root)
-    modulus = unit_sphere_area(prob.n) * integrate(
-        lambda r: rho(r) ** prob.p.eval(r) * r ** (prob.n - 1), prob.r1, prob.r2, quad
-    )
-    return ExtremalSolution(root, modulus, rho, residual, iters)
+    return _ring_core(prob, quad).solve(bis)
 
 
 def constant_exponent_modulus(n: int, p: float, r1: float, r2: float) -> float:
@@ -147,13 +181,8 @@ def log_density_upper_bound(
     An upper bound for the modulus; it is attained exactly when p(r) is
     identically the dimension n.
     """
-    logratio = math.log(prob.r2 / prob.r1)
-
-    def integrand(r: float) -> float:
-        pr = prob.p.eval(r)
-        return r ** (prob.n - 1 - pr) / logratio**pr
-
-    return unit_sphere_area(prob.n) * integrate(integrand, prob.r1, prob.r2, quad)
+    core = _ring_core(prob, quad)
+    return core.energy(1.0 / (core.x * math.log(prob.r2 / prob.r1)))
 
 
 @dataclass(frozen=True)
@@ -216,7 +245,5 @@ def capacity_upper_via_potential(
     is the extremal density, so this energy equals the modulus and certifies
     numerically that the condenser capacity cannot exceed it.
     """
-    rho = sol.density
-    return unit_sphere_area(prob.n) * integrate(
-        lambda r: rho(r) ** prob.p.eval(r) * r ** (prob.n - 1), prob.r1, prob.r2, quad
-    )
+    core = _ring_core(prob, quad)
+    return core.energy(sol.density(core.x))

@@ -511,17 +511,17 @@ def main(argv=None) -> int:
     try:
         cfg = _settings(args)
         report = _COMMANDS[cfg.command][0](cfg)
+        text = _RENDERERS[cfg.format](report)
+        if cfg.output:
+            Path(cfg.output).write_text(text)
     except (BracketFailure, MaxItersExceeded, NonFiniteIntegrand, IntervalTooFine) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (OSError, ValueError) as exc:  # parse, domain and range errors included
+    except (OSError, ValueError) as exc:  # parse, domain, range and --output errors included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    text = _RENDERERS[cfg.format](report)
-    if cfg.output:
-        Path(cfg.output).write_text(text)
-    else:
+    if not cfg.output:
         sys.stdout.write(text)
     return report.code
 

@@ -2,22 +2,19 @@
 
 With an exponent depending only on the axial coordinate, the problem reduces
 to one dimension over [0, L]; the cross-section enters through its measure
-alone.  Same solution scheme as the annulus: explicit density with one scalar
-multiplier, normalization solved by bisection.
+alone.  It runs on the annulus module's weighted 1-D core with weight 1,
+the cross-section measure scaling the energy but not the multiplier.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .annulus import ExtremalSolution
+from .annulus import ExtremalSolution, _WeightedCore
 from .exponent import ExponentFunction
-from .quadrature import QuadratureConfig, integrate
-from .rootfind import BisectionConfig, solve_increasing
+from .quadrature import QuadratureConfig
+from .rootfind import BisectionConfig
 
 __all__ = [
     "CylinderProblem",
@@ -49,25 +46,15 @@ class CylinderProblem:
             )
 
 
-def _extremal_density(prob: CylinderProblem, lam: float) -> Callable:
-    peval = prob.p.eval
-
-    def phi(t):
-        tt = np.asarray(t, dtype=float)
-        pt = np.asarray(peval(tt), dtype=float)
-        out = (lam / pt) ** (1.0 / (pt - 1.0))
-        return float(out) if tt.ndim == 0 else out
-
-    return phi
+def _axial_core(prob: CylinderProblem, quad: QuadratureConfig | None) -> _WeightedCore:
+    return _WeightedCore(prob.p, 1.0, 0, 0.0, prob.length, quad)
 
 
 def cylinder_normalization_value(
     prob: CylinderProblem, lam: float, quad: QuadratureConfig | None = None
 ) -> float:
     """Integral over [0, L] of the candidate density (lam / p(t))^(1/(p(t)-1))."""
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    return integrate(_extremal_density(prob, lam), 0.0, prob.length, quad)
+    return _axial_core(prob, quad).normalization(lam)
 
 
 def solve_cylinder(
@@ -76,22 +63,15 @@ def solve_cylinder(
     bis: BisectionConfig | None = None,
 ) -> ExtremalSolution:
     """Extremal density and modulus for curves joining the two ends."""
-    root, residual, iters = solve_increasing(
-        lambda lam: cylinder_normalization_value(prob, lam, quad), 1.0, bis
-    )
-    phi = _extremal_density(prob, root)
-    modulus = prob.area * integrate(
-        lambda t: phi(t) ** prob.p.eval(t), 0.0, prob.length, quad
-    )
-    return ExtremalSolution(root, modulus, phi, residual, iters)
+    sol = _axial_core(prob, quad).solve(bis)
+    return replace(sol, modulus=prob.area * sol.modulus)
 
 
 def constant_density_upper_bound(
     prob: CylinderProblem, quad: QuadratureConfig | None = None
 ) -> float:
     """Energy of the constant density 1/L, admissible for end-to-end curves."""
-    L = prob.length
-    return prob.area * integrate(lambda t: L ** (-prob.p.eval(t)), 0.0, L, quad)
+    return prob.area * _axial_core(prob, quad).energy(1.0 / prob.length)
 
 
 def extremality_gap(

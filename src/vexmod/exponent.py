@@ -104,15 +104,10 @@ Node = Union[Num, Var, Unary, Binary, Power, Call]
 
 @dataclass(frozen=True)
 class ExponentExpr:
-    """Parsed expression in one variable, optionally tied to an interval.
-
-    When an interval is given, construction verifies that evaluation is
-    finite on a dense sample of the closed interval.
-    """
+    """Parsed expression in one variable."""
 
     root: Node
     variable: str
-    interval: tuple[float, float] | None = None
 
 
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -290,15 +285,9 @@ def unparse(node: Node | ExponentExpr) -> str:
     raise TypeError(f"unknown node {node!r}")
 
 
-def parse_expression(
-    text: str, variable: str, interval: tuple[float, float] | None = None
-) -> ExponentExpr:
-    """Parse text into a syntax tree; with an interval, also check finiteness."""
-    root = _Parser(_tokenize(text), variable).parse()
-    if interval is not None:
-        a, b = _valid_interval(interval)
-        _sample_values(_compiled(root), a, b)
-    return ExponentExpr(root, variable, interval)
+def parse_expression(text: str, variable: str) -> ExponentExpr:
+    """Parse text into a syntax tree; finiteness is checked by ``parse_exponent``."""
+    return ExponentExpr(_Parser(_tokenize(text), variable).parse(), variable)
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +364,6 @@ def _vector_safe(fn: Callable) -> Callable:
     return evaluate
 
 
-def _sample_values(evaluate: Callable, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.linspace(a, b, _SAMPLE_NODES + 2)
-    ys = np.asarray(evaluate(xs), dtype=float)
-    if not np.isfinite(ys).all():
-        bad = float(xs[~np.isfinite(ys)][0])
-        raise DomainError(f"expression is non-finite near x={bad}")
-    return xs, ys
-
-
 def _golden_refine(f: Callable[[float], float], lo: float, hi: float, minimize: bool) -> float:
     """Golden-section search for an interior extremum value inside [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -406,7 +386,11 @@ def _golden_refine(f: Callable[[float], float], lo: float, hi: float, minimize: 
 
 
 def _sampled_bounds(evaluate: Callable, a: float, b: float) -> tuple[float, float]:
-    xs, ys = _sample_values(evaluate, a, b)
+    xs = np.linspace(a, b, _SAMPLE_NODES + 2)
+    ys = np.asarray(evaluate(xs), dtype=float)
+    if not np.isfinite(ys).all():
+        bad = float(xs[~np.isfinite(ys)][0])
+        raise DomainError(f"expression is non-finite near x={bad}")
     scalar = lambda x: float(evaluate(x))  # noqa: E731
 
     def refined(idx: int, minimize: bool) -> float:

@@ -14,6 +14,8 @@ __all__ = [
     "IntervalTooFine",
     "subinterval_count",
     "realized_step",
+    "simpson_nodes",
+    "simpson_sum",
     "integrate",
 ]
 
@@ -76,6 +78,23 @@ def _values_at(f: Callable, nodes: np.ndarray) -> np.ndarray:
     return np.fromiter((float(f(x)) for x in nodes), dtype=float, count=nodes.size)
 
 
+def simpson_nodes(a: float, b: float, cfg: QuadratureConfig | None = None) -> np.ndarray:
+    """The ``subinterval_count(a, b, cfg) + 1`` equispaced nodes of the rule, a and b included."""
+    return np.linspace(a, b, subinterval_count(a, b, cfg) + 1)
+
+
+def simpson_sum(nodes: np.ndarray, values: np.ndarray) -> float:
+    """Composite Simpson sum of integrand values at ``simpson_nodes``; a value
+    that is not finite raises NonFiniteIntegrand naming its node."""
+    if not np.isfinite(values).all():
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise NonFiniteIntegrand(f"integrand is {values[bad]} at node x={nodes[bad]!r}")
+    n = nodes.size - 1
+    total = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()
+    # (b - a) * total / (3 n) instead of h * total / 3: keeps constants exact.
+    return float((nodes[-1] - nodes[0]) * total / (3.0 * n))
+
+
 def integrate(
     f: Callable[[float], float],
     a: float,
@@ -89,14 +108,5 @@ def integrate(
     integrand is evaluated once per node and must be finite everywhere on
     the closed interval.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    n = subinterval_count(a, b, cfg)
-    nodes = np.linspace(a, b, n + 1)
-    values = _values_at(f, nodes)
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NonFiniteIntegrand(f"integrand is {values[bad]} at node x={nodes[bad]!r}")
-    total = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()
-    # (b - a) * total / (3 n) instead of h * total / 3: keeps constants exact.
-    return float((b - a) * total / (3.0 * n))
+    nodes = simpson_nodes(a, b, cfg)
+    return simpson_sum(nodes, _values_at(f, nodes))

@@ -15,6 +15,7 @@ __all__ = [
 
 _EXPAND_CEILING = 1e30
 _EXPAND_FLOOR = 1e-30
+_INITIAL_BRACKET = (1e-8, 1.0)
 
 
 class BracketFailure(RuntimeError):
@@ -36,12 +37,8 @@ class BisectionConfig:
     residual_tol: float = 1e-6
     lambda_tol: float = 1e-10
     max_iters: int = 200
-    initial_bracket: tuple[float, float] = (1e-8, 1.0)
 
     def __post_init__(self) -> None:
-        lo, hi = self.initial_bracket
-        if not (0 < lo < hi):
-            raise ValueError(f"initial_bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
         if self.residual_tol <= 0 or self.lambda_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
@@ -72,7 +69,7 @@ def solve_increasing(
     if cfg is None:
         cfg = BisectionConfig()
 
-    lo, hi = cfg.initial_bracket
+    lo, hi = _INITIAL_BRACKET
     flo = F(lo)
     if abs(flo - target) <= cfg.residual_tol:
         return BisectionResult(lo, abs(flo - target), 0)

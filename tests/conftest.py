@@ -1,6 +1,12 @@
 import pytest
 
-from vexmod import AnnulusProblem, BisectionConfig, CylinderProblem, parse_exponent
+from vexmod import (
+    AnnulusProblem,
+    BisectionConfig,
+    CylinderProblem,
+    ExponentFunction,
+    parse_exponent,
+)
 
 
 @pytest.fixture
@@ -19,3 +25,25 @@ def cylinder_problem():
 def tight_bisection():
     """Stops on a residual small enough that quadrature dominates the error."""
     return BisectionConfig(residual_tol=1e-12, lambda_tol=1e-14)
+
+
+@pytest.fixture
+def counted_exponent():
+    """Factory for the exponent 1.5 + x on an interval, with a call counter.
+
+    Returns (exponent, calls); calls[0] counts the evaluations made after
+    construction, whatever the number of points in each.
+    """
+
+    def make(interval):
+        calls = [0]
+
+        def p(x):
+            calls[0] += 1
+            return 1.5 + x
+
+        exponent = ExponentFunction.from_callable(p, interval)
+        calls[0] = 0
+        return exponent, calls
+
+    return make

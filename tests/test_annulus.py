@@ -97,6 +97,17 @@ def test_solve_reference_problem_tight(ring_problem, tight_bisection):
     assert sol.modulus == pytest.approx(REF_MODULUS, rel=1e-7)
 
 
+def test_exponent_is_evaluated_once_per_solve(counted_exponent, tight_bisection):
+    p, calls = counted_exponent((1.0, 2.0))
+    prob = AnnulusProblem(3, 1.0, 2.0, p)
+    iters = set()
+    for bis in (None, tight_bisection):
+        calls[0] = 0
+        iters.add(solve_annulus(prob, None, bis).solver_iters)
+        assert calls[0] == 1
+    assert len(iters) == 2
+
+
 def test_normalization_holds_at_the_solution(ring_problem):
     sol = solve_annulus(ring_problem)
     assert normalization_value(ring_problem, sol.lam) == pytest.approx(1.0, abs=2e-6)

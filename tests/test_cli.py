@@ -248,6 +248,13 @@ def test_output_flag_writes_the_file_and_keeps_stdout_empty(tmp_path):
     assert target.read_text().startswith("lambda,modulus")
 
 
+def test_unwritable_output_path_is_a_validation_error(tmp_path):
+    target = tmp_path / "missing-dir" / "report.txt"
+    proc = run_cli("annulus", "--p", "1+r", "--output", str(target), expect=2)
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+
+
 def test_oracle_check_passes_by_default():
     proc = run_cli("oracle-check")
     assert "FAIL" not in proc.stdout

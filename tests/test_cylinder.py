@@ -67,6 +67,17 @@ def test_solve_reference_problem_tight(cylinder_problem, tight_bisection):
     assert sol.modulus == pytest.approx(REF_MODULUS, rel=1e-8)
 
 
+def test_exponent_is_evaluated_once_per_solve(counted_exponent, tight_bisection):
+    p, calls = counted_exponent((0.0, 1.0))
+    prob = CylinderProblem(2.0, 1.0, p)
+    iters = set()
+    for bis in (None, tight_bisection):
+        calls[0] = 0
+        iters.add(solve_cylinder(prob, None, bis).solver_iters)
+        assert calls[0] == 1
+    assert len(iters) == 2
+
+
 def test_constant_exponent_has_unit_density_and_modulus():
     sol = solve_cylinder(_cylinder("2"))
     assert sol.modulus == 1.0

@@ -88,10 +88,6 @@ def test_config_validation():
         BisectionConfig(lambda_tol=-1e-10)
     with pytest.raises(ValueError):
         BisectionConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        BisectionConfig(initial_bracket=(1.0, 0.5))
-    with pytest.raises(ValueError):
-        BisectionConfig(initial_bracket=(0.0, 1.0))
 
 
 @settings(max_examples=50, deadline=None)

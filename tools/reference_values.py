@@ -1,9 +1,10 @@
 """Regenerate the high-precision reference values frozen into the tests.
 
-Every numeric oracle constant in tests/ comes from this script: mpmath at 40
-significant digits, adaptive quadrature, and a bisection root with tolerance
-1e-30, so the printed values are exact to well past double precision.  Needs
-mpmath, which the package itself does not depend on:
+Every numeric oracle constant in tests/ and bench/reference.py comes from
+this script: mpmath at 40 significant digits, adaptive quadrature, and a
+bisection root with tolerance 1e-30, so the printed values are exact to well
+past double precision.  Needs mpmath, which the package itself does not
+depend on:
 
     pip install mpmath && python3 tools/reference_values.py
 """
@@ -106,7 +107,8 @@ print("== p=1+r log-bound margins ==")
 for (n, r1, r2) in ((2, 1, 2), (2, 1, 4), (3, 1, 2)):
     lam_m, M_m = ann_solve(n, r1, r2, p_ann)
     UB_m = ann_logbound(n, r1, r2, p_ann)
-    print(f"n={n} [{r1},{r2}]: margin% = {mp.nstr(100 * (UB_m / M_m - 1), 10)}")
+    print(f"n={n} [{r1},{r2}]: lambda* = {mp.nstr(lam_m, 20)}  M = {mp.nstr(M_m, 20)}  "
+          f"margin% = {mp.nstr(100 * (UB_m / M_m - 1), 10)}")
 
 print("== p=3, A=2, L=2 cylinder ==")
 lam32, M32 = cyl_solve(2, 2, lambda t: mp.mpf(3))
