@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .exponent import ExponentFunction
-from .quadrature import QuadratureConfig, integrate, simpson_nodes, simpson_sum
+from .quadrature import QuadratureConfig, _pointwise, integrate, simpson_nodes, simpson_sum
 from .rootfind import BisectionConfig, solve_increasing
 
 __all__ = [
@@ -96,6 +97,12 @@ def _density(lam: float, p: np.ndarray, c: float, xk) -> np.ndarray:
     return np.power(rho, inv, out=rho)
 
 
+def _density_at(lam: float, peval: Callable, c: float, k: int, x) -> np.ndarray:
+    """``_density`` at x; x^k takes numpy's array power, as at the nodes, also for a scalar."""
+    x = np.asarray(x)
+    return _density(lam, peval(x), c, x**k)
+
+
 class _WeightedCore:
     """Minimize the integral of w rho^p over [a, b], w(x) = c x^k, given integral rho = 1.
 
@@ -124,14 +131,8 @@ class _WeightedCore:
     def solve(self, bis: BisectionConfig | None) -> ExtremalSolution:
         root, residual, iters = solve_increasing(self.normalization, 1.0, bis)
         modulus = self.energy(_density(root, self.p, self.c, self.xk))
-        peval, c, k = self.peval, self.c, self.k
-
-        def rho(x):  # on scalars or arrays; holds none of the node arrays
-            xx = np.asarray(x, dtype=float)
-            px = np.asarray(peval(xx), dtype=float)
-            out = _density(root, px, c, xx**k)
-            return float(out) if xx.ndim == 0 else out
-
+        # On scalars or arrays; holds none of the node arrays.
+        rho = partial(_pointwise, partial(_density_at, root, self.peval, self.c, self.k))
         return ExtremalSolution(root, modulus, rho, residual, iters)
 
 

@@ -15,22 +15,18 @@ verification check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .annulus import (
-    AnnulusProblem,
-    log_density_upper_bound,
-    modulus_sweep,
-    normalization_value,
-    solve_annulus,
-)
+from .annulus import AnnulusProblem, log_density_upper_bound, normalization_value, solve_annulus
 from .cylinder import (
     CylinderProblem,
     constant_density_upper_bound,
@@ -260,26 +256,34 @@ def _solve(prob, quad: QuadratureConfig, bis: BisectionConfig):
     return sol, {"lambda": sol.lam, "modulus": sol.modulus, "upper_bound": bound, **extra}
 
 
+def _geometry(cfg, geometry: str) -> tuple[float, str, Callable]:
+    """Start and variable of the exponent's interval, and the problem as a function of its
+    free end b and exponent p: the ring r1 < r < b in R^n, or the cylinder of length b."""
+    if geometry == "annulus":
+        return cfg.r1, "r", partial(AnnulusProblem, cfg.n, cfg.r1)
+    return 0.0, "t", partial(CylinderProblem, cfg.area)
+
+
 def _cmd_solve(cfg) -> Report:
     """``annulus`` and ``cylinder``: one problem, its bound, optional density samples."""
     if cfg.p is None:
         raise ValueError("missing exponent expression, pass --p")
+    if cfg.density_samples < 0:
+        raise ValueError(f"--density-samples must be at least 0, got {cfg.density_samples}")
     if cfg.command == "annulus":
         if not 0.0 < cfg.r1 < cfg.r2:
             raise ValueError(f"radii must satisfy 0 < r1 < r2, got r1={cfg.r1} r2={cfg.r2}")
-        a, b, var = cfg.r1, cfg.r2, "r"
-        problem = {"n": cfg.n, "r1": cfg.r1, "r2": cfg.r2, "p": cfg.p}
-        prob = AnnulusProblem(cfg.n, a, b, parse_exponent(cfg.p, var, (a, b)))
+        b, problem = cfg.r2, {"n": cfg.n, "r1": cfg.r1, "r2": cfg.r2, "p": cfg.p}
         title = "ring modulus: n={problem[n]} r1={problem[r1]} r2={problem[r2]} p={problem[p]}"
         density, compared = "log", "  bound/modulus ratio  {ratio}"
     else:
         if not cfg.length > 0.0:
             raise ValueError(f"length must be positive, got length={cfg.length}")
-        a, b, var = 0.0, cfg.length, "t"
-        problem = {"area": cfg.area, "length": cfg.length, "p": cfg.p}
-        prob = CylinderProblem(cfg.area, b, parse_exponent(cfg.p, var, (a, b)))
+        b, problem = cfg.length, {"area": cfg.area, "length": cfg.length, "p": cfg.p}
         title = "cylinder modulus: area={problem[area]} length={problem[length]} p={problem[p]}"
         density, compared = "constant", "  extremality gap  {gap}"
+    a, var, problem_at = _geometry(cfg, cfg.command)
+    prob = problem_at(b, parse_exponent(cfg.p, var, (a, b)))
     quad, bis = _tolerances(cfg)
     sol, results = _solve(prob, quad, bis)
     diagnostics = {"residual": sol.residual, "bisection_iters": sol.solver_iters,
@@ -301,14 +305,6 @@ def _cmd_solve(cfg) -> Report:
     return rep
 
 
-def _safe_step(a: float, b: float, quad: QuadratureConfig) -> float | None:
-    """Realized step for a sweep row; None when the interval itself is bad."""
-    try:
-        return realized_step(a, b, quad)
-    except Exception:
-        return None
-
-
 def _sweep_line(r: dict) -> str:
     if r["error"]:
         return f"  {r['param']:>10}  error: {r['error']}"
@@ -327,30 +323,25 @@ def _cmd_sweep(cfg) -> Report:
     if not params:
         raise ValueError("the sweep needs --values or --geometric")
     quad, bis = _tolerances(cfg)
+    a, var, problem_at = _geometry(cfg, cfg.geometry)
+    top = max(params)
+    if top <= a:
+        ring = cfg.geometry == "annulus"
+        what = f"radii must exceed r1={cfg.r1}" if ring else "lengths must be positive"
+        raise ValueError(f"all sweep {what}")
+    p = parse_exponent(cfg.p, var, (a, top))
+    problem_at(top, p)  # settings every row shares: a bad one fails the sweep, not each row
     rows = []
-    if cfg.geometry == "annulus":
-        top = max(params)
-        if top <= cfg.r1:
-            raise ValueError(f"all sweep radii must exceed r1={cfg.r1}")
-        p = parse_exponent(cfg.p, "r", (cfg.r1, top))
-        template = AnnulusProblem(cfg.n, cfg.r1, top, p)
-        for row in modulus_sweep(template, params, quad, bis):
-            bound = None
-            step = _safe_step(cfg.r1, row.r2, quad)
-            if row.error is None:
-                sub = AnnulusProblem(cfg.n, cfg.r1, row.r2, p.restricted(cfg.r1, row.r2))
-                bound = log_density_upper_bound(sub, quad)
-            rows.append([row.r2, row.lam, row.modulus, bound, row.residual, step, row.error])
-    else:
-        for length in params:
-            step = _safe_step(0.0, length, quad)
-            try:
-                prob = CylinderProblem(cfg.area, length, parse_exponent(cfg.p, "t", (0.0, length)))
-                sol, results = _solve(prob, quad, bis)
-                rows.append([length, sol.lam, sol.modulus, results["upper_bound"], sol.residual,
-                             step, None])
-            except Exception as exc:  # report the row, keep sweeping
-                rows.append([length, None, None, None, None, step, f"{type(exc).__name__}: {exc}"])
+    for value in params:
+        row = [value, None, None, None, None, None, None]
+        with contextlib.suppress(ValueError):  # no step on a bad interval; the row says why
+            row[5] = realized_step(a, value, quad)
+        try:
+            sol, results = _solve(problem_at(value, p.restricted(a, value)), quad, bis)
+            row[1:5] = sol.lam, sol.modulus, results["upper_bound"], sol.residual
+        except Exception as exc:  # report the row, keep sweeping
+            row[6] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
 
     columns = ("param", "lambda", "modulus", "upper_bound", "residual", "quadrature_step", "error")
     title = f"sweep over {cfg.geometry} ({'r2' if cfg.geometry == 'annulus' else 'length'}):"
@@ -403,6 +394,8 @@ def _cmd_tables(cfg) -> Report:
 
 
 def _cmd_oracle_check(cfg) -> Report:
+    if cfg.draws < 1:
+        raise ValueError(f"--draws must be at least 1, got {cfg.draws}")
     quad, _ = _tolerances(cfg)
     tight = BisectionConfig(residual_tol=1e-10, lambda_tol=1e-13)
     checks: list[list] = []

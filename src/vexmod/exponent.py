@@ -20,9 +20,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
+
+from .quadrature import _pointwise
 
 __all__ = [
     "ParseError",
@@ -227,11 +230,13 @@ class _Parser:
 
 
 def _evaluate(node: Node, x):
+    """The expression at x, in numpy arithmetic also for a scalar x: a pole
+    gives inf and a bad power nan, never ZeroDivisionError or a complex."""
     match node:
         case Num(value=v):
             return v
         case Var():
-            return x
+            return np.asarray(x)
         case Unary(operand=inner):
             return -_evaluate(inner, x)
         case Binary(op="+", left=l, right=r):
@@ -249,20 +254,6 @@ def _evaluate(node: Node, x):
         case Call(func="log", arg=a):
             return np.log(_evaluate(a, x))
     raise TypeError(f"unknown node {node!r}")
-
-
-def _compiled(root: Node) -> Callable:
-    """Evaluator accepting a scalar or an ndarray."""
-
-    def evaluate(x):
-        xs = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.asarray(_evaluate(root, xs), dtype=float)
-        if out.shape != xs.shape:
-            out = np.broadcast_to(out, xs.shape).copy()
-        return float(out) if xs.ndim == 0 else out
-
-    return evaluate
 
 
 def unparse(node: Node | ExponentExpr) -> str:
@@ -313,19 +304,14 @@ class ExponentFunction:
     def from_callable(
         cls, fn: Callable, interval: tuple[float, float], source: str = "callable"
     ) -> "ExponentFunction":
-        a, b = _valid_interval(interval)
-        evaluate = _vector_safe(fn)
-        p_minus, p_plus = _sampled_bounds(evaluate, a, b)
-        return _checked(cls(evaluate, p_minus, p_plus, source, (a, b)))
+        return _bounded(partial(_pointwise, fn), interval, source)
 
     def restricted(self, a: float, b: float) -> "ExponentFunction":
         """The same map on a subinterval, with bounds recomputed there."""
         lo, hi = self.interval
         if a < lo - 1e-12 or b > hi + 1e-12:
             raise ValueError(f"[{a}, {b}] is not inside the definition interval [{lo}, {hi}]")
-        a, b = _valid_interval((a, b))
-        p_minus, p_plus = _sampled_bounds(self.eval, a, b)
-        return _checked(ExponentFunction(self.eval, p_minus, p_plus, self.source, (a, b)))
+        return _bounded(self.eval, (a, b), self.source)
 
 
 def _valid_interval(interval: tuple[float, float]) -> tuple[float, float]:
@@ -335,33 +321,18 @@ def _valid_interval(interval: tuple[float, float]) -> tuple[float, float]:
     return a, b
 
 
-def _checked(p: ExponentFunction) -> ExponentFunction:
-    if not (math.isfinite(p.p_minus) and math.isfinite(p.p_plus)):
-        raise ExponentRangeError(f"exponent bounds are not finite: ({p.p_minus}, {p.p_plus})")
-    if p.p_minus <= 1.0 + _MIN_EXPONENT_MARGIN:
+def _bounded(evaluate: Callable, interval: tuple[float, float], source: str) -> ExponentFunction:
+    """The exponent ``evaluate`` on a valid interval, with its sampled bounds checked."""
+    a, b = _valid_interval(interval)
+    p_minus, p_plus = _sampled_bounds(evaluate, a, b)
+    if not (math.isfinite(p_minus) and math.isfinite(p_plus)):
+        raise ExponentRangeError(f"exponent bounds are not finite: ({p_minus}, {p_plus})")
+    if p_minus <= 1.0 + _MIN_EXPONENT_MARGIN:
         raise ExponentRangeError(
-            f"inf of the exponent is {p.p_minus}; it must exceed 1 by more than "
+            f"inf of the exponent is {p_minus}; it must exceed 1 by more than "
             f"{_MIN_EXPONENT_MARGIN} for the problem to be well posed"
         )
-    return p
-
-
-def _vector_safe(fn: Callable) -> Callable:
-    """Wrap a possibly scalar-only callable so ndarray input works."""
-
-    def evaluate(x):
-        xs = np.asarray(x, dtype=float)
-        if xs.ndim == 0:
-            return float(fn(float(xs)))
-        try:
-            out = np.asarray(fn(xs), dtype=float)
-            if out.shape == xs.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(fn(float(v))) for v in xs])
-
-    return evaluate
+    return ExponentFunction(evaluate, p_minus, p_plus, source, (a, b))
 
 
 def _golden_refine(f: Callable[[float], float], lo: float, hi: float, minimize: bool) -> float:
@@ -387,16 +358,15 @@ def _golden_refine(f: Callable[[float], float], lo: float, hi: float, minimize: 
 
 def _sampled_bounds(evaluate: Callable, a: float, b: float) -> tuple[float, float]:
     xs = np.linspace(a, b, _SAMPLE_NODES + 2)
-    ys = np.asarray(evaluate(xs), dtype=float)
+    ys = evaluate(xs)
     if not np.isfinite(ys).all():
         bad = float(xs[~np.isfinite(ys)][0])
         raise DomainError(f"expression is non-finite near x={bad}")
-    scalar = lambda x: float(evaluate(x))  # noqa: E731
 
     def refined(idx: int, minimize: bool) -> float:
         best = float(ys[idx])
         if 0 < idx < len(xs) - 1:
-            inner = _golden_refine(scalar, float(xs[idx - 1]), float(xs[idx + 1]), minimize)
+            inner = _golden_refine(evaluate, float(xs[idx - 1]), float(xs[idx + 1]), minimize)
             best = min(best, inner) if minimize else max(best, inner)
         return best
 
@@ -410,9 +380,7 @@ def parse_exponent(text: str, variable: str, interval: tuple[float, float]) -> E
     is non-finite somewhere on the interval, and ExponentRangeError when the
     inferred inf does not exceed 1.
     """
-    a, b = _valid_interval(interval)
-    expr = parse_expression(text, variable)
-    evaluate = _compiled(expr.root)
-    p_minus, p_plus = _sampled_bounds(evaluate, a, b)
-    return _checked(ExponentFunction(evaluate, p_minus, p_plus, text, (a, b)))
+    _valid_interval(interval)  # before the text: a bad interval is reported first
+    root = parse_expression(text, variable).root
+    return _bounded(partial(_pointwise, partial(_evaluate, root)), interval, text)
 

@@ -62,20 +62,23 @@ def realized_step(a: float, b: float, cfg: QuadratureConfig | None = None) -> fl
     return (b - a) / subinterval_count(a, b, cfg)
 
 
-def _values_at(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate f at every node, preferring one vectorized call.
+def _pointwise(f: Callable, x):
+    """f at every point of x, a float or an ndarray, with numpy errors ignored.
 
-    An integrand that accepts an array must evaluate elementwise; anything
-    that rejects arrays is evaluated node by node instead.
+    A callable that accepts an array is called once on the whole of it, and
+    a constant result is broadcast to its shape; one that raises on an array
+    is called once per point.  Points are passed as numpy float64 scalars,
+    and a scalar x gives a float.
     """
-    try:
-        with np.errstate(all="ignore"):
-            out = np.asarray(f(nodes), dtype=float)
-        if out.shape == nodes.shape:
-            return out
-    except Exception:
-        pass
-    return np.fromiter((float(f(x)) for x in nodes), dtype=float, count=nodes.size)
+    xs = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        if xs.ndim == 0:
+            return float(f(xs[()]))
+        try:
+            out = np.asarray(f(xs), dtype=float)
+            return out if out.shape == xs.shape else np.broadcast_to(out, xs.shape).copy()
+        except Exception:
+            return np.array([float(f(v)) for v in xs.flat]).reshape(xs.shape)
 
 
 def simpson_nodes(a: float, b: float, cfg: QuadratureConfig | None = None) -> np.ndarray:
@@ -105,8 +108,8 @@ def integrate(
 
     The node count is even and chosen by ``subinterval_count``; the rule is
     exact for polynomials up to degree three, apart from rounding.  The
-    integrand is evaluated once per node and must be finite everywhere on
-    the closed interval.
+    integrand is evaluated at every node, in one call if it accepts arrays,
+    and must be finite everywhere on the closed interval.
     """
     nodes = simpson_nodes(a, b, cfg)
-    return simpson_sum(nodes, _values_at(f, nodes))
+    return simpson_sum(nodes, _pointwise(f, nodes))

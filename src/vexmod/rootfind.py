@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -41,6 +42,9 @@ class BisectionConfig:
     def __post_init__(self) -> None:
         if self.residual_tol <= 0 or self.lambda_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.residual_tol) and math.isfinite(self.lambda_tol)):
+            raise ValueError(f"tolerances must be finite, got residual_tol={self.residual_tol}"
+                             f" and lambda_tol={self.lambda_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 

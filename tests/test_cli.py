@@ -1,4 +1,5 @@
-"""End-to-end command-line tests through real subprocesses."""
+"""End-to-end command-line tests, through real subprocesses unless a test counts
+library calls in-process."""
 
 import json
 import math
@@ -6,6 +7,9 @@ import subprocess
 import sys
 
 import pytest
+
+from vexmod import cli
+from vexmod.exponent import ExponentFunction, parse_exponent
 
 REF_LAMBDA = 20.778872988263774
 REF_MODULUS = 8.652192184157259
@@ -149,6 +153,36 @@ def test_sweep_reports_bad_rows_without_aborting():
     assert rows[1][6] == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("--p", "1+", "--values", "1,2"),  # does not parse
+     ("--p", "2+1/(t-1)", "--values", "0.5,2"),  # not finite on [0, 2]
+     ("--p", "2", "--values=-1,0"),  # no positive length
+     ("--p", "2", "--area", "-1", "--values", "1,2")],  # a bad setting every row shares
+)
+def test_cylinder_sweep_fails_as_a_whole_on_shared_input(args):
+    proc = run_cli("sweep", "--geometry", "cylinder", *args, expect=2)
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+
+
+def test_sweep_restricts_the_exponent_once_per_row(monkeypatch):
+    calls = []
+    restricted = ExponentFunction.restricted
+    monkeypatch.setattr(ExponentFunction, "restricted",
+                        lambda self, a, b: calls.append((a, b)) or restricted(self, a, b))
+    assert cli.main(["sweep", "--p", "2", "--values", "2,4"]) == 0
+    assert calls == [(1.0, 2.0), (1.0, 4.0)]
+
+
+def test_sweep_parses_the_exponent_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "parse_exponent",
+                        lambda *args: calls.append(args) or parse_exponent(*args))
+    assert cli.main(["sweep", "--geometry", "cylinder", "--p", "2+t", "--values", "1,2"]) == 0
+    assert calls == [("2+t", "t", (0.0, 2.0))]
+
+
 def test_sweep_geometric_range():
     proc = run_cli(
         "sweep", "--geometry", "annulus", "--p", "2",
@@ -232,6 +266,20 @@ def test_unknown_variable_is_a_validation_error():
 def test_missing_exponent_is_a_validation_error():
     proc = run_cli("annulus", expect=2)
     assert "--p" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [(("annulus", "--p", "1+r", "--lambda-tol", "inf"), "lambda_tol=inf"),
+     (("cylinder", "--p", "2+t", "--residual-tol", "nan"), "residual_tol=nan"),
+     (("annulus", "--p", "1+r", "--density-samples", "-3"), "--density-samples"),
+     (("oracle-check", "--draws", "-1"), "--draws"),
+     (("oracle-check", "--draws", "0"), "--draws")],
+)
+def test_non_finite_tolerances_and_negative_counts_are_validation_errors(args, named):
+    proc = run_cli(*args, expect=2)
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_too_fine_a_step_is_a_solver_error():

@@ -141,6 +141,12 @@ def test_from_callable():
     assert p.p_minus == pytest.approx(1.5, abs=1e-6)
     assert p.p_plus == pytest.approx(2.5, abs=1e-6)
     assert p.eval(0.0) == 2.0
+    calls = []
+    constant = ExponentFunction.from_callable(lambda x: calls.append(x) or 2.0, (0.0, 1.0))
+    assert (constant.p_minus, constant.p_plus, len(calls)) == (2.0, 2.0, 1)
+    scalar_only = ExponentFunction.from_callable(lambda x: 2.0 + math.sin(x), (0.0, 1.0))
+    assert scalar_only.eval(np.array([0.0, 1.0])).tolist() == [2.0, 2.0 + math.sin(1.0)]
+    assert isinstance(scalar_only.eval(0.5), float)
 
 
 def _ast_nodes():

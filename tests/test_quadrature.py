@@ -30,7 +30,9 @@ def test_exact_on_cubics():
 
 
 def test_constant_integrand_is_exact():
-    assert integrate(lambda x: 1.0, 2.0, 5.0) == 3.0
+    calls = []
+    assert integrate(lambda x: calls.append(x) or 1.0, 2.0, 5.0) == 3.0
+    assert len(calls) == 1  # a constant result is broadcast over the nodes
 
 
 def test_ring_density_integrand():

@@ -1,5 +1,7 @@
 """Bracketed bisection for strictly increasing functions."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,6 +90,11 @@ def test_config_validation():
         BisectionConfig(lambda_tol=-1e-10)
     with pytest.raises(ValueError):
         BisectionConfig(max_iters=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            BisectionConfig(residual_tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            BisectionConfig(lambda_tol=bad)
 
 
 @settings(max_examples=50, deadline=None)
