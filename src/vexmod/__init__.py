@@ -12,12 +12,10 @@ from .annulus import (
     AnnulusProblem,
     ExtremalSolution,
     SweepRow,
-    capacity_upper_via_potential,
     constant_exponent_modulus,
     log_density_upper_bound,
     modulus_sweep,
     normalization_value,
-    radial_potential,
     solve_annulus,
     unit_sphere_area,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "ParseError",
     "QuadratureConfig",
     "SweepRow",
-    "capacity_upper_via_potential",
     "constant_density_upper_bound",
     "constant_exponent_modulus",
     "cylinder_normalization_value",
@@ -80,7 +77,6 @@ __all__ = [
     "modulus_sweep",
     "normalization_value",
     "parse_exponent",
-    "radial_potential",
     "realized_step",
     "solve_annulus",
     "solve_cylinder",

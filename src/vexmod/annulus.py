@@ -4,8 +4,8 @@ For a radial exponent p(|x|) the extremal density is an explicit radial
 formula with one free scalar, the Lagrange multiplier of the unit-integral
 normalization.  The ring is the weighted 1-D problem of ``_WeightedCore``
 with weight omega_n r^(n-1), which the cylinder shares with weight 1: the
-multiplier solve, the modulus, the logarithmic test-density upper bound and
-a capacity certificate built from the radial potential all run on it.
+multiplier solve, the modulus and the logarithmic test-density upper bound
+all run on it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exponent import ExponentFunction
-from .quadrature import QuadratureConfig, _pointwise, integrate, simpson_nodes, simpson_sum
+from .quadrature import QuadratureConfig, _pointwise, simpson_nodes, simpson_sum
 from .rootfind import BisectionConfig, solve_increasing
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "constant_exponent_modulus",
     "log_density_upper_bound",
     "modulus_sweep",
-    "radial_potential",
-    "capacity_upper_via_potential",
 ]
 
 
@@ -217,34 +215,3 @@ def modulus_sweep(
             rows.append(SweepRow(float(r2), None, None, None, f"{type(exc).__name__}: {exc}"))
     return rows
 
-
-def radial_potential(
-    sol: ExtremalSolution, prob: AnnulusProblem, quad: QuadratureConfig | None = None
-) -> Callable[[float], float]:
-    """Potential u(r) with u = 1 on the inner sphere, 0 on the outer.
-
-    u(r) integrates the extremal density from r to r2, so |u'| is the
-    density itself and the potential inherits its energy.
-    """
-
-    def u(r: float) -> float:
-        rr = float(r)
-        if rr < prob.r1 - 1e-12 or rr > prob.r2 + 1e-12:
-            raise ValueError(f"r={rr} lies outside [{prob.r1}, {prob.r2}]")
-        rr = min(max(rr, prob.r1), prob.r2)
-        return integrate(sol.density, rr, prob.r2, quad)
-
-    return u
-
-
-def capacity_upper_via_potential(
-    sol: ExtremalSolution, prob: AnnulusProblem, quad: QuadratureConfig | None = None
-) -> float:
-    """Gradient energy of the radial potential built from the density.
-
-    The potential separates the boundary spheres and its gradient magnitude
-    is the extremal density, so this energy equals the modulus and certifies
-    numerically that the condenser capacity cannot exceed it.
-    """
-    core = _ring_core(prob, quad)
-    return core.energy(sol.density(core.x))

@@ -88,14 +88,21 @@ def simpson_nodes(a: float, b: float, cfg: QuadratureConfig | None = None) -> np
 
 def simpson_sum(nodes: np.ndarray, values: np.ndarray) -> float:
     """Composite Simpson sum of integrand values at ``simpson_nodes``; a value
-    that is not finite raises NonFiniteIntegrand naming its node."""
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NonFiniteIntegrand(f"integrand is {values[bad]} at node x={nodes[bad]!r}")
+    that is not finite raises NonFiniteIntegrand naming its node, and so does
+    a sum of finite values that overflows, naming the interval."""
     n = nodes.size - 1
-    total = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()
-    # (b - a) * total / (3 n) instead of h * total / 3: keeps constants exact.
-    return float((nodes[-1] - nodes[0]) * total / (3.0 * n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()
+        # (b - a) * total / (3 n) instead of h * total / 3: keeps constants exact.
+        result = float((nodes[-1] - nodes[0]) * total / (3.0 * n))
+    if not math.isfinite(result):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NonFiniteIntegrand(f"integrand is {values[bad[0]]} at node x={nodes[bad[0]]!r}")
+        raise NonFiniteIntegrand(
+            f"integral over [{float(nodes[0])}, {float(nodes[-1])}] overflows a float"
+        )
+    return result
 
 
 def integrate(

@@ -20,7 +20,6 @@ from vexmod import (
     AnnulusProblem,
     BisectionConfig,
     CylinderProblem,
-    capacity_upper_via_potential,
     constant_exponent_modulus,
     log_density_upper_bound,
     constant_density_upper_bound,
@@ -28,7 +27,6 @@ from vexmod import (
     normalization_value,
     cylinder_normalization_value,
     parse_exponent,
-    radial_potential,
     solve_annulus,
     solve_cylinder,
     unit_sphere_area,
@@ -422,44 +420,33 @@ def test_10_modulus_decreases_in_the_outer_radius():
 
 
 def test_11_potential_construction_recovers_the_modulus():
+    # Two-sided bracket at the solver's multiplier: Young's bound from below,
+    # and from above the energy of the admissible rho / (integral of rho),
+    # which is the gradient energy of the potential u(x) = int_x^b rho / int rho.
     failures = []
-
-    ann = ring_example()
-    sol = solve_annulus(ann, bis=TIGHT)
-    cap = capacity_upper_via_potential(sol, ann)
-    rel = abs(cap - sol.modulus) / sol.modulus
-    check(
-        failures,
-        rel <= 1e-8,
-        f"ring: capacity differs from modulus by rel {rel:.2e}, required <= 1e-8",
-    )
-    u = radial_potential(sol, ann)
-    check(
-        failures,
-        abs(u(ann.r1) - 1.0) <= 1e-6,
-        f"ring: u(r1) = {u(ann.r1):.8f}, required 1 +/- 1e-6",
-    )
-    check(failures, u(ann.r2) == 0.0, f"ring: u(r2) = {u(ann.r2)!r}, required 0")
-
-    cyl = cylinder_example()
-    sol_c = solve_cylinder(cyl, bis=TIGHT)
-    energy = cyl.area * integrate(
-        lambda t: sol_c.density(t) ** cyl.p.eval(t), 0.0, cyl.length
-    )
-    rel = abs(energy - sol_c.modulus) / sol_c.modulus
-    check(
-        failures,
-        rel <= 1e-8,
-        f"cylinder: potential energy differs from modulus by rel {rel:.2e}",
-    )
-
-    def u_axial(t: float) -> float:
-        return integrate(sol_c.density, t, cyl.length)
-
-    check(
-        failures,
-        abs(u_axial(0.0) - 1.0) <= 1e-6,
-        f"cylinder: u(0) = {u_axial(0.0):.8f}, required 1 +/- 1e-6",
-    )
-    check(failures, u_axial(cyl.length) == 0.0, "cylinder: u(L) must vanish")
+    ann, cyl = ring_example(), cylinder_example()
+    omega = unit_sphere_area(ann.n)
+    for label, prob, solve, weight, a, b, scale, reference in (
+        ("ring", ann, solve_annulus, lambda r: omega * r ** (ann.n - 1),
+         ann.r1, ann.r2, 1.0, RING_MODULUS),
+        ("cylinder", cyl, solve_cylinder, lambda t: 1.0, 0.0, cyl.length, cyl.area,
+         CYLINDER_MODULUS),
+    ):
+        sol = solve(prob, bis=TIGHT)
+        lower = scale * young_lower_bound(weight, prob.p, sol.lam, a, b)
+        mass = integrate(sol.density, a, b)
+        upper = scale * integrate(
+            lambda x: weight(x) * (sol.density(x) / mass) ** prob.p.eval(x), a, b
+        )
+        check(
+            failures,
+            abs(upper - lower) <= 1e-12 * reference,
+            f"{label}: bracket [{lower!r}, {upper!r}] wider than 1e-12 * {reference}",
+        )
+        for side, value in (("lower", lower), ("upper", upper)):
+            check(
+                failures,
+                rel_error(value, reference) <= 1e-8,
+                f"{label}: {side} side {value:.12f}, required {reference} +/- rel 1e-8",
+            )
     report(failures)

@@ -1,4 +1,4 @@
-"""Ring moduli: multiplier solve, closed forms, bounds, sweep, capacity.
+"""Ring moduli: multiplier solve, closed forms, bounds and sweep.
 
 Reference values were computed independently with mpmath at 40-digit
 precision (bisection on the exact normalization integral, then exact
@@ -15,13 +15,11 @@ from vexmod import (
     AnnulusProblem,
     BisectionConfig,
     QuadratureConfig,
-    capacity_upper_via_potential,
     constant_exponent_modulus,
     log_density_upper_bound,
     modulus_sweep,
     normalization_value,
     parse_exponent,
-    radial_potential,
     solve_annulus,
     unit_sphere_area,
 )
@@ -242,21 +240,6 @@ def test_sweep_rows_keep_input_order_and_carry_residuals():
     rows = modulus_sweep(template, [8.0, 2.0])
     assert [row.r2 for row in rows] == [8.0, 2.0]
     assert all(row.residual <= 1e-6 for row in rows)
-
-
-def test_capacity_certificate_equals_the_modulus(ring_problem):
-    sol = solve_annulus(ring_problem)
-    assert capacity_upper_via_potential(sol, ring_problem) == sol.modulus
-
-
-def test_radial_potential_boundary_values(ring_problem):
-    sol = solve_annulus(ring_problem)
-    u = radial_potential(sol, ring_problem)
-    assert u(ring_problem.r2) == 0.0
-    assert u(ring_problem.r1) == pytest.approx(1.0, abs=1e-6)
-    assert u(1.0) > u(1.5) > u(2.0)
-    with pytest.raises(ValueError):
-        u(2.5)
 
 
 def test_problem_validation():

@@ -237,7 +237,7 @@ def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
 @pytest.mark.parametrize(
     "values, key",
     [({"n": 2.5}, "'n'"), ({"r2": "four"}, "'r2'"), ({"format": "xml"}, "'format'"),
-     ({"step-hint": 0.01}, "'step-hint'")],
+     ({"step-hint": 0.01}, "'step-hint'"), ({"pgd_iters": 5}, "'pgd_iters'")],
 )
 def test_bad_config_values_are_validation_errors(tmp_path, values, key):
     config = tmp_path / "run.json"
@@ -274,7 +274,11 @@ def test_missing_exponent_is_a_validation_error():
      (("cylinder", "--p", "2+t", "--residual-tol", "nan"), "residual_tol=nan"),
      (("annulus", "--p", "1+r", "--density-samples", "-3"), "--density-samples"),
      (("oracle-check", "--draws", "-1"), "--draws"),
-     (("oracle-check", "--draws", "0"), "--draws")],
+     (("oracle-check", "--draws", "0"), "--draws"),
+     (("oracle-check", "--el-tol", "nan"), "--el-tol"),
+     (("oracle-check", "--el-tol", "-1"), "--el-tol"),
+     (("sweep", "--p", "2", "--values", "2", "--geometric", "3:4:2"),
+      "--values and --geometric")],
 )
 def test_non_finite_tolerances_and_negative_counts_are_validation_errors(args, named):
     proc = run_cli(*args, expect=2)
@@ -324,4 +328,20 @@ def test_oracle_check_json_lists_every_check():
     assert payload["passed"] is True
     assert len(payload["checks"]) == 9
     assert all(c["passed"] for c in payload["checks"])
+    names = [c["name"] for c in payload["checks"]]
+    assert "annulus duality gap" in names and "cylinder duality gap" in names
     assert "quadrature_step" in payload["diagnostics"]
+
+
+def test_oracle_check_does_not_run_projected_gradient(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("projected gradient called")
+
+    monkeypatch.setattr(cli.oracle, "projected_gradient_minimize", fail)
+    assert cli.main(["oracle-check"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_pgd_iters_is_not_an_option():
+    proc = run_cli("oracle-check", "--pgd-iters", "5", expect=2)
+    assert "--pgd-iters" in proc.stderr

@@ -11,6 +11,7 @@ import pytest
 from vexmod import (
     BisectionConfig,
     CylinderProblem,
+    NonFiniteIntegrand,
     QuadratureConfig,
     constant_density_upper_bound,
     cylinder_normalization_value,
@@ -52,6 +53,13 @@ def test_normalization_strictly_increasing_over_four_decades(cylinder_problem):
     lams = [10.0**k for k in range(-2, 3)]
     values = [cylinder_normalization_value(cylinder_problem, lam) for lam in lams]
     assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_normalization_that_overflows_is_an_error():
+    # Every node value is finite, but the Simpson total exceeds the float range.
+    prob = CylinderProblem(0.394572, 0.0872822, parse_exponent("1.00275", "t", (0.0, 0.0872822)))
+    with pytest.raises(NonFiniteIntegrand, match=r"\[0\.0, 0\.0872822\]"):
+        cylinder_normalization_value(prob, 7.0)
 
 
 def test_solve_reference_problem(cylinder_problem):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vexmod import BisectionConfig, solve_annulus, solve_cylinder
+from vexmod import AnnulusProblem, BisectionConfig, parse_exponent, solve_annulus, solve_cylinder
 from vexmod.oracle import (
     AveragingReport,
     GridDensity,
@@ -21,6 +21,7 @@ from vexmod.oracle import (
     cylinder_grid,
     discrete_energy,
     discrete_minimize,
+    dual_lower_bound,
     fibre_average_check,
     projected_gradient_minimize,
     random_admissible_2d,
@@ -127,6 +128,54 @@ def test_minimize_input_validation():
         discrete_minimize(np.array([1.0, 2.0]), np.array([2.0, 1.0]), 0.5)
     with pytest.raises(ValueError):
         discrete_minimize(np.array([1.0, 2.0]), np.array([2.0]), 0.5)
+
+
+def test_dual_bound_lies_below_every_feasible_energy():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n_cells = int(rng.integers(1, 40))
+        delta = float(rng.uniform(0.01, 1.0))
+        w = rng.uniform(0.1, 10.0, n_cells)
+        p = rng.uniform(1.1, 4.0, n_cells)
+        v = rng.exponential(1.0, n_cells)
+        density = GridDensity(v / (v.sum() * delta), delta)
+        energy = discrete_energy(density, w, p)
+        for mu in (1e-3, 0.5, 1.0, 10.0, 1e4):
+            assert dual_lower_bound(w, p, delta, mu) <= energy * (1.0 + 1e-12)
+
+
+def test_dual_bound_equals_the_energy_at_the_optimal_multiplier():
+    # Constant w and p: the uniform density is optimal, with mu = w p v^(p-1).
+    w, p, delta, n_cells = 3.0, 2.5, 0.05, 20
+    v = 1.0 / (n_cells * delta)
+    weights, exponents = np.full(n_cells, w), np.full(n_cells, p)
+    energy = discrete_energy(GridDensity(np.full(n_cells, v), delta), weights, exponents)
+    bound = dual_lower_bound(weights, exponents, delta, w * p * v ** (p - 1.0))
+    assert bound == pytest.approx(energy, rel=1e-14)
+
+
+@pytest.mark.parametrize("p_text", ["1.2", "1.0001"])
+def test_duality_gap_vanishes_on_rings_with_exponents_near_one(p_text):
+    ring = AnnulusProblem(2, 1.0, 2.0, parse_exponent(p_text, "r", (1.0, 2.0)))
+    w, p, delta = annulus_grid(ring, 200)
+    gd = discrete_minimize(w, p, delta)
+    energy = discrete_energy(gd, w, p)
+    # The largest multiplier value: most cells underflow to 0 at p = 1.0001.
+    mu = float((w * p * gd.values ** (p - 1.0)).max())
+    assert abs(energy - dual_lower_bound(w, p, delta, mu)) <= 1e-12 * energy
+
+
+def test_dual_bound_rejects_a_bad_multiplier():
+    w, p = np.array([1.0, 2.0]), np.array([2.0, 3.0])
+    for mu in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            dual_lower_bound(w, p, 0.5, mu)
+    with pytest.raises(ValueError):
+        dual_lower_bound(w, np.array([2.0, 1.0]), 0.5, 1.0)
+
+
+def test_dual_bound_overflow_is_minus_infinity():
+    assert dual_lower_bound(np.array([1.0]), np.array([1.0001]), 1.0, 1e300) == -math.inf
 
 
 def test_projected_gradient_solves_the_symmetric_problem():
