@@ -89,16 +89,22 @@ def simpson_nodes(a: float, b: float, cfg: QuadratureConfig | None = None) -> np
 def simpson_sum(nodes: np.ndarray, values: np.ndarray) -> float:
     """Composite Simpson sum of integrand values at ``simpson_nodes``; a value
     that is not finite raises NonFiniteIntegrand naming its node, and so does
-    a sum of finite values that overflows, naming the interval."""
+    an integral of finite values that exceeds the float range, naming the interval."""
     n = nodes.size - 1
     with np.errstate(over="ignore", invalid="ignore"):
         total = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()
         # (b - a) * total / (3 n) instead of h * total / 3: keeps constants exact.
         result = float((nodes[-1] - nodes[0]) * total / (3.0 * n))
+    if math.isfinite(result):
+        return result
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteIntegrand(f"integrand is {values[bad[0]]} at node x={nodes[bad[0]]!r}")
+    # Finite values whose unweighted total overflowed: weigh each by h / 3 before summing.
+    with np.errstate(over="ignore"):
+        s = values * ((nodes[-1] - nodes[0]) / (3.0 * n))
+        result = float(s[0] + s[-1] + 4.0 * s[1:-1:2].sum() + 2.0 * s[2:-1:2].sum())
     if not math.isfinite(result):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise NonFiniteIntegrand(f"integrand is {values[bad[0]]} at node x={nodes[bad[0]]!r}")
         raise NonFiniteIntegrand(
             f"integral over [{float(nodes[0])}, {float(nodes[-1])}] overflows a float"
         )

@@ -11,7 +11,6 @@ import pytest
 from vexmod import (
     BisectionConfig,
     CylinderProblem,
-    NonFiniteIntegrand,
     QuadratureConfig,
     constant_density_upper_bound,
     cylinder_normalization_value,
@@ -55,11 +54,18 @@ def test_normalization_strictly_increasing_over_four_decades(cylinder_problem):
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_normalization_that_overflows_is_an_error():
-    # Every node value is finite, but the Simpson total exceeds the float range.
+def test_normalization_whose_simpson_total_overflows_is_finite():
+    # Every node value is finite and so is the integral, but the unweighted
+    # Simpson total exceeds the float range; 40-digit mpmath gives the value.
     prob = CylinderProblem(0.394572, 0.0872822, parse_exponent("1.00275", "t", (0.0, 0.0872822)))
-    with pytest.raises(NonFiniteIntegrand, match=r"\[0\.0, 0\.0872822\]"):
-        cylinder_normalization_value(prob, 7.0)
+    assert cylinder_normalization_value(prob, 7.0) == pytest.approx(6.540417198125673e305, rel=1e-9)
+
+
+def test_solve_with_exponent_near_one():
+    # Bracket expansion evaluates the normalization at lam = 2, about 5e306.
+    sol = solve_cylinder(CylinderProblem(1.0, 1.0, parse_exponent("1.00098", "t", (0.0, 1.0))))
+    assert sol.lam == pytest.approx(1.00098, rel=1e-6)
+    assert sol.residual <= 1e-6
 
 
 def test_solve_reference_problem(cylinder_problem):

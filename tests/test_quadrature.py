@@ -84,6 +84,15 @@ def test_nan_value_rejected():
         integrate(lambda x: math.nan, 0.0, 1.0)
 
 
+def test_huge_finite_values_whose_integral_fits():
+    assert integrate(lambda x: 1e308, 0.0, 1.0) == pytest.approx(1e308, rel=1e-14)
+
+
+def test_integral_beyond_the_float_range_is_reported_with_its_interval():
+    with pytest.raises(NonFiniteIntegrand, match=r"\[0\.0, 10\.0\]"):
+        integrate(lambda x: 1e308, 0.0, 10.0)
+
+
 def test_interval_too_fine():
     with pytest.raises(IntervalTooFine):
         integrate(lambda x: 1.0, 0.0, 1.0, QuadratureConfig(step_hint=1e-9))
