@@ -3,7 +3,8 @@
 The extremal density for the family of curves joining the two boundary
 components has a closed form up to one scalar, the Lagrange multiplier of
 the unit-integral normalization.  This package evaluates those densities,
-solves the multiplier by bisection, computes the resulting moduli, compares
+solves for the multiplier by safeguarded Newton steps in its logarithm,
+computes the resulting moduli with a Simpson error estimate, compares
 them against explicit test-density upper bounds, and cross-checks every
 analytic number with a discrete variational oracle.
 """

@@ -3,9 +3,12 @@
 For a radial exponent p(|x|) the extremal density is an explicit radial
 formula with one free scalar, the Lagrange multiplier of the unit-integral
 normalization.  The ring is the weighted 1-D problem of ``_WeightedCore``
-with weight omega_n r^(n-1), which the cylinder shares with weight 1: the
-multiplier solve, the modulus and the logarithmic test-density upper bound
-all run on it.
+with weight omega_n r^(n-1), integrated in s = log(r/r1) with Jacobian r, so
+that the density times r is exactly constant when p is identically n; the
+cylinder shares the core with weight 1 in its own axial variable.  The core
+holds each node's terms in logs and solves for log(lam) with
+``rootfind.solve_multiplier``; every solve also returns a Simpson error
+estimate of its normalization and modulus integrals.
 """
 
 from __future__ import annotations
@@ -18,8 +21,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exponent import ExponentFunction
-from .quadrature import QuadratureConfig, _pointwise, simpson_nodes, simpson_sum
-from .rootfind import BisectionConfig, solve_increasing
+from .quadrature import (
+    NonFiniteIntegrand,
+    QuadratureConfig,
+    _pointwise,
+    _simpson,
+    simpson_error,
+    simpson_nodes,
+    simpson_sum,
+)
+from .rootfind import BisectionConfig, exp_or_inf, log_total, positive_normal, solve_multiplier
 
 __all__ = [
     "AnnulusProblem",
@@ -34,11 +45,15 @@ __all__ = [
 ]
 
 
-def unit_sphere_area(n: int) -> float:
-    """Surface area of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
+def _log_unit_sphere_area(n: int) -> float:
     if n < 1 or int(n) != n:
         raise ValueError(f"dimension must be an integer >= 1, got {n}")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    return math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n)
+
+
+def unit_sphere_area(n: int) -> float:
+    """Surface area of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2), 0.0 once it underflows."""
+    return math.exp(_log_unit_sphere_area(n))
 
 
 @dataclass(frozen=True)
@@ -71,7 +86,11 @@ class ExtremalSolution:
 
     lam is the Lagrange multiplier of the unit-integral constraint, density
     the pointwise minimizer (accepts scalars or arrays), residual the
-    normalization defect at the accepted multiplier.
+    normalization defect at the accepted multiplier, solver_iters the
+    Newton or bisection steps after the first evaluation, and
+    quadrature_error the Simpson estimate |S_h - S_2h| / (15 S_h), the
+    larger of those of the normalization and of the modulus; it is reported,
+    not enforced.
     """
 
     lam: float
@@ -79,63 +98,78 @@ class ExtremalSolution:
     density: Callable
     residual: float
     solver_iters: int
+    quadrature_error: float
 
 
-@np.errstate(all="ignore")
-def _density(lam: float, p: np.ndarray, c: float, xk) -> np.ndarray:
-    """Pointwise minimizer (lam / (p w))^(1/(p-1)) of the energy with weight w = c x^k.
-
-    In two new arrays: at 10^5 nodes a plain expression's temporaries set the peak memory.
-    """
-    rho = np.multiply(p, c, out=np.empty_like(p))
-    rho *= xk
-    np.divide(lam, rho, out=rho)
-    inv = np.subtract(p, 1.0, out=np.empty_like(p))
-    np.divide(1.0, inv, out=inv)
-    return np.power(rho, inv, out=rho)
-
-
-def _density_at(lam: float, peval: Callable, c: float, k: int, x) -> np.ndarray:
-    """``_density`` at x; x^k takes numpy's array power, as at the nodes, also for a scalar."""
-    x = np.asarray(x)
-    return _density(lam, peval(x), c, x**k)
+def _density_at(peval: Callable, log_c: float, k: int, ell: float, x) -> np.ndarray:
+    """(lam / (p c x^k))^(1/(p-1)) at x for lam = e^ell, in logs: no power overflows."""
+    p = peval(x)
+    t = ell - np.log(p) - log_c
+    if k:
+        t = t - k * np.log(x)
+    return np.exp(t / (p - 1.0))
 
 
 class _WeightedCore:
-    """Minimize the integral of w rho^p over [a, b], w(x) = c x^k, given integral rho = 1.
+    """Minimize the integral of w rho^p given integral rho = 1, on Simpson nodes u
+    of an integration variable with Jacobian J.
 
-    The Simpson nodes, p and x^k are evaluated once, at construction; every
-    multiplier the solve tries reuses them.
+    Per node it keeps inv = 1/(p - 1) and base = log J - inv log(p w), so that
+    at lam = e^l the candidate density times J is exp(l inv + base); by the
+    stationarity condition w rho^p = lam rho / p, the modulus is lam times the
+    integral of rho J / p.  p and w are evaluated once, at construction.
+    ``density(l, x)`` gives the density at lam = e^l in the problem's variable.
     """
 
     @np.errstate(all="ignore")
-    def __init__(self, p: ExponentFunction, c: float, k: int, a: float, b: float,
-                 quad: QuadratureConfig | None) -> None:
-        self.peval, self.c, self.k = p.eval, c, k
-        self.x = simpson_nodes(a, b, quad)
-        self.p = np.asarray(p.eval(self.x), dtype=float)
-        self.xk = self.x**k
+    def __init__(self, u: np.ndarray, p: np.ndarray, log_w, log_j, density: Callable) -> None:
+        self.u, self.density = u, density
+        self.total = partial(_simpson, u)  # of terms in [0, 1]
+        self.inv = 1.0 / (p - 1.0)
+        self.base = log_j - self.inv * (np.log(p) + log_w)
+        bad = np.flatnonzero(~(np.isfinite(self.base) & (self.inv > 0.0)))
+        if bad.size:
+            raise NonFiniteIntegrand(f"the exponent is {p[bad[0]]!r} at quadrature node"
+                                     f" {u[bad[0]]!r}, not a finite value above 1")
 
     def normalization(self, lam: float) -> float:
-        if lam <= 0:
-            raise ValueError(f"lam must be positive, got {lam}")
-        return simpson_sum(self.x, _density(lam, self.p, self.c, self.xk))
-
-    @np.errstate(all="ignore")
-    def energy(self, rho) -> float:
-        """Integral of w rho^p, for rho given at the nodes or as one constant."""
-        return self.c * simpson_sum(self.x, rho**self.p * self.xk)
+        if not (lam > 0 and math.isfinite(lam)):
+            raise ValueError(f"lam must be positive and finite, got {lam}")
+        value = exp_or_inf(log_total(self.inv, self.base, self.total, math.log(lam))[0])
+        if value == math.inf:
+            raise NonFiniteIntegrand(f"the normalization at lam={lam} exceeds the float range")
+        return value
 
     def solve(self, bis: BisectionConfig | None) -> ExtremalSolution:
-        root, residual, iters = solve_increasing(self.normalization, 1.0, bis)
-        modulus = self.energy(_density(root, self.p, self.c, self.xk))
+        ell, residual, iters, scale, terms = solve_multiplier(self.inv, self.base, self.total, bis)
+        lam = positive_normal("multiplier", exp_or_inf(ell))
+        energy = terms * (self.inv / (1.0 + self.inv))  # rho J / p, scaled by e^-scale
+        modulus = positive_normal("modulus", lam * exp_or_inf(scale) * self.total(energy))
+        error = max(simpson_error(self.u, terms), simpson_error(self.u, energy))
         # On scalars or arrays; holds none of the node arrays.
-        rho = partial(_pointwise, partial(_density_at, root, self.peval, self.c, self.k))
-        return ExtremalSolution(root, modulus, rho, residual, iters)
+        rho = partial(_pointwise, partial(self.density, ell))
+        return ExtremalSolution(lam, modulus, rho, residual, iters, error)
+
+
+def _log_ratio(r1: float, r2: float) -> float:
+    """log(r2/r1), the length of the ring's interval in s; finite for any float radii."""
+    return math.log(r2) - math.log(r1)
+
+
+def _ring_nodes(prob: AnnulusProblem, quad: QuadratureConfig | None):
+    """Simpson nodes s on [0, log(r2/r1)], with log r and p(r) at each."""
+    s = simpson_nodes(0.0, _log_ratio(prob.r1, prob.r2), quad)
+    log_r = s + math.log(prob.r1)
+    r = np.exp(log_r)
+    r[0], r[-1] = prob.r1, prob.r2  # p is evaluated on its interval, ends included
+    return s, log_r, np.asarray(prob.p.eval(r), dtype=float)
 
 
 def _ring_core(prob: AnnulusProblem, quad: QuadratureConfig | None) -> _WeightedCore:
-    return _WeightedCore(prob.p, unit_sphere_area(prob.n), prob.n - 1, prob.r1, prob.r2, quad)
+    s, log_r, p = _ring_nodes(prob, quad)
+    log_c, k = _log_unit_sphere_area(prob.n), prob.n - 1
+    return _WeightedCore(s, p, log_c + k * log_r, log_r,
+                         partial(_density_at, prob.p.eval, log_c, k))
 
 
 def normalization_value(
@@ -159,17 +193,25 @@ def solve_annulus(
 
 
 def constant_exponent_modulus(n: int, p: float, r1: float, r2: float) -> float:
-    """Closed-form ring modulus for a constant exponent p > 1."""
+    """Closed-form ring modulus for a constant exponent p > 1.
+
+    With k = (n-1)/(p-1) it is omega_n I^(1-p), where I, the integral of
+    r^-k over [r1, r2], is r1^(1-k) L expm1(x)/x with L = log(r2/r1) and
+    x = (1-k) L; taken in logs, so no power overflows.
+    """
     if not (0 < r1 < r2):
         raise ValueError(f"radii must satisfy 0 < r1 < r2, got ({r1}, {r2})")
     if p <= 1:
         raise ValueError(f"exponent must exceed 1, got {p}")
     k = (n - 1) / (p - 1.0)
-    if abs(k - 1.0) < 1e-12:
-        inner = math.log(r2 / r1)
+    L = math.log(r2) - math.log(r1)
+    x = (1.0 - k) * L
+    if x > 0.0:
+        log_factor = x + math.log(-math.expm1(-x) / x)
     else:
-        inner = (r2 ** (1.0 - k) - r1 ** (1.0 - k)) / (1.0 - k)
-    return unit_sphere_area(n) * inner ** (1.0 - p)
+        log_factor = math.log(math.expm1(x) / x) if x < 0.0 else 0.0
+    log_inner = (1.0 - k) * math.log(r1) + math.log(L) + log_factor
+    return math.exp(_log_unit_sphere_area(n) + (1.0 - p) * log_inner)
 
 
 def log_density_upper_bound(
@@ -180,8 +222,12 @@ def log_density_upper_bound(
     An upper bound for the modulus; it is attained exactly when p(r) is
     identically the dimension n.
     """
-    core = _ring_core(prob, quad)
-    return core.energy(1.0 / (core.x * math.log(prob.r2 / prob.r1)))
+    s, log_r, p = _ring_nodes(prob, quad)
+    with np.errstate(all="ignore"):
+        # omega_n r^(n-1) (r L)^-p times the Jacobian r
+        values = np.exp(_log_unit_sphere_area(prob.n) + (prob.n - p) * log_r
+                        - p * math.log(_log_ratio(prob.r1, prob.r2)))
+    return simpson_sum(s, values)
 
 
 @dataclass(frozen=True)
@@ -190,6 +236,7 @@ class SweepRow:
     lam: float | None
     modulus: float | None
     residual: float | None = None
+    quadrature_error: float | None = None
     error: str | None = None
 
 
@@ -201,17 +248,17 @@ def modulus_sweep(
 ) -> list[SweepRow]:
     """Re-solve for each outer radius, keeping n, r1, and the exponent map.
 
-    The template exponent must be evaluable up to the largest requested
-    radius.  Each radius is solved from scratch, and a failure on one row is
-    reported on that row without stopping the sweep.
+    Every row shares the template's exponent, which must be evaluable up to
+    the largest requested radius; the solve reads p only at its own nodes.
+    Each radius is solved from scratch, and a failure on one row is reported
+    on that row without stopping the sweep.
     """
     rows: list[SweepRow] = []
     for r2 in r2_values:
         try:
-            sub = AnnulusProblem(prob.n, prob.r1, float(r2), prob.p.restricted(prob.r1, float(r2)))
-            sol = solve_annulus(sub, quad, bis)
-            rows.append(SweepRow(float(r2), sol.lam, sol.modulus, sol.residual))
+            sol = solve_annulus(AnnulusProblem(prob.n, prob.r1, float(r2), prob.p), quad, bis)
+            rows.append(SweepRow(float(r2), sol.lam, sol.modulus, sol.residual,
+                                 sol.quadrature_error))
         except Exception as exc:  # per-row report, the sweep keeps going
-            rows.append(SweepRow(float(r2), None, None, None, f"{type(exc).__name__}: {exc}"))
+            rows.append(SweepRow(float(r2), None, None, error=f"{type(exc).__name__}: {exc}"))
     return rows
-

@@ -26,7 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-from .annulus import AnnulusProblem, log_density_upper_bound, normalization_value, solve_annulus
+from .annulus import (
+    AnnulusProblem,
+    _log_ratio,
+    log_density_upper_bound,
+    normalization_value,
+    solve_annulus,
+)
 from .cylinder import (
     CylinderProblem,
     constant_density_upper_bound,
@@ -255,12 +261,13 @@ def _solve(prob, quad: QuadratureConfig, bis: BisectionConfig):
     return sol, {"lambda": sol.lam, "modulus": sol.modulus, "upper_bound": bound, **extra}
 
 
-def _geometry(cfg, geometry: str) -> tuple[float, str, Callable]:
-    """Start and variable of the exponent's interval, and the problem as a function of its
-    free end b and exponent p: the ring r1 < r < b in R^n, or the cylinder of length b."""
+def _geometry(cfg, geometry: str) -> tuple[float, str, Callable, Callable]:
+    """Start and variable of the exponent's interval, the problem as a function of its
+    free end b and exponent p (the ring r1 < r < b in R^n, or the cylinder of length b),
+    and the length of the interval the solve integrates over: log(b/r1), or b."""
     if geometry == "annulus":
-        return cfg.r1, "r", partial(AnnulusProblem, cfg.n, cfg.r1)
-    return 0.0, "t", partial(CylinderProblem, cfg.area)
+        return cfg.r1, "r", partial(AnnulusProblem, cfg.n, cfg.r1), partial(_log_ratio, cfg.r1)
+    return 0.0, "t", partial(CylinderProblem, cfg.area), float
 
 
 def _cmd_solve(cfg) -> Report:
@@ -281,17 +288,18 @@ def _cmd_solve(cfg) -> Report:
         b, problem = cfg.length, {"area": cfg.area, "length": cfg.length, "p": cfg.p}
         title = "cylinder modulus: area={problem[area]} length={problem[length]} p={problem[p]}"
         density, compared = "constant", "  extremality gap  {gap}"
-    a, var, problem_at = _geometry(cfg, cfg.command)
+    a, var, problem_at, length = _geometry(cfg, cfg.command)
     prob = problem_at(b, parse_exponent(cfg.p, var, (a, b)))
     quad, bis = _tolerances(cfg)
     sol, results = _solve(prob, quad, bis)
-    diagnostics = {"residual": sol.residual, "bisection_iters": sol.solver_iters,
-                   "quadrature_step": realized_step(a, b, quad)}
+    diagnostics = {"residual": sol.residual, "quadrature_error": sol.quadrature_error,
+                   "solver_iters": sol.solver_iters,
+                   "quadrature_step": realized_step(0.0, length(b), quad)}
     head = [
         title, "  lambda       {lambda}", "  modulus      {modulus}",
         "  upper bound  {upper_bound}   (" + density + " test density)", compared,
-        "  quadrature step {quadrature_step}, bisection iters {bisection_iters},"
-        " residual {residual}",
+        "  quadrature step {quadrature_step}, solver iters {solver_iters},"
+        " residual {residual}, quadrature error {quadrature_error}",
     ]
     summary = {**results, **diagnostics}
     rep = Report(cfg.command, {"problem": problem, **results}, diagnostics, head=head,
@@ -308,7 +316,8 @@ def _sweep_line(r: dict) -> str:
     if r["error"]:
         return f"  {r['param']:>10}  error: {r['error']}"
     return ("  {param:>10}  lambda={lambda}  modulus={modulus}  bound={upper_bound}"
-            "  residual={residual}  step={quadrature_step}").format_map(r)
+            "  residual={residual}  quadrature_error={quadrature_error}"
+            "  step={quadrature_step}").format_map(r)
 
 
 def _cmd_sweep(cfg) -> Report:
@@ -324,7 +333,7 @@ def _cmd_sweep(cfg) -> Report:
     if not params:
         raise ValueError("the sweep needs --values or --geometric")
     quad, bis = _tolerances(cfg)
-    a, var, problem_at = _geometry(cfg, cfg.geometry)
+    a, var, problem_at, length = _geometry(cfg, cfg.geometry)
     top = max(params)
     if top <= a:
         ring = cfg.geometry == "annulus"
@@ -334,17 +343,19 @@ def _cmd_sweep(cfg) -> Report:
     problem_at(top, p)  # settings every row shares: a bad one fails the sweep, not each row
     rows = []
     for value in params:
-        row = [value, None, None, None, None, None, None]
+        row = [value, None, None, None, None, None, None, None]
         with contextlib.suppress(ValueError):  # no step on a bad interval; the row says why
-            row[5] = realized_step(a, value, quad)
+            row[6] = realized_step(0.0, length(value), quad)
         try:
-            sol, results = _solve(problem_at(value, p.restricted(a, value)), quad, bis)
-            row[1:5] = sol.lam, sol.modulus, results["upper_bound"], sol.residual
+            sol, results = _solve(problem_at(value, p), quad, bis)
+            row[1:6] = (sol.lam, sol.modulus, results["upper_bound"], sol.residual,
+                        sol.quadrature_error)
         except Exception as exc:  # report the row, keep sweeping
-            row[6] = f"{type(exc).__name__}: {exc}"
+            row[7] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
 
-    columns = ("param", "lambda", "modulus", "upper_bound", "residual", "quadrature_step", "error")
+    columns = ("param", "lambda", "modulus", "upper_bound", "residual", "quadrature_error",
+               "quadrature_step", "error")
     title = f"sweep over {cfg.geometry} ({'r2' if cfg.geometry == 'annulus' else 'length'}):"
     return Report("sweep", {"geometry": cfg.geometry},
                   tables=[Table("rows", columns, rows, _sweep_line, title)])
@@ -365,8 +376,9 @@ def _cmd_tables(cfg) -> Report:
     sol_a, results_a = _solve(ann, quad, bis)
     sol_c, results_c = _solve(cyl, quad, bis)
     headline = {"annulus": results_a, "cylinder": results_c}
-    diagnostics = {"quadrature_step": realized_step(ann.r1, ann.r2, quad),
-                   "bisection_iters": sol_a.solver_iters, "residual": sol_a.residual}
+    diagnostics = {"quadrature_step": realized_step(0.0, _log_ratio(ann.r1, ann.r2), quad),
+                   "solver_iters": sol_a.solver_iters, "residual": sol_a.residual,
+                   "quadrature_error": sol_a.quadrature_error}
 
     columns = ("lambda", "value", "abs_residual")
     line = "  {lambda:>8}  {value:>12}  {abs_residual:>12}".format_map
@@ -388,7 +400,8 @@ def _cmd_tables(cfg) -> Report:
             "cylinder headline: lambda={headline[cylinder][lambda]} "
             "modulus={headline[cylinder][modulus]} bound={headline[cylinder][upper_bound]} "
             "gap={headline[cylinder][gap]}",
-            "quadrature step {quadrature_step}, bisection residual {residual}",
+            "quadrature step {quadrature_step}, solver residual {residual},"
+            " quadrature error {quadrature_error}",
         ],
         csv=[Table("", ("name", *columns), csv_rows)],
     )
@@ -461,8 +474,8 @@ def _cmd_oracle_check(cfg) -> Report:
 
     passed = all(c[1] for c in checks)
     diagnostics = {"grid": cfg.grid, "draws": cfg.draws, "seed": cfg.seed,
-                   "quadrature_step": realized_step(ann.r1, ann.r2, quad),
-                   "residual": sol_a.residual}
+                   "quadrature_step": realized_step(0.0, _log_ratio(ann.r1, ann.r2), quad),
+                   "residual": sol_a.residual, "quadrature_error": sol_a.quadrature_error}
     table = Table("checks", ("name", "passed", "detail"), checks,
                   "{passed}  {name}  ({detail})".format_map)
     return Report("oracle-check", {"passed": passed}, diagnostics, [table],

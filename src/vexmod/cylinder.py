@@ -2,19 +2,23 @@
 
 With an exponent depending only on the axial coordinate, the problem reduces
 to one dimension over [0, L]; the cross-section enters through its measure
-alone.  It runs on the annulus module's weighted 1-D core with weight 1,
-the cross-section measure scaling the energy but not the multiplier.
+alone.  It runs on the annulus module's weighted 1-D core with weight 1 in
+the axial variable t, the cross-section measure scaling the energy but not
+the multiplier.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
-from .annulus import ExtremalSolution, _WeightedCore
+import numpy as np
+
+from .annulus import ExtremalSolution, _WeightedCore, _density_at
 from .exponent import ExponentFunction
-from .quadrature import QuadratureConfig
-from .rootfind import BisectionConfig
+from .quadrature import QuadratureConfig, simpson_nodes, simpson_sum
+from .rootfind import BisectionConfig, positive_normal
 
 __all__ = [
     "CylinderProblem",
@@ -46,8 +50,14 @@ class CylinderProblem:
             )
 
 
+def _axial_nodes(prob: CylinderProblem, quad: QuadratureConfig | None):
+    t = simpson_nodes(0.0, prob.length, quad)
+    return t, np.asarray(prob.p.eval(t), dtype=float)
+
+
 def _axial_core(prob: CylinderProblem, quad: QuadratureConfig | None) -> _WeightedCore:
-    return _WeightedCore(prob.p, 1.0, 0, 0.0, prob.length, quad)
+    t, p = _axial_nodes(prob, quad)
+    return _WeightedCore(t, p, 0.0, 0.0, partial(_density_at, prob.p.eval, 0.0, 0))
 
 
 def cylinder_normalization_value(
@@ -64,14 +74,17 @@ def solve_cylinder(
 ) -> ExtremalSolution:
     """Extremal density and modulus for curves joining the two ends."""
     sol = _axial_core(prob, quad).solve(bis)
-    return replace(sol, modulus=prob.area * sol.modulus)
+    return replace(sol, modulus=positive_normal("modulus", prob.area * sol.modulus))
 
 
 def constant_density_upper_bound(
     prob: CylinderProblem, quad: QuadratureConfig | None = None
 ) -> float:
     """Energy of the constant density 1/L, admissible for end-to-end curves."""
-    return prob.area * _axial_core(prob, quad).energy(1.0 / prob.length)
+    t, p = _axial_nodes(prob, quad)
+    with np.errstate(all="ignore"):
+        values = (1.0 / prob.length) ** p
+    return prob.area * simpson_sum(t, values)
 
 
 def extremality_gap(

@@ -1,8 +1,9 @@
 """Brute-force verification paths that bypass the closed-form solutions.
 
 Two independent checks: direct finite-dimensional minimization over grid
-densities (stationarity solved for the scalar multiplier, certified optimal
-by the weak-duality bound ``dual_lower_bound``), and discrete averaging
+densities (stationarity solved for the scalar multiplier by the same
+log-space Newton kernel as the continuous solvers, certified optimal by the
+weak-duality bound ``dual_lower_bound``), and discrete averaging
 experiments showing that spherical or fibre averaging never increases energy.
 A projected gradient descent remains as a slower, less exact minimizer.
 """
@@ -17,10 +18,9 @@ import numpy as np
 
 from .annulus import AnnulusProblem, unit_sphere_area
 from .cylinder import CylinderProblem
-from .rootfind import BisectionConfig, BracketFailure, solve_increasing
+from .rootfind import BisectionConfig, solve_multiplier
 
 __all__ = [
-    "BracketFailure",
     "NonConvergence",
     "NotAdmissible",
     "GridDensity",
@@ -138,22 +138,18 @@ def discrete_minimize(
     """Minimize sum(w_i v_i^{p_i}) * d over v >= 0 with sum(v_i) * d = 1.
 
     Works directly on the stationarity condition w_i p_i v_i^{p_i - 1} = mu:
-    the constraint is strictly increasing in mu, so the same bisection kernel
-    used by the continuous solvers pins mu down.  Never touches the
-    closed-form density formulas, which is what makes it an oracle.
+    log v_i = (log mu - log(p_i w_i)) / (p_i - 1), and the constraint is
+    strictly increasing in mu, so the multiplier kernel of the continuous
+    solvers pins log mu down.  Never touches the closed-form density
+    formulas, which is what makes it an oracle.
     """
     w, p = _validated_problem(weights, exponents, cell_width)
     if bis is None:
         bis = BisectionConfig(residual_tol=1e-10, lambda_tol=1e-13)
-
-    def constraint(mu: float) -> float:
-        return float(((mu / (w * p)) ** (1.0 / (p - 1.0))).sum() * cell_width)
-
-    # Exponents near 1 overflow for large mu; inf still reads "above target".
-    with np.errstate(over="ignore"):
-        mu, _, _ = solve_increasing(constraint, 1.0, bis)
-    v = (mu / (w * p)) ** (1.0 / (p - 1.0))
-    v = v / (v.sum() * cell_width)  # absorb the leftover bisection residual
+    inv = 1.0 / (p - 1.0)
+    base = -inv * (np.log(p) + np.log(w))
+    terms = solve_multiplier(inv, base, lambda v: float(v.sum()) * cell_width, bis).terms
+    v = terms / (terms.sum() * cell_width)  # absorb the leftover residual
     return GridDensity(v, cell_width)
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from vexmod import (
     AnnulusProblem,
     BisectionConfig,
+    BracketFailure,
     QuadratureConfig,
     constant_exponent_modulus,
     log_density_upper_bound,
@@ -55,6 +56,13 @@ def test_unit_sphere_areas():
     assert unit_sphere_area(1) == pytest.approx(2.0, rel=1e-15)
 
 
+def test_unit_sphere_area_in_high_dimensions():
+    # 40-digit mpmath values of 2 pi^(n/2) / Gamma(n/2); Gamma overflows from n = 344 on.
+    assert unit_sphere_area(344) == pytest.approx(5.2123070780411204821e-224, rel=1e-12)
+    assert unit_sphere_area(400) == pytest.approx(1.3650416103661334151e-273, rel=1e-12)
+    assert unit_sphere_area(1000) == 0.0  # 3.08e-883 underflows
+
+
 def test_unit_sphere_area_validation():
     with pytest.raises(ValueError):
         unit_sphere_area(0)
@@ -70,8 +78,9 @@ def test_normalization_vanishes_at_small_multiplier(ring_problem):
 
 
 def test_normalization_rejects_nonpositive_multiplier(ring_problem):
-    with pytest.raises(ValueError):
-        normalization_value(ring_problem, 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            normalization_value(ring_problem, bad)
 
 
 def test_normalization_strictly_increasing_over_four_decades(ring_problem):
@@ -168,6 +177,12 @@ def test_closed_form_is_continuous_across_the_log_branch():
 def test_closed_form_scale_invariance_at_dimension_exponent():
     assert constant_exponent_modulus(2, 2.0, 1.0, 2.0) == constant_exponent_modulus(2, 2.0, 2.0, 4.0)
     assert constant_exponent_modulus(3, 3.0, 1.0, 2.0) == constant_exponent_modulus(3, 3.0, 2.0, 4.0)
+
+
+def test_closed_form_with_exponent_near_one():
+    # r2^(1-k) overflows for k = 10^4; mpmath at the same float p gives the value.
+    got = constant_exponent_modulus(2, 1.0001, 0.5, 1.0)
+    assert got == pytest.approx(3.1447054356462343495, rel=1e-14)
 
 
 def test_closed_form_validation():
@@ -268,3 +283,52 @@ def test_solver_agrees_with_closed_form_for_constant_exponents(n, p_const, r1, r
     sol = solve_annulus(prob)
     closed = constant_exponent_modulus(n, p_const, r1, r2)
     assert sol.modulus == pytest.approx(closed, rel=1e-3)
+
+
+def _constant_ring(n, p, r1, r2):
+    return AnnulusProblem(n, r1, r2, parse_exponent(repr(float(p)), "r", (r1, r2)))
+
+
+def test_multi_scale_ring_matches_closed_form():
+    # p = n makes rho r constant in s = log(r/r1), which Simpson integrates exactly.
+    sol = solve_annulus(_constant_ring(3, 3, 1e-6, 1.0))
+    assert sol.modulus == pytest.approx(constant_exponent_modulus(3, 3.0, 1e-6, 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, p", [(50, 2.0), (200, 2.0), (2, 1.0001)])
+def test_steep_rings_are_within_their_error_estimate(n, p):
+    sol = solve_annulus(_constant_ring(n, p, 1.0, 2.0))
+    exact = constant_exponent_modulus(n, p, 1.0, 2.0)
+    assert math.isfinite(sol.modulus) and sol.quadrature_error > 0.0
+    assert abs(sol.modulus - exact) <= 4.0 * sol.quadrature_error * exact
+
+
+@pytest.mark.parametrize("n, r1, r2",
+                         [(2, 1.0, 2.0), (2, 1.0, 4.0), (3, 1e-6, 1.0), (7, 0.1, 30.0)])
+def test_modulus_never_exceeds_the_log_bound_at_dimension_exponent(n, r1, r2):
+    prob = _constant_ring(n, n, r1, r2)
+    assert solve_annulus(prob).modulus <= log_density_upper_bound(prob) * (1.0 + 1e-12)
+
+
+def test_quadrature_error_covers_the_reference_error(ring_problem, tight_bisection):
+    sol = solve_annulus(ring_problem, bis=tight_bisection)
+    assert abs(sol.modulus - REF_MODULUS) <= sol.quadrature_error * REF_MODULUS
+
+
+def test_underflowing_multiplier_is_a_solver_error():
+    # omega_177 r^176 is far below the float range on this ring.
+    with pytest.raises(BracketFailure, match="multiplier"):
+        solve_annulus(_constant_ring(177, 3.419, 0.00657111, 0.436132))
+
+
+def test_sweep_to_large_radii():
+    # r2 >= 64 failed with a bracket error when the ring was integrated in r; from
+    # r2 = 256 on the multiplier, below 1e-300 at r2 = 128, is no longer a normal float.
+    p = parse_exponent("1+r", "r", (1.0, 256.0))
+    rows = modulus_sweep(AnnulusProblem(2, 1.0, 256.0, p), [2.0**k for k in range(1, 9)])
+    assert rows[0].modulus == pytest.approx(REF_MODULUS, rel=1e-8)
+    assert rows[1].modulus == pytest.approx(WIDE_MODULUS, rel=1e-8)
+    moduli = [row.modulus for row in rows[:-1]]
+    assert all(a > b > 0.0 for a, b in zip(moduli, moduli[1:]))
+    assert all(row.error is None and row.quadrature_error < 1e-7 for row in rows[:-1])
+    assert rows[-1].error.startswith("BracketFailure: the multiplier is 0.0")

@@ -37,9 +37,10 @@ def test_annulus_json_report():
     assert payload["upper_bound"] == pytest.approx(REF_UPPER_BOUND, rel=1e-7)
     assert payload["ratio"] == pytest.approx(REF_UPPER_BOUND / REF_MODULUS, rel=1e-5)
     diag = payload["diagnostics"]
-    assert diag["quadrature_step"] == pytest.approx(0.01)
+    assert diag["quadrature_step"] == pytest.approx(math.log(2.0) / 72)  # in s = log(r/r1)
     assert diag["residual"] <= 1e-6
-    assert diag["bisection_iters"] >= 1
+    assert 0.0 < diag["quadrature_error"] < 1e-8
+    assert diag["solver_iters"] >= 1
 
 
 def test_annulus_human_report_uses_six_significant_digits():
@@ -84,7 +85,8 @@ def test_density_samples_in_json():
 def test_annulus_csv_layout():
     proc = run_cli("annulus", "--p", "1+r", "--format", "csv")
     lines = proc.stdout.strip().splitlines()
-    assert lines[0] == "lambda,modulus,upper_bound,ratio,residual,bisection_iters,quadrature_step"
+    assert lines[0] == ("lambda,modulus,upper_bound,ratio,residual,quadrature_error,solver_iters,"
+                        "quadrature_step")
     cells = lines[1].split(",")
     assert float(cells[0]) == pytest.approx(REF_LAMBDA, rel=1e-5)
     assert float(cells[1]) == pytest.approx(REF_MODULUS, rel=1e-5)
@@ -120,14 +122,15 @@ def test_sweep_recovers_constant_exponent_closed_forms():
         "--values", "2,4,8", "--format", "csv",
     )
     lines = proc.stdout.strip().splitlines()
-    assert lines[0] == "param,lambda,modulus,upper_bound,residual,quadrature_step,error"
+    assert lines[0] == ("param,lambda,modulus,upper_bound,residual,quadrature_error,"
+                        "quadrature_step,error")
     rows = [line.split(",") for line in lines[1:]]
     assert [float(r[0]) for r in rows] == [2.0, 4.0, 8.0]
     moduli = [float(r[2]) for r in rows]
     for got, r2 in zip(moduli, (2.0, 4.0, 8.0)):
         assert got == pytest.approx(math.tau / math.log(r2), rel=1e-5)
     assert moduli[0] > moduli[1] > moduli[2]
-    assert all(r[6] == "" for r in rows)
+    assert all(r[7] == "" for r in rows)
 
 
 def test_sweep_cylinder_lengths():
@@ -148,9 +151,9 @@ def test_sweep_reports_bad_rows_without_aborting():
     rows = [line.split(",") for line in proc.stdout.strip().splitlines()[1:]]
     assert float(rows[0][0]) == 0.5
     assert rows[0][1] == ""  # no lambda on the failed row
-    assert rows[0][6] != ""
+    assert rows[0][7] != ""
     assert float(rows[1][2]) == pytest.approx(math.tau / math.log(2.0), rel=1e-5)
-    assert rows[1][6] == ""
+    assert rows[1][7] == ""
 
 
 @pytest.mark.parametrize(
@@ -166,13 +169,15 @@ def test_cylinder_sweep_fails_as_a_whole_on_shared_input(args):
     assert proc.stdout == ""
 
 
-def test_sweep_restricts_the_exponent_once_per_row(monkeypatch):
+def test_sweep_never_restricts_the_exponent(monkeypatch):
+    # Every row solves on the template exponent; the solve reads p at its nodes only.
     calls = []
     restricted = ExponentFunction.restricted
     monkeypatch.setattr(ExponentFunction, "restricted",
                         lambda self, a, b: calls.append((a, b)) or restricted(self, a, b))
-    assert cli.main(["sweep", "--p", "2", "--values", "2,4"]) == 0
-    assert calls == [(1.0, 2.0), (1.0, 4.0)]
+    for geometry in ("annulus", "cylinder"):
+        assert cli.main(["sweep", "--geometry", geometry, "--p", "2", "--values", "2,4"]) == 0
+    assert calls == []
 
 
 def test_sweep_parses_the_exponent_once(monkeypatch):
@@ -289,6 +294,27 @@ def test_non_finite_tolerances_and_negative_counts_are_validation_errors(args, n
 def test_too_fine_a_step_is_a_solver_error():
     proc = run_cli("annulus", "--p", "1+r", "--step-hint", "1e-9", expect=3)
     assert "solver error" in proc.stderr
+
+
+def test_four_hundred_dimensions_exit_cleanly():
+    # The sphere area's Gamma(200) overflowed before it was taken in logs.
+    proc = subprocess.run([sys.executable, "-m", "vexmod", "annulus", "--n", "400", "--p", "2"],
+                          capture_output=True, text=True)
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_multiplier_below_the_float_range_is_a_solver_error():
+    proc = run_cli("annulus", "--n", "177", "--r1", "0.00657111", "--r2", "0.436132",
+                   "--p", "3.419", expect=3)
+    assert proc.stderr.startswith("solver error: the multiplier is 0.0")
+
+
+def test_sweep_rows_carry_the_quadrature_error():
+    proc = run_cli("sweep", "--p", "1+r", "--values", "2,4", "--format", "json")
+    rows = json.loads(proc.stdout)["rows"]
+    assert all(0.0 < row["quadrature_error"] < 1e-8 for row in rows)
+    assert rows[1]["modulus"] == pytest.approx(1.0320950943156118, rel=1e-8)
 
 
 def test_output_flag_writes_the_file_and_keeps_stdout_empty(tmp_path):

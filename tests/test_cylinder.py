@@ -81,6 +81,12 @@ def test_solve_reference_problem_tight(cylinder_problem, tight_bisection):
     assert sol.modulus == pytest.approx(REF_MODULUS, rel=1e-8)
 
 
+def test_quadrature_error_covers_the_reference_error(cylinder_problem, tight_bisection):
+    sol = solve_cylinder(cylinder_problem, bis=tight_bisection)
+    assert abs(sol.modulus - REF_MODULUS) <= sol.quadrature_error * REF_MODULUS
+    assert solve_cylinder(_cylinder("2")).quadrature_error == 0.0
+
+
 def test_exponent_is_evaluated_once_per_solve(counted_exponent, tight_bisection):
     p, calls = counted_exponent((0.0, 1.0))
     prob = CylinderProblem(2.0, 1.0, p)

@@ -12,6 +12,9 @@ from vexmod.quadrature import (
     QuadratureConfig,
     integrate,
     realized_step,
+    simpson_error,
+    simpson_nodes,
+    simpson_sum,
     subinterval_count,
 )
 
@@ -101,15 +104,15 @@ def test_interval_too_fine():
 def test_subinterval_count_rounds_up_to_even():
     cfg = QuadratureConfig(step_hint=1e-2)
     assert subinterval_count(0.0, 1.0, cfg) == 100
-    assert subinterval_count(0.0, 1.005, cfg) == 102
-    assert subinterval_count(0.0, 1e-4, cfg) == 2
+    assert subinterval_count(0.0, 1.005, cfg) == 104  # a multiple of 4, for the step-2h rule
+    assert subinterval_count(0.0, 1e-4, cfg) == 4
 
 
 def test_realized_step_never_exceeds_hint():
     cfg = QuadratureConfig(step_hint=3e-2)
     for b in (0.1, 0.5, 1.0, 2.37, 10.0):
         n = subinterval_count(0.0, b, cfg)
-        assert n % 2 == 0 and n >= 2
+        assert n % 4 == 0 and n >= 4
         assert realized_step(0.0, b, cfg) <= cfg.step_hint + 1e-15
 
 
@@ -125,6 +128,19 @@ def test_config_validation():
         QuadratureConfig(step_hint=-1e-3)
     with pytest.raises(ValueError):
         QuadratureConfig(step_hint=1e-2, max_subintervals=0)
+    with pytest.raises(ValueError, match="at least 4"):
+        QuadratureConfig(step_hint=1e-2, max_subintervals=3)
+
+
+def test_simpson_error_estimates_the_actual_error():
+    nodes = simpson_nodes(0.0, 2.0, QuadratureConfig(step_hint=0.1))
+    values = np.exp(nodes)
+    exact = math.expm1(2.0)
+    actual = abs(simpson_sum(nodes, values) - exact) / exact
+    estimate = simpson_error(nodes, values)
+    assert 0.5 * actual <= estimate <= 2.0 * actual
+    cubic = simpson_error(nodes, nodes**3 + 1.0)
+    assert cubic <= 1e-15
 
 
 @given(

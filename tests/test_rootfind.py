@@ -1,7 +1,8 @@
-"""Bracketed bisection for strictly increasing functions."""
+"""The log-space Newton multiplier kernel, and bracketed bisection for increasing functions."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +10,88 @@ from vexmod.rootfind import (
     BisectionConfig,
     BracketFailure,
     MaxItersExceeded,
+    log_total,
+    positive_normal,
     solve_increasing,
+    solve_multiplier,
 )
+
+
+def plain_sum(v):
+    return float(v.sum())
+
+
+def test_constant_exponent_is_solved_exactly_in_one_step():
+    # N(l) = 3 * 0.5 e^l: log N is linear, so the first Newton step lands on log(2/3).
+    inv, base = np.ones(3), np.full(3, math.log(0.5))
+    ell, residual, iters, _, _ = solve_multiplier(inv, base, plain_sum)
+    assert ell == pytest.approx(math.log(2.0 / 3.0), rel=1e-15)
+    assert residual <= 1e-15 and iters == 1
+
+
+def test_first_evaluation_inside_the_tolerance_is_accepted():
+    ell, residual, iters, scale, terms = solve_multiplier(np.ones(2), np.full(2, -math.log(2.0)),
+                                                          plain_sum)
+    assert (ell, residual, iters) == (0.0, 0.0, 0)
+    assert math.exp(scale) * terms.sum() == 1.0
+
+
+def test_log_total_and_its_slope():
+    inv, base = np.array([0.5, 2.0]), np.array([0.0, -1.0])
+    f, df, scale, terms = log_total(inv, base, plain_sum, 0.3)
+    direct = np.exp(0.3 * inv + base)
+    assert f == pytest.approx(math.log(direct.sum()), rel=1e-15)
+    assert df == pytest.approx((inv * direct).sum() / direct.sum(), rel=1e-15)
+    assert terms.max() == 1.0 and np.allclose(terms * math.exp(scale), direct, rtol=1e-15)
+
+
+def test_exponents_near_one_do_not_overflow():
+    # 1/(p-1) = 10^4 next to p = 3: every power of lam would overflow or underflow.
+    inv = np.array([1e4, 1e4, 0.5, 0.5])
+    base = np.array([-2.5e4, -2.6e4, -300.0, -310.0])
+    ell, residual, iters, scale, terms = solve_multiplier(inv, base, plain_sum,
+                                                          BisectionConfig(1e-12, 1e-14))
+    assert residual <= 1e-12
+    assert iters <= 60
+    assert math.exp(scale) * terms.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.lists(st.floats(1.001, 50.0), min_size=1, max_size=30),
+    shift=st.floats(-500.0, 500.0),
+)
+def test_newton_converges_inside_the_one_evaluation_bracket(p, shift):
+    p = np.array(p)
+    inv = 1.0 / (p - 1.0)
+    base = shift - inv * np.log(p) + np.linspace(0.0, 3.0, p.size)
+    ell, residual, iters, scale, terms = solve_multiplier(inv, base, plain_sum,
+                                                          BisectionConfig(1e-12, 1e-15))
+    f0 = log_total(inv, base, plain_sum, 0.0)[0]
+    ends = sorted((-f0 * (p.min() - 1.0), -f0 * (p.max() - 1.0)))
+    slack = 1e-9 * (1.0 + abs(f0) * p.max())
+    assert ends[0] - slack <= ell <= ends[1] + slack
+    assert abs(math.log(terms.sum()) + scale) <= 1e-9
+
+
+def test_multiplier_max_iters_exceeded():
+    inv, base = np.array([0.1, 10.0]), np.array([-5.0, -40.0])
+    with pytest.raises(MaxItersExceeded):
+        solve_multiplier(inv, base, plain_sum, BisectionConfig(1e-15, 1e-300, max_iters=1))
+
+
+def test_step_tolerance_stops_the_solve():
+    inv, base = np.array([0.1, 10.0]), np.array([-5.0, -40.0])
+    ell, residual, iters, _, _ = solve_multiplier(inv, base, plain_sum,
+                                                  BisectionConfig(1e-15, 1e3))
+    assert iters == 1 and residual > 1e-15
+
+
+def test_positive_normal():
+    assert positive_normal("x", 2.5e-300) == 2.5e-300
+    for bad in (0.0, 1e-310, math.inf, math.nan, -1.0):
+        with pytest.raises(BracketFailure, match="x is"):
+            positive_normal("x", bad)
 
 
 def test_identity_hits_the_bracket_endpoint():
