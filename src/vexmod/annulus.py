@@ -204,7 +204,7 @@ def constant_exponent_modulus(n: int, p: float, r1: float, r2: float) -> float:
     if p <= 1:
         raise ValueError(f"exponent must exceed 1, got {p}")
     k = (n - 1) / (p - 1.0)
-    L = math.log(r2) - math.log(r1)
+    L = _log_ratio(r1, r2)
     x = (1.0 - k) * L
     if x > 0.0:
         log_factor = x + math.log(-math.expm1(-x) / x)
