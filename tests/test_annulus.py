@@ -15,6 +15,7 @@ from vexmod import (
     AnnulusProblem,
     BisectionConfig,
     BracketFailure,
+    NonFiniteIntegrand,
     QuadratureConfig,
     constant_exponent_modulus,
     log_density_upper_bound,
@@ -332,3 +333,26 @@ def test_sweep_to_large_radii():
     assert all(a > b > 0.0 for a, b in zip(moduli, moduli[1:]))
     assert all(row.error is None and row.quadrature_error < 1e-7 for row in rows[:-1])
     assert rows[-1].error.startswith("BracketFailure: the multiplier is 0.0")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    p_const=st.floats(1.0001, 50.0),
+    log_r1=st.floats(-6.0, 3.0),
+    log_ratio=st.floats(-6.0, 4.0),
+)
+def test_solver_returns_a_positive_float_or_a_solver_error(n, p_const, log_r1, log_ratio):
+    r1 = 10.0**log_r1
+    prob = _constant_ring(n, p_const, r1, r1 * (1.0 + 10.0**log_ratio))
+    try:
+        sol = solve_annulus(prob)
+    except BracketFailure:
+        return  # the multiplier or the modulus is outside the normal float range
+    assert 0.0 < sol.modulus < math.inf and 0.0 < sol.lam < math.inf
+    assert sol.residual <= 1e-6 and 0.0 <= sol.quadrature_error < 1.0
+    try:
+        bound = log_density_upper_bound(prob)
+    except NonFiniteIntegrand:
+        return  # the log density's energy exceeds the float range
+    assert sol.modulus <= bound * (1.0 + 1e-9 + 4.0 * sol.quadrature_error)
