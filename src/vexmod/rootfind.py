@@ -31,6 +31,7 @@ __all__ = [
     "BracketFailure",
     "MaxItersExceeded",
     "MultiplierSolve",
+    "exp_or_inf",
     "log_total",
     "positive_normal",
     "solve_increasing",
