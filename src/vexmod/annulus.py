@@ -25,9 +25,8 @@ from .quadrature import (
     NonFiniteIntegrand,
     QuadratureConfig,
     _pointwise,
-    _simpson,
-    simpson_error,
     simpson_nodes,
+    simpson_rows,
     simpson_sum,
 )
 from .rootfind import BisectionConfig, exp_or_inf, log_total, positive_normal, solve_multiplier
@@ -123,8 +122,9 @@ class _WeightedCore:
 
     @np.errstate(all="ignore")
     def __init__(self, u: np.ndarray, p: np.ndarray, log_w, log_j, density: Callable) -> None:
-        self.u, self.density = u, density
-        self.total = partial(_simpson, u)  # of terms in [0, 1]
+        self.density = density
+        self.rows = simpson_rows(u.size - 1)  # at steps h and 2h, of terms in [0, 1]
+        self.span = (float(u[-1] - u[0]), 3.0 * (u.size - 1))
         self.inv = 1.0 / (p - 1.0)
         self.base = log_j - self.inv * (np.log(p) + log_w)
         bad = np.flatnonzero(~(np.isfinite(self.base) & (self.inv > 0.0)))
@@ -135,17 +135,22 @@ class _WeightedCore:
     def normalization(self, lam: float) -> float:
         if not (lam > 0 and math.isfinite(lam)):
             raise ValueError(f"lam must be positive and finite, got {lam}")
-        value = exp_or_inf(log_total(self.inv, self.base, self.total, math.log(lam))[0])
+        rows = np.array((self.rows[0], self.rows[0] * self.inv))
+        value = exp_or_inf(log_total(self.inv, self.base, rows, self.span, math.log(lam))[0])
         if value == math.inf:
             raise NonFiniteIntegrand(f"the normalization at lam={lam} exceeds the float range")
         return value
 
     def solve(self, bis: BisectionConfig | None) -> ExtremalSolution:
-        ell, residual, iters, scale, terms = solve_multiplier(self.inv, self.base, self.total, bis)
+        ell, residual, iters, scale, terms = solve_multiplier(self.inv, self.base, self.rows[0],
+                                                              self.span, bis)
         lam = positive_normal("multiplier", exp_or_inf(ell))
         energy = terms * (self.inv / (1.0 + self.inv))  # rho J / p, scaled by e^-scale
-        modulus = positive_normal("modulus", lam * exp_or_inf(scale) * self.total(energy))
-        error = max(simpson_error(self.u, terms), simpson_error(self.u, energy))
+        # The normalization and the modulus integrals, each at steps h and 2h.
+        (n_h, n_2h), (e_h, e_2h) = np.einsum("ij,kj->ki", self.rows, (terms, energy)).tolist()
+        modulus = positive_normal("modulus", lam * exp_or_inf(scale)
+                                  * (self.span[0] * e_h / self.span[1]))
+        error = max(abs(n_h - n_2h) / (15.0 * n_h), abs(e_h - e_2h) / (15.0 * e_h))
         # On scalars or arrays; holds none of the node arrays.
         rho = partial(_pointwise, partial(self.density, ell))
         return ExtremalSolution(lam, modulus, rho, residual, iters, error)

@@ -1,8 +1,8 @@
 """Variable exponents p(.) on an interval.
 
 Holds a tiny expression language so exponents such as "1+r" or "2+t" can be
-given textually, and computes inf/sup bounds by dense sampling plus
-golden-section refinement.
+given textually and compiled once into numpy closures, and computes inf/sup
+bounds by dense sampling plus zooms of one array evaluation each.
 
 Grammar::
 
@@ -25,7 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .quadrature import _pointwise
+from .quadrature import _grid, _pointwise
 
 __all__ = [
     "ParseError",
@@ -229,30 +229,32 @@ class _Parser:
         )
 
 
-def _evaluate(node: Node, x):
-    """The expression at x, in numpy arithmetic also for a scalar x: a pole
-    gives inf and a bad power nan, never ZeroDivisionError or a complex."""
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "exp": np.exp, "log": np.log}
+
+
+def _compile(node: Node) -> Callable:
+    """The expression as a function of x, one closure per node: numpy ufuncs also
+    for a scalar x and between constants, so a pole gives inf and a bad power
+    nan, never ZeroDivisionError or a complex, and a point's value is its value in an array."""
     match node:
         case Num(value=v):
-            return v
+            c = np.float64(v)
+            return lambda x: c
         case Var():
-            return np.asarray(x)
+            return np.asarray
         case Unary(operand=inner):
-            return -_evaluate(inner, x)
-        case Binary(op="+", left=l, right=r):
-            return _evaluate(l, x) + _evaluate(r, x)
-        case Binary(op="-", left=l, right=r):
-            return _evaluate(l, x) - _evaluate(r, x)
-        case Binary(op="*", left=l, right=r):
-            return _evaluate(l, x) * _evaluate(r, x)
-        case Binary(op="/", left=l, right=r):
-            return _evaluate(l, x) / _evaluate(r, x)
+            f = _compile(inner)
+            return lambda x: -f(x)
+        case Binary(op=op, left=l, right=r):
+            f, g, fn = _compile(l), _compile(r), _UFUNCS[op]
+            return lambda x: fn(f(x), g(x))
         case Power(base=b, exponent=e):
-            return _evaluate(b, x) ** e
-        case Call(func="exp", arg=a):
-            return np.exp(_evaluate(a, x))
-        case Call(func="log", arg=a):
-            return np.log(_evaluate(a, x))
+            f = _compile(b)  # a float64 scalar's ** can differ from np.power by an ulp
+            return lambda x: np.power(f(x), e)
+        case Call(func=name, arg=a):
+            f, fn = _compile(a), _UFUNCS[name]
+            return lambda x: fn(f(x))
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -335,42 +337,30 @@ def _bounded(evaluate: Callable, interval: tuple[float, float], source: str) -> 
     return ExponentFunction(evaluate, p_minus, p_plus, source, (a, b))
 
 
-def _golden_refine(f: Callable[[float], float], lo: float, hi: float, minimize: bool) -> float:
-    """Golden-section search for an interior extremum value inside [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    sign = 1.0 if minimize else -1.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = sign * f(c), sign * f(d)
-    for _ in range(200):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = sign * f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = sign * f(d)
-        if hi - lo <= 1e-13 * max(1.0, abs(lo)):
-            break
-    return f(0.5 * (lo + hi))
+def _extreme(evaluate: Callable, xs: np.ndarray, ys: np.ndarray, i: int, sign: float) -> float:
+    """sign times the least of sign * p, given samples ys at xs with sign * ys least at i:
+    for an interior i, zooms that evaluate 7 points inside the bracket around the best
+    point and keep a quarter of it, down to a relative width of 1e-8."""
+    best = sign * float(ys[i])
+    if 0 < i < xs.size - 1:
+        lo, hi = float(xs[i - 1]), float(xs[i + 1])
+        while hi - lo > 1e-8 * max(1.0, abs(lo)):
+            grid = _grid(lo, hi, 8)
+            inner = sign * evaluate(grid[1:-1])
+            j = int(np.argmin(inner))
+            best = min(best, float(inner[j]))
+            lo, hi = float(grid[j]), float(grid[j + 2])
+    return sign * best
 
 
 def _sampled_bounds(evaluate: Callable, a: float, b: float) -> tuple[float, float]:
-    xs = np.linspace(a, b, _SAMPLE_NODES + 2)
+    xs = _grid(a, b, _SAMPLE_NODES + 1)
     ys = evaluate(xs)
     if not np.isfinite(ys).all():
         bad = float(xs[~np.isfinite(ys)][0])
         raise DomainError(f"expression is non-finite near x={bad}")
-
-    def refined(idx: int, minimize: bool) -> float:
-        best = float(ys[idx])
-        if 0 < idx < len(xs) - 1:
-            inner = _golden_refine(evaluate, float(xs[idx - 1]), float(xs[idx + 1]), minimize)
-            best = min(best, inner) if minimize else max(best, inner)
-        return best
-
-    return refined(int(np.argmin(ys)), True), refined(int(np.argmax(ys)), False)
+    return (_extreme(evaluate, xs, ys, int(np.argmin(ys)), 1.0),
+            _extreme(evaluate, xs, ys, int(np.argmax(ys)), -1.0))
 
 
 def parse_exponent(text: str, variable: str, interval: tuple[float, float]) -> ExponentFunction:
@@ -382,5 +372,5 @@ def parse_exponent(text: str, variable: str, interval: tuple[float, float]) -> E
     """
     _valid_interval(interval)  # before the text: a bad interval is reported first
     root = parse_expression(text, variable).root
-    return _bounded(partial(_pointwise, partial(_evaluate, root)), interval, text)
+    return _bounded(partial(_pointwise, _compile(root)), interval, text)
 

@@ -148,7 +148,7 @@ def discrete_minimize(
         bis = BisectionConfig(residual_tol=1e-10, lambda_tol=1e-13)
     inv = 1.0 / (p - 1.0)
     base = -inv * (np.log(p) + np.log(w))
-    terms = solve_multiplier(inv, base, lambda v: float(v.sum()) * cell_width, bis).terms
+    terms = solve_multiplier(inv, base, np.ones(w.size), (cell_width, 1.0), bis).terms
     v = terms / (terms.sum() * cell_width)  # absorb the leftover residual
     return GridDensity(v, cell_width)
 

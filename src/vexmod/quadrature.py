@@ -15,6 +15,7 @@ __all__ = [
     "subinterval_count",
     "realized_step",
     "simpson_nodes",
+    "simpson_rows",
     "simpson_sum",
     "simpson_error",
     "integrate",
@@ -86,9 +87,30 @@ def _pointwise(f: Callable, x):
             return np.array([float(f(v)) for v in xs.flat]).reshape(xs.shape)
 
 
+def _grid(a: float, b: float, n: int) -> np.ndarray:
+    """``np.linspace(a, b, n + 1)`` bit for bit, by the same arithmetic without its overhead."""
+    step = (b - a) / n
+    if step == 0.0:  # a subnormal interval, which np.linspace scales in another order
+        return np.linspace(a, b, n + 1)
+    x = np.arange(n + 1, dtype=float)
+    x *= step
+    x += a
+    x[-1] = b
+    return x
+
+
 def simpson_nodes(a: float, b: float, cfg: QuadratureConfig | None = None) -> np.ndarray:
     """The ``subinterval_count(a, b, cfg) + 1`` equispaced nodes of the rule, a and b included."""
-    return np.linspace(a, b, subinterval_count(a, b, cfg) + 1)
+    return _grid(a, b, subinterval_count(a, b, cfg))
+
+
+def simpson_rows(n: int) -> np.ndarray:
+    """Integer Simpson rows on n + 1 nodes, n a multiple of 4: [1, 4, 2, ..., 4, 1] and
+    [2, 0, 8, 0, 4, ..., 8, 0, 2] at step 2h; (b - a) * (row . values) / (3 n) is the rule."""
+    rows = np.zeros((2, n + 1))
+    rows[0, 1::2], rows[0, 2::2], rows[1, ::4], rows[1, 2::4] = 4.0, 2.0, 4.0, 8.0
+    rows[:, 0] = rows[:, -1] = 1.0, 2.0
+    return rows
 
 
 def _simpson(nodes: np.ndarray, values: np.ndarray) -> float:
@@ -126,8 +148,8 @@ def simpson_error(nodes: np.ndarray, values: np.ndarray) -> float:
     """Relative error estimate |S_h - S_2h| / (15 S_h) of ``simpson_sum`` on a
     positive integrand, S_2h being the rule on every other node of the same
     ``simpson_nodes``; unchecked, as ``_simpson``."""
-    s_h = _simpson(nodes, values)
-    return abs(s_h - _simpson(nodes[::2], values[::2])) / (15.0 * s_h)
+    s_h, s_2h = np.einsum("ij,j->i", simpson_rows(nodes.size - 1), values).tolist()
+    return abs(s_h - s_2h) / (15.0 * s_h)
 
 
 def integrate(

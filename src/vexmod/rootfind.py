@@ -105,16 +105,17 @@ class MultiplierSolve(NamedTuple):
     terms: np.ndarray
 
 
-def log_total(inv: np.ndarray, base: np.ndarray, total: Callable, ell: float):
-    """log N(ell) for N = total(exp(ell * inv + base)), its derivative in ell,
-    the scale m and the terms exp(ell * inv + base - m), the largest of them 1."""
+def log_total(inv: np.ndarray, base: np.ndarray, rows: np.ndarray, span: tuple, ell: float):
+    """log N(ell) for N = width * (coef . exp(ell * inv + base)) / div, its derivative
+    in ell, the scale m and the terms exp(ell * inv + base - m), the largest of them 1;
+    rows is (coef, coef * inv) and span is (width, div)."""
     terms = inv * ell
     terms += base
     m = float(terms.max())
     terms -= m
     np.exp(terms, out=terms)
-    s = total(terms)
-    return m + math.log(s), total(terms * inv) / s, m, terms
+    s, ds = np.einsum("ij,j->i", rows, terms).tolist()
+    return m + math.log(span[0] * s / span[1]), ds / s, m, terms
 
 
 def _defect(f: float) -> float:
@@ -125,16 +126,18 @@ def _defect(f: float) -> float:
 def solve_multiplier(
     inv: np.ndarray,
     base: np.ndarray,
-    total: Callable[[np.ndarray], float],
+    coef: np.ndarray,
+    span: tuple[float, float],
     cfg: BisectionConfig | None = None,
 ) -> MultiplierSolve:
-    """Solve log N(l) = 0, N as in ``log_total``, inv > 0 and ``total`` a positive
-    linear sum, starting at l = 0; an evaluation inside the residual tolerance
-    is accepted on the spot."""
+    """Solve log N(l) = 0, N as in ``log_total``, for inv > 0 and positive
+    coefficients, starting at l = 0; an evaluation inside the residual
+    tolerance is accepted on the spot."""
     if cfg is None:
         cfg = BisectionConfig()
+    rows = np.array((coef, coef * inv))
     ell = 0.0
-    f, df, m, terms = log_total(inv, base, total, ell)
+    f, df, m, terms = log_total(inv, base, rows, span, ell)
     residual = _defect(f)
     if residual <= cfg.residual_tol:
         return MultiplierSolve(ell, residual, 0, m, terms)
@@ -148,7 +151,7 @@ def solve_multiplier(
         else:  # out of the bracket, or not half the step before last
             new = 0.5 * (lo + hi)
         step_old, step, ell = step, new - ell, new
-        f, df, m, terms = log_total(inv, base, total, ell)
+        f, df, m, terms = log_total(inv, base, rows, span, ell)
         residual = _defect(f)
         if residual <= cfg.residual_tol or abs(step) <= cfg.lambda_tol:
             return MultiplierSolve(ell, residual, iters, m, terms)

@@ -21,6 +21,7 @@ from vexmod.exponent import (
     parse_expression,
     unparse,
 )
+from vexmod.exponent import _compile
 
 
 def test_linear_in_r_bounds():
@@ -46,6 +47,31 @@ def test_interior_minimum_is_refined():
     p = parse_exponent("2+r^2-r", "r", (0.0, 1.0))
     assert p.p_minus == pytest.approx(1.75, abs=1e-9)
     assert p.p_plus == pytest.approx(2.0, abs=1e-9)
+
+
+def test_interior_minimum_takes_few_array_evaluations():
+    calls = []
+    p = ExponentFunction.from_callable(lambda x: calls.append(x) or 2.0 + x * x - x, (0.0, 1.0))
+    assert len(calls) <= 10  # the samples, then one call per zoom
+    assert p.p_minus == pytest.approx(1.75, abs=1e-15)
+
+
+def test_scalar_only_callable_refines_in_few_calls():
+    calls = []
+
+    def scalar_only(x):
+        calls.append(x)
+        return 2.0 + math.sin(x) ** 2 - 0.5 * math.sin(x)
+
+    p = ExponentFunction.from_callable(scalar_only, (-1.0, 1.0))
+    sampling = 1 + 4098  # the array attempt that raises, then each sample
+    assert len(calls) - sampling <= 75  # golden section took about 50 scalar calls
+    assert p.p_minus == pytest.approx(1.9375, abs=1e-15)
+
+
+def test_flat_underflowing_tail_is_the_minimum():
+    # exp(-0.5 r) drops below half an ulp of 1.8 near r = 74, deep inside [1, 250].
+    assert parse_exponent("1.8+exp(-0.5*r)", "r", (1.0, 250.0)).p_minus == 1.8
 
 
 def test_evaluation_accepts_arrays():
@@ -176,3 +202,23 @@ def _ast_nodes():
 def test_unparse_round_trips_random_trees(tree):
     text = unparse(tree)
     assert parse_expression(text, "r").root == tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_ast_nodes())
+def test_compiled_expression_on_an_array_equals_it_point_by_point(tree):
+    f = _compile(tree)
+    xs = np.linspace(-2.0, 3.0, 11)
+    with np.errstate(all="ignore"):
+        whole = np.broadcast_to(f(xs), xs.shape)
+        pointwise = [f(x) for x in xs]
+    np.testing.assert_array_equal(whole, np.array(pointwise, dtype=float))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=_ast_nodes())
+def test_pole_at_a_sample_raises_domain_error(tree):
+    # On [0, 4097] the bound samples are the integers, so r = 1 is one of them.
+    text = f"2 + ({unparse(tree)}) / (r - 1)"
+    with pytest.raises(DomainError):
+        parse_exponent(text, "r", (0.0, 4097.0))

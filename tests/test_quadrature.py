@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from vexmod.quadrature import (
     IntervalTooFine,
@@ -14,6 +14,7 @@ from vexmod.quadrature import (
     realized_step,
     simpson_error,
     simpson_nodes,
+    simpson_rows,
     simpson_sum,
     subinterval_count,
 )
@@ -141,6 +142,31 @@ def test_simpson_error_estimates_the_actual_error():
     assert 0.5 * actual <= estimate <= 2.0 * actual
     cubic = simpson_error(nodes, nodes**3 + 1.0)
     assert cubic <= 1e-15
+
+
+def test_simpson_rows_at_steps_h_and_2h():
+    rows = simpson_rows(8)
+    assert rows.tolist() == [[1, 4, 2, 4, 2, 4, 2, 4, 1], [2, 0, 8, 0, 4, 0, 8, 0, 2]]
+    nodes = simpson_nodes(0.0, 2.0, QuadratureConfig(step_hint=0.25))
+    values = np.exp(nodes)
+    assert 2.0 * rows[0] @ values / 24.0 == pytest.approx(simpson_sum(nodes, values), rel=1e-15)
+    assert 2.0 * rows[1] @ values / 24.0 == pytest.approx(
+        simpson_sum(nodes[::2], values[::2]), rel=1e-15)
+
+
+@given(
+    a=st.floats(-1e300, 1e300),
+    width=st.floats(5e-324, 1e300),
+    count=st.integers(1, 2000),
+)
+def test_simpson_nodes_equal_linspace_bit_for_bit(a, width, count):
+    # Tiny (down to subnormal), huge and negative intervals, 4 to about 8000 nodes.
+    b = a + width
+    assume(a < b)
+    cfg = QuadratureConfig(step_hint=max((b - a) / count, 5e-324))
+    nodes = simpson_nodes(a, b, cfg)
+    want = np.linspace(a, b, subinterval_count(a, b, cfg) + 1)
+    assert nodes.tobytes() == want.tobytes()
 
 
 @given(

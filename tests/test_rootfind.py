@@ -17,39 +17,49 @@ from vexmod.rootfind import (
 )
 
 
-def plain_sum(v):
-    return float(v.sum())
+UNIT = (1.0, 1.0)  # (width, div): the plain coefficient-weighted sum
 
 
 def test_constant_exponent_is_solved_exactly_in_one_step():
     # N(l) = 3 * 0.5 e^l: log N is linear, so the first Newton step lands on log(2/3).
     inv, base = np.ones(3), np.full(3, math.log(0.5))
-    ell, residual, iters, _, _ = solve_multiplier(inv, base, plain_sum)
+    ell, residual, iters, _, _ = solve_multiplier(inv, base, np.ones_like(inv), UNIT)
     assert ell == pytest.approx(math.log(2.0 / 3.0), rel=1e-15)
     assert residual <= 1e-15 and iters == 1
 
 
 def test_first_evaluation_inside_the_tolerance_is_accepted():
     ell, residual, iters, scale, terms = solve_multiplier(np.ones(2), np.full(2, -math.log(2.0)),
-                                                          plain_sum)
+                                                          np.ones(2), UNIT)
     assert (ell, residual, iters) == (0.0, 0.0, 0)
     assert math.exp(scale) * terms.sum() == 1.0
 
 
 def test_log_total_and_its_slope():
     inv, base = np.array([0.5, 2.0]), np.array([0.0, -1.0])
-    f, df, scale, terms = log_total(inv, base, plain_sum, 0.3)
+    f, df, scale, terms = log_total(inv, base, np.array((np.ones_like(inv), inv)), UNIT, 0.3)
     direct = np.exp(0.3 * inv + base)
     assert f == pytest.approx(math.log(direct.sum()), rel=1e-15)
     assert df == pytest.approx((inv * direct).sum() / direct.sum(), rel=1e-15)
     assert terms.max() == 1.0 and np.allclose(terms * math.exp(scale), direct, rtol=1e-15)
 
 
+def test_log_total_weighs_the_terms_by_coefficients_and_span():
+    # Simpson on [0, 2] with 2 subintervals: (2 / 6) * (t0 + 4 t1 + t2).
+    inv, base = np.array([0.5, 1.0, 2.0]), np.array([0.0, -1.0, 0.5])
+    coef = np.array([1.0, 4.0, 1.0])
+    f, df, scale, terms = log_total(inv, base, np.array((coef, coef * inv)), (2.0, 6.0), -0.2)
+    direct = np.exp(-0.2 * inv + base)
+    assert f == pytest.approx(math.log(2.0 * (coef * direct).sum() / 6.0), rel=1e-15)
+    assert df == pytest.approx((coef * inv * direct).sum() / (coef * direct).sum(), rel=1e-15)
+    assert np.allclose(terms * math.exp(scale), direct, rtol=1e-15)
+
+
 def test_exponents_near_one_do_not_overflow():
     # 1/(p-1) = 10^4 next to p = 3: every power of lam would overflow or underflow.
     inv = np.array([1e4, 1e4, 0.5, 0.5])
     base = np.array([-2.5e4, -2.6e4, -300.0, -310.0])
-    ell, residual, iters, scale, terms = solve_multiplier(inv, base, plain_sum,
+    ell, residual, iters, scale, terms = solve_multiplier(inv, base, np.ones_like(inv), UNIT,
                                                           BisectionConfig(1e-12, 1e-14))
     assert residual <= 1e-12
     assert iters <= 60
@@ -65,9 +75,9 @@ def test_newton_converges_inside_the_one_evaluation_bracket(p, shift):
     p = np.array(p)
     inv = 1.0 / (p - 1.0)
     base = shift - inv * np.log(p) + np.linspace(0.0, 3.0, p.size)
-    ell, residual, iters, scale, terms = solve_multiplier(inv, base, plain_sum,
+    ell, residual, iters, scale, terms = solve_multiplier(inv, base, np.ones_like(inv), UNIT,
                                                           BisectionConfig(1e-12, 1e-15))
-    f0 = log_total(inv, base, plain_sum, 0.0)[0]
+    f0 = log_total(inv, base, np.array((np.ones_like(inv), inv)), UNIT, 0.0)[0]
     ends = sorted((-f0 * (p.min() - 1.0), -f0 * (p.max() - 1.0)))
     slack = 1e-9 * (1.0 + abs(f0) * p.max())
     assert ends[0] - slack <= ell <= ends[1] + slack
@@ -77,12 +87,13 @@ def test_newton_converges_inside_the_one_evaluation_bracket(p, shift):
 def test_multiplier_max_iters_exceeded():
     inv, base = np.array([0.1, 10.0]), np.array([-5.0, -40.0])
     with pytest.raises(MaxItersExceeded):
-        solve_multiplier(inv, base, plain_sum, BisectionConfig(1e-15, 1e-300, max_iters=1))
+        solve_multiplier(inv, base, np.ones_like(inv), UNIT,
+                         BisectionConfig(1e-15, 1e-300, max_iters=1))
 
 
 def test_step_tolerance_stops_the_solve():
     inv, base = np.array([0.1, 10.0]), np.array([-5.0, -40.0])
-    ell, residual, iters, _, _ = solve_multiplier(inv, base, plain_sum,
+    ell, residual, iters, _, _ = solve_multiplier(inv, base, np.ones_like(inv), UNIT,
                                                   BisectionConfig(1e-15, 1e3))
     assert iters == 1 and residual > 1e-15
 
