@@ -17,11 +17,11 @@ from vexmod.exponent import (
     Power,
     Unary,
     Var,
+    _compile,
     parse_exponent,
     parse_expression,
     unparse,
 )
-from vexmod.exponent import _compile
 
 
 def test_linear_in_r_bounds():
@@ -104,6 +104,9 @@ def test_non_finite_on_interval_is_rejected():
         parse_exponent("log(r-1)", "r", (1.0, 2.0))
     with pytest.raises(DomainError):
         parse_exponent("2+1/t", "t", (0.0, 1.0))
+    for constant in ("2+1/0", "2+(-1)^1.5"):  # no ZeroDivisionError or complex
+        with pytest.raises(DomainError):
+            parse_exponent(constant, "r", (1.0, 2.0))
 
 
 def test_parse_error_carries_position():

@@ -160,7 +160,7 @@ def test_simpson_rows_at_steps_h_and_2h():
     count=st.integers(1, 2000),
 )
 def test_simpson_nodes_equal_linspace_bit_for_bit(a, width, count):
-    # Tiny (down to subnormal), huge and negative intervals, 4 to about 8000 nodes.
+    # Tiny (down to subnormal), huge and negative intervals, on 5 to about 2,000 nodes.
     b = a + width
     assume(a < b)
     cfg = QuadratureConfig(step_hint=max((b - a) / count, 5e-324))
