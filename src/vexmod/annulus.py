@@ -116,21 +116,39 @@ class _WeightedCore:
     Per node it keeps inv = 1/(p - 1) and base = log J - inv log(p w), so that
     at lam = e^l the candidate density times J is exp(l inv + base); by the
     stationarity condition w rho^p = lam rho / p, the modulus is lam times the
-    integral of rho J / p.  p and w are evaluated once, at construction.
+    integral of rho J / p.  ``build`` makes the cores of several grids from one
+    pass over their joined nodes; a single solve is its case of one grid.
     ``density(l, x)`` gives the density at lam = e^l in the problem's variable.
     """
 
-    @np.errstate(all="ignore")
-    def __init__(self, u: np.ndarray, p: np.ndarray, log_w, log_j, density: Callable) -> None:
+    def __init__(self, u: np.ndarray, inv: np.ndarray, base: np.ndarray, density: Callable) -> None:
         self.density = density
+        self.inv, self.base = inv, base
         self.rows = simpson_rows(u.size - 1)  # at steps h and 2h, of terms in [0, 1]
         self.span = (float(u[-1] - u[0]), 3.0 * (u.size - 1))
-        self.inv = 1.0 / (p - 1.0)
-        self.base = log_j - self.inv * (np.log(p) + log_w)
-        bad = np.flatnonzero(~(np.isfinite(self.base) & (self.inv > 0.0)))
-        if bad.size:
-            raise NonFiniteIntegrand(f"the exponent is {p[bad[0]]!r} at quadrature node"
-                                     f" {u[bad[0]]!r}, not a finite value above 1")
+
+    @classmethod
+    @np.errstate(all="ignore")
+    def build(cls, grids: list, p: np.ndarray, log_w, log_j, density: Callable) -> list:
+        """The core of each Simpson grid in ``grids``, given p, log w and log J at their
+        joined nodes (log w and log J may be scalars), or else the NonFiniteIntegrand
+        that names the grid's first node where p is not a finite value above 1."""
+        inv = 1.0 / (p - 1.0)
+        base = log_j - inv * (np.log(p) + log_w)
+        checked = math.isfinite(base.sum()) and inv.min() > 0.0  # else look for bad nodes
+        cores, start = [], 0
+        for u in grids:
+            stop = start + u.size
+            row_inv, row_base = inv[start:stop], base[start:stop]
+            bad = () if checked else np.flatnonzero(~(np.isfinite(row_base) & (row_inv > 0.0)))
+            if len(bad):
+                cores.append(NonFiniteIntegrand(
+                    f"the exponent is {p[start + bad[0]]!r} at quadrature node"
+                    f" {u[bad[0]]!r}, not a finite value above 1"))
+            else:
+                cores.append(cls(u, row_inv, row_base, density))
+            start = stop
+        return cores
 
     def normalization(self, lam: float) -> float:
         if not (lam > 0 and math.isfinite(lam)):
@@ -156,25 +174,56 @@ class _WeightedCore:
         return ExtremalSolution(lam, modulus, rho, residual, iters, error)
 
 
+def _exponent_at(peval: Callable, x: np.ndarray) -> np.ndarray:
+    """p at the nodes x, as an array of their shape even where eval gives one value."""
+    p = np.asarray(peval(x), dtype=float)
+    return p if p.shape == x.shape else np.broadcast_to(p, x.shape)
+
+
+def _only(cores: list) -> _WeightedCore:
+    """The core of a ``_WeightedCore.build`` of one grid; its error is raised."""
+    (core,) = cores
+    if isinstance(core, Exception):
+        raise core
+    return core
+
+
 def _log_ratio(r1: float, r2: float) -> float:
     """log(r2/r1), the length of the ring's interval in s; finite for any float radii."""
     return math.log(r2) - math.log(r1)
 
 
-def _ring_nodes(prob: AnnulusProblem, quad: QuadratureConfig | None):
-    """Simpson nodes s on [0, log(r2/r1)], with log r and p(r) at each."""
-    s = simpson_nodes(0.0, _log_ratio(prob.r1, prob.r2), quad)
-    log_r = s + math.log(prob.r1)
+def _ring_grid(prob: AnnulusProblem, quad: QuadratureConfig | None) -> np.ndarray:
+    """Simpson nodes s on [0, log(r2/r1)]."""
+    return simpson_nodes(0.0, _log_ratio(prob.r1, prob.r2), quad)
+
+
+def _ring_nodes(r1: float, peval: Callable, grids: list, tops: list):
+    """log r and p(r) at the joined s grids of rings from r1 to each radius in tops;
+    a grid's end nodes are r1 and its outer radius exactly, so p is evaluated on its
+    interval.  A single grid is used as it is, not copied."""
+    s = grids[0] if len(grids) == 1 else np.concatenate(grids)
+    log_r = s + math.log(r1)
     r = np.exp(log_r)
-    r[0], r[-1] = prob.r1, prob.r2  # p is evaluated on its interval, ends included
-    return s, log_r, np.asarray(prob.p.eval(r), dtype=float)
+    stop = 0
+    for u, r2 in zip(grids, tops):
+        r[stop] = r1
+        stop += u.size
+        r[stop - 1] = r2
+    return log_r, _exponent_at(peval, r)
+
+
+def _ring_cores(prob: AnnulusProblem, grids: list, tops: list) -> list:
+    """``_WeightedCore.build`` for the rings of prob's n, r1 and exponent out to each radius
+    in tops, on their s grids."""
+    log_r, p = _ring_nodes(prob.r1, prob.p.eval, grids, tops)
+    log_c, k = _log_unit_sphere_area(prob.n), prob.n - 1
+    return _WeightedCore.build(grids, p, log_c + k * log_r, log_r,
+                               partial(_density_at, prob.p.eval, log_c, k))
 
 
 def _ring_core(prob: AnnulusProblem, quad: QuadratureConfig | None) -> _WeightedCore:
-    s, log_r, p = _ring_nodes(prob, quad)
-    log_c, k = _log_unit_sphere_area(prob.n), prob.n - 1
-    return _WeightedCore(s, p, log_c + k * log_r, log_r,
-                         partial(_density_at, prob.p.eval, log_c, k))
+    return _only(_ring_cores(prob, [_ring_grid(prob, quad)], [prob.r2]))
 
 
 def normalization_value(
@@ -227,7 +276,8 @@ def log_density_upper_bound(
     An upper bound for the modulus; it is attained exactly when p(r) is
     identically the dimension n.
     """
-    s, log_r, p = _ring_nodes(prob, quad)
+    s = _ring_grid(prob, quad)
+    log_r, p = _ring_nodes(prob.r1, prob.p.eval, [s], [prob.r2])
     with np.errstate(all="ignore"):
         # omega_n r^(n-1) (r L)^-p times the Jacobian r
         values = np.exp(_log_unit_sphere_area(prob.n) + (prob.n - p) * log_r
@@ -245,6 +295,9 @@ class SweepRow:
     error: str | None = None
 
 
+_PASS_NODES = 65_536  # nodes of a sweep's shared pass; a larger row has a pass of its own
+
+
 def modulus_sweep(
     prob: AnnulusProblem,
     r2_values: Sequence[float],
@@ -255,15 +308,55 @@ def modulus_sweep(
 
     Every row shares the template's exponent, which must be evaluable up to
     the largest requested radius; the solve reads p only at its own nodes.
-    Each radius is solved from scratch, and a failure on one row is reported
-    on that row without stopping the sweep.
+    Consecutive rows share one pass over their joined nodes, at most 65,536
+    of them, that evaluates p and checks it once; then each row is solved
+    alone.  A row's numbers and error are those of ``solve_annulus`` on that
+    row, and a failure on one row is reported on that row without stopping
+    the sweep.
     """
-    rows: list[SweepRow] = []
-    for r2 in r2_values:
+    rows: list = []  # a SweepRow, or None while the row waits in `part`
+    part: list = []  # (index, r2, s grid) of the rows of the next pass
+    nodes = 0
+    for r2 in map(float, r2_values):
         try:
-            sol = solve_annulus(AnnulusProblem(prob.n, prob.r1, float(r2), prob.p), quad, bis)
-            rows.append(SweepRow(float(r2), sol.lam, sol.modulus, sol.residual,
-                                 sol.quadrature_error))
-        except Exception as exc:  # per-row report, the sweep keeps going
-            rows.append(SweepRow(float(r2), None, None, error=f"{type(exc).__name__}: {exc}"))
+            grid = _ring_grid(AnnulusProblem(prob.n, prob.r1, r2, prob.p), quad)
+        except Exception as exc:
+            rows.append(_error_row(r2, exc))
+            continue
+        if part and nodes + grid.size > _PASS_NODES:
+            _solve_pass(prob, part, rows, bis)
+            part, nodes = [], 0
+        part.append((len(rows), r2, grid))
+        rows.append(None)
+        nodes += grid.size
+    if part:
+        _solve_pass(prob, part, rows, bis)
     return rows
+
+
+def _error_row(r2: float, exc: Exception) -> SweepRow:
+    return SweepRow(r2, None, None, error=f"{type(exc).__name__}: {exc}")
+
+
+def _solve_pass(prob: AnnulusProblem, part: list, rows: list, bis: BisectionConfig | None) -> None:
+    """Solve the rows of a pass, (index, r2, grid) each, into rows[index]."""
+    for (i, r2, _), core in zip(part, _pass_cores(prob, part)):
+        try:
+            if isinstance(core, Exception):
+                raise core
+            sol = core.solve(bis)
+        except Exception as exc:  # per-row report, the sweep keeps going
+            rows[i] = _error_row(r2, exc)
+        else:
+            rows[i] = SweepRow(r2, sol.lam, sol.modulus, sol.residual, sol.quadrature_error)
+
+
+def _pass_cores(prob: AnnulusProblem, part: list) -> list:
+    """``_ring_cores`` of the pass's rows; if the shared pass raises, those of each row
+    alone, a row's own error standing in for its core."""
+    try:
+        return _ring_cores(prob, [grid for *_, grid in part], [r2 for _, r2, _ in part])
+    except Exception as exc:
+        if len(part) == 1:
+            return [exc]
+        return [core for row in part for core in _pass_cores(prob, [row])]

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .annulus import ExtremalSolution, _WeightedCore, _density_at
+from .annulus import ExtremalSolution, _WeightedCore, _density_at, _exponent_at, _only
 from .exponent import ExponentFunction
 from .quadrature import QuadratureConfig, simpson_nodes, simpson_sum
 from .rootfind import BisectionConfig, positive_normal
@@ -52,12 +52,12 @@ class CylinderProblem:
 
 def _axial_nodes(prob: CylinderProblem, quad: QuadratureConfig | None):
     t = simpson_nodes(0.0, prob.length, quad)
-    return t, np.asarray(prob.p.eval(t), dtype=float)
+    return t, _exponent_at(prob.p.eval, t)
 
 
 def _axial_core(prob: CylinderProblem, quad: QuadratureConfig | None) -> _WeightedCore:
     t, p = _axial_nodes(prob, quad)
-    return _WeightedCore(t, p, 0.0, 0.0, partial(_density_at, prob.p.eval, 0.0, 0))
+    return _only(_WeightedCore.build([t], p, 0.0, 0.0, partial(_density_at, prob.p.eval, 0.0, 0)))
 
 
 def cylinder_normalization_value(

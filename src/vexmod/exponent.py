@@ -25,7 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .quadrature import _grid, _pointwise
+from .quadrature import _grid, _on_array, _per_point, _pointwise
 
 __all__ = [
     "ParseError",
@@ -306,7 +306,14 @@ class ExponentFunction:
     def from_callable(
         cls, fn: Callable, interval: tuple[float, float], source: str = "callable"
     ) -> "ExponentFunction":
-        return _bounded(partial(_pointwise, fn), interval, source)
+        """The exponent fn on interval.  fn is first called on the array of the bound
+        samples; if it raises there, it is called once per point from then on."""
+        a, b = _valid_interval(interval)
+        xs = _samples(a, b)
+        ys = _on_array(fn, xs)
+        if ys is None:
+            return _bounded(partial(_per_point, fn), (a, b), source)
+        return _bounded(partial(_pointwise, fn), (a, b), source, (xs, ys))
 
     def restricted(self, a: float, b: float) -> "ExponentFunction":
         """The same map on a subinterval, with bounds recomputed there."""
@@ -323,10 +330,16 @@ def _valid_interval(interval: tuple[float, float]) -> tuple[float, float]:
     return a, b
 
 
-def _bounded(evaluate: Callable, interval: tuple[float, float], source: str) -> ExponentFunction:
-    """The exponent ``evaluate`` on a valid interval, with its sampled bounds checked."""
+def _bounded(
+    evaluate: Callable, interval: tuple[float, float], source: str, samples: tuple | None = None
+) -> ExponentFunction:
+    """The exponent ``evaluate`` on a valid interval, with its sampled bounds checked;
+    samples, if given, are ``_samples`` of the interval and evaluate there."""
     a, b = _valid_interval(interval)
-    p_minus, p_plus = _sampled_bounds(evaluate, a, b)
+    if samples is None:
+        xs = _samples(a, b)
+        samples = xs, evaluate(xs)
+    p_minus, p_plus = _sampled_bounds(evaluate, *samples)
     if not (math.isfinite(p_minus) and math.isfinite(p_plus)):
         raise ExponentRangeError(f"exponent bounds are not finite: ({p_minus}, {p_plus})")
     if p_minus <= 1.0 + _MIN_EXPONENT_MARGIN:
@@ -338,11 +351,13 @@ def _bounded(evaluate: Callable, interval: tuple[float, float], source: str) -> 
 
 
 def _extreme(evaluate: Callable, xs: np.ndarray, ys: np.ndarray, i: int, sign: float) -> float:
-    """sign times the least of sign * p, given samples ys at xs with sign * ys least at i:
-    for an interior i, zooms that evaluate 7 points inside the bracket around the best
-    point and keep a quarter of it, down to a relative width of 1e-8."""
+    """sign times the least of sign * p, given samples ys at xs with sign * ys least at i
+    (first): for an interior i, zooms that evaluate 7 points inside the bracket around the
+    best point and keep a quarter of it, down to a relative width of 1e-8.  The start of
+    a plateau, a best sample that the next two repeat, is taken as it is."""
     best = sign * float(ys[i])
-    if 0 < i < xs.size - 1:
+    plateau = i + 2 < xs.size and ys[i] == ys[i + 1] == ys[i + 2]
+    if 0 < i < xs.size - 1 and not plateau:
         lo, hi = float(xs[i - 1]), float(xs[i + 1])
         while hi - lo > 1e-8 * max(1.0, abs(lo)):
             grid = _grid(lo, hi, 8)
@@ -353,14 +368,16 @@ def _extreme(evaluate: Callable, xs: np.ndarray, ys: np.ndarray, i: int, sign: f
     return sign * best
 
 
-def _sampled_bounds(evaluate: Callable, a: float, b: float) -> tuple[float, float]:
-    xs = _grid(a, b, _SAMPLE_NODES + 1)
-    ys = evaluate(xs)
-    if not np.isfinite(ys).all():
+def _samples(a: float, b: float) -> np.ndarray:
+    return _grid(a, b, _SAMPLE_NODES + 1)
+
+
+def _sampled_bounds(evaluate: Callable, xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    lo, hi = int(np.argmin(ys)), int(np.argmax(ys))  # each the first NaN if there is one
+    if not (math.isfinite(ys[lo]) and math.isfinite(ys[hi])):
         bad = float(xs[~np.isfinite(ys)][0])
         raise DomainError(f"expression is non-finite near x={bad}")
-    return (_extreme(evaluate, xs, ys, int(np.argmin(ys)), 1.0),
-            _extreme(evaluate, xs, ys, int(np.argmax(ys)), -1.0))
+    return _extreme(evaluate, xs, ys, lo, 1.0), _extreme(evaluate, xs, ys, hi, -1.0)
 
 
 def parse_exponent(text: str, variable: str, interval: tuple[float, float]) -> ExponentFunction:

@@ -17,7 +17,6 @@ __all__ = [
     "simpson_nodes",
     "simpson_rows",
     "simpson_sum",
-    "simpson_error",
     "integrate",
 ]
 
@@ -71,20 +70,39 @@ def realized_step(a: float, b: float, cfg: QuadratureConfig | None = None) -> fl
 def _pointwise(f: Callable, x):
     """f at every point of x, a float or an ndarray, with numpy errors ignored.
 
-    A callable that accepts an array is called once on the whole of it, and
-    a constant result is broadcast to its shape; one that raises on an array
-    is called once per point.  Points are passed as numpy float64 scalars,
-    and a scalar x gives a float.
+    A callable that accepts an array is called once on the whole of it, as by
+    ``_on_array``; one that raises on an array is called once per point, as by
+    ``_per_point``.  A scalar x gives a float.
     """
     xs = np.asarray(x, dtype=float)
+    out = _on_array(f, xs) if xs.ndim else None
+    return _per_point(f, xs) if out is None else out
+
+
+def _on_array(f: Callable, xs: np.ndarray):
+    """f called once on the whole array xs, a constant result broadcast to its shape,
+    with numpy errors ignored; None if the call raises."""
     with np.errstate(all="ignore"):
-        if xs.ndim == 0:
-            return float(f(xs[()]))
         try:
             out = np.asarray(f(xs), dtype=float)
             return out if out.shape == xs.shape else np.broadcast_to(out, xs.shape).copy()
         except Exception:
-            return np.array([float(f(v)) for v in xs.flat]).reshape(xs.shape)
+            return None
+
+
+def _per_point(f: Callable, x):
+    """f called once per point of x, a float or an ndarray, each point a numpy float64
+    scalar, with numpy errors ignored; a scalar x gives a float."""
+    xs = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        if xs.ndim == 0:
+            return float(f(xs[()]))
+        return np.array([float(f(v)) for v in xs.flat]).reshape(xs.shape)
+
+
+# 0, 1, 2, ... as floats, as many as the exponent's bound samples: the grids of up
+# to this many nodes scale a slice of it.
+_INDEX = np.arange(4098, dtype=float)
 
 
 def _grid(a: float, b: float, n: int) -> np.ndarray:
@@ -92,8 +110,11 @@ def _grid(a: float, b: float, n: int) -> np.ndarray:
     step = (b - a) / n
     if step == 0.0:  # a subnormal interval, which np.linspace scales in another order
         return np.linspace(a, b, n + 1)
-    x = np.arange(n + 1, dtype=float)
-    x *= step
+    if n < _INDEX.size:
+        x = _INDEX[: n + 1] * step
+    else:
+        x = np.arange(n + 1, dtype=float)
+        x *= step
     x += a
     x[-1] = b
     return x
@@ -142,14 +163,6 @@ def simpson_sum(nodes: np.ndarray, values: np.ndarray) -> float:
             f"integral over [{float(nodes[0])}, {float(nodes[-1])}] overflows a float"
         )
     return result
-
-
-def simpson_error(nodes: np.ndarray, values: np.ndarray) -> float:
-    """Relative error estimate |S_h - S_2h| / (15 S_h) of ``simpson_sum`` on a
-    positive integrand, S_2h being the rule on every other node of the same
-    ``simpson_nodes``; unchecked, as ``_simpson``."""
-    s_h, s_2h = np.einsum("ij,j->i", simpson_rows(nodes.size - 1), values).tolist()
-    return abs(s_h - s_2h) / (15.0 * s_h)
 
 
 def integrate(

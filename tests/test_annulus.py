@@ -15,6 +15,7 @@ from vexmod import (
     AnnulusProblem,
     BisectionConfig,
     BracketFailure,
+    ExponentFunction,
     NonFiniteIntegrand,
     QuadratureConfig,
     constant_exponent_modulus,
@@ -25,6 +26,8 @@ from vexmod import (
     solve_annulus,
     unit_sphere_area,
 )
+from vexmod import CylinderProblem, annulus, solve_cylinder
+from vexmod.annulus import SweepRow
 
 REF_LAMBDA = 20.778872988263774
 REF_MODULUS = 8.652192184157259
@@ -356,3 +359,125 @@ def test_solver_returns_a_positive_float_or_a_solver_error(n, p_const, log_r1, l
     except NonFiniteIntegrand:
         return  # the log density's energy exceeds the float range
     assert sol.modulus <= bound * (1.0 + 1e-9 + 4.0 * sol.quadrature_error)
+
+
+def _single_solves(template, radii, quad=None):
+    """The rows of a sweep solved one by one with ``solve_annulus``."""
+    rows = []
+    for r2 in radii:
+        try:
+            sol = solve_annulus(AnnulusProblem(template.n, template.r1, r2, template.p), quad)
+        except Exception as exc:
+            rows.append(SweepRow(r2, None, None, error=f"{type(exc).__name__}: {exc}"))
+        else:
+            rows.append(SweepRow(r2, sol.lam, sol.modulus, sol.residual, sol.quadrature_error))
+    return rows
+
+
+def _assert_sweep_is_single_solves(template, radii, quad=None):
+    """Row by row in input order, field by field and bit for bit (repr tells every float
+    apart); returns the rows."""
+    rows = modulus_sweep(template, radii, quad)
+    assert list(map(repr, rows)) == list(map(repr, _single_solves(template, radii, quad)))
+    return rows
+
+
+_SWEEP_TEMPLATES = {
+    "constant": "{a}",
+    "linear": "{a}+{b}*r",
+    "exp": "{a}+{b}*exp(-{c}*r)",
+    "log": "{a}+{b}*log(r)",  # a - 14 b > 1 keeps it above 1 down to r = 1e-6
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 200),
+    r1=st.floats(1e-6, 10.0),
+    kind=st.sampled_from(sorted(_SWEEP_TEMPLATES)),
+    a=st.floats(1.8, 4.0),
+    b=st.floats(0.0, 0.05),
+    c=st.floats(0.1, 2.0),
+    # r2/r1 from 0.5 to 1100, log-uniform and simplest at e^2
+    ratios=st.lists(st.floats(-4.9, 2.7).map(lambda x: math.exp(2.0 - x)), min_size=1,
+                    max_size=8),
+    equal_row=st.booleans(),
+    step=st.sampled_from([1e-2, 5e-2, 0.3]),
+    cap=st.sampled_from([40, 400, 1_000_000]),
+)
+def test_sweep_rows_are_single_solves(n, r1, kind, a, b, c, ratios, equal_row, step, cap):
+    # Rows with r2 <= r1 fail in the constructor, and a small cap gives IntervalTooFine rows.
+    radii = [r1] * equal_row + [r1 * q for q in ratios]
+    text = _SWEEP_TEMPLATES[kind].format(a=repr(a), b=repr(b), c=repr(c))
+    top = max(radii + [2.0 * r1])
+    template = AnnulusProblem(n, r1, top, parse_exponent(text, "r", (r1, top)))
+    _assert_sweep_is_single_solves(template, radii, QuadratureConfig(step, cap))
+
+
+def test_sweep_rows_are_single_solves_at_the_edges():
+    # The 1+r rows fail from r2 = 256 on, where the multiplier underflows.
+    p = parse_exponent("1+r", "r", (1.0, 1024.0))
+    radii = [0.5, 1.0] + [2.0**k for k in range(1, 11)]
+    rows = _assert_sweep_is_single_solves(AnnulusProblem(2, 1.0, 1024.0, p), radii)
+    assert [row.error.split(":")[0] for row in rows if row.error] == ["ValueError"] * 2 + [
+        "BracketFailure"] * 3
+    assert rows[3].modulus == pytest.approx(WIDE_MODULUS, rel=1e-8)
+    capped = _assert_sweep_is_single_solves(AnnulusProblem(2, 1.0, 1024.0, p), radii[2:],
+                                            QuadratureConfig(1e-2, 400))
+    assert capped[-1].error.startswith("IntervalTooFine")
+    one = _assert_sweep_is_single_solves(AnnulusProblem(2, 1.0, 1024.0, p), [2.0])
+    assert one[0].modulus == pytest.approx(REF_MODULUS, rel=1e-8)
+    assert modulus_sweep(AnnulusProblem(2, 1.0, 1024.0, p), []) == []
+
+
+def test_sweep_row_with_a_bad_exponent_names_its_own_node():
+    # NaN beyond r = 5: each failing row names the first of its own nodes past 5.
+    nan_tail = ExponentFunction(lambda r: np.where(np.asarray(r) > 5.0, np.nan, 2.5),
+                                2.5, 2.5, "2.5, NaN beyond 5", (1.0, 20.0))
+    rows = _assert_sweep_is_single_solves(AnnulusProblem(3, 1.0, 20.0, nan_tail),
+                                          [8.0, 3.0, 12.0, 5.0])
+    assert [row.error is None for row in rows] == [False, True, False, True]
+    assert rows[0].error.startswith("NonFiniteIntegrand: the exponent is np.float64(nan)")
+    assert rows[0].error != rows[2].error
+
+
+def test_sweep_row_whose_exponent_raises_is_solved_alone():
+    def eval_up_to_5(r):
+        if np.max(r) > 5.0:
+            raise ArithmeticError(f"no exponent beyond 5, asked for {float(np.max(r))!r}")
+        return 2.0 + 0.1 * np.asarray(r)
+
+    p = ExponentFunction(eval_up_to_5, 2.1, 2.5, "2+0.1r up to 5", (1.0, 8.0))
+    rows = _assert_sweep_is_single_solves(AnnulusProblem(2, 1.0, 8.0, p), [2.0, 8.0, 4.0])
+    assert [row.error is None for row in rows] == [True, False, True]
+    assert rows[1].error == "ArithmeticError: no exponent beyond 5, asked for 8.0"
+
+
+def test_sweep_passes_hold_at_most_65536_nodes(monkeypatch):
+    passes = []
+    ring_cores = annulus._ring_cores
+
+    def counted(prob, grids, tops):
+        passes.append([g.size for g in grids])
+        return ring_cores(prob, grids, tops)
+
+    monkeypatch.setattr(annulus, "_ring_cores", counted)
+    p = parse_exponent("2+0.1*log(r)", "r", (1.0, math.exp(8.0)))
+    template = AnnulusProblem(3, 1.0, math.exp(8.0), p)
+    radii = [math.exp(3.0)] * 3 + [math.exp(8.0), 2.0]
+    quad = QuadratureConfig(1e-4)
+    rows = modulus_sweep(template, radii, quad)
+    assert passes == [[30001, 30001], [30001], [80001], [6933]]
+    monkeypatch.undo()
+    assert list(map(repr, rows)) == list(map(repr, _single_solves(template, radii, quad)))
+    assert all(row.error is None for row in rows)
+
+
+def test_exponent_eval_may_give_one_value_for_all_nodes():
+    one_value = ExponentFunction(lambda x: 2.5, 2.5, 2.5, "2.5", (0.0, 8.0))
+    parsed = parse_exponent("2.5", "r", (0.0, 8.0))
+    ring = [solve_annulus(AnnulusProblem(2, 1.0, 2.0, p)).modulus for p in (one_value, parsed)]
+    assert ring[0] == ring[1]
+    cylinder = [solve_cylinder(CylinderProblem(1.0, 2.0, p)).modulus for p in (one_value, parsed)]
+    assert cylinder[0] == cylinder[1]
+    _assert_sweep_is_single_solves(AnnulusProblem(3, 1.0, 8.0, one_value), [2.0, 8.0, 4.0])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vexmod import exponent
 from vexmod.exponent import (
     Binary,
     Call,
@@ -22,6 +23,7 @@ from vexmod.exponent import (
     parse_expression,
     unparse,
 )
+from vexmod.quadrature import _pointwise
 
 
 def test_linear_in_r_bounds():
@@ -64,6 +66,9 @@ def test_scalar_only_callable_refines_in_few_calls():
         return 2.0 + math.sin(x) ** 2 - 0.5 * math.sin(x)
 
     p = ExponentFunction.from_callable(scalar_only, (-1.0, 1.0))
+    # The first call, on the array of samples, raises; every later call is on one point.
+    assert [isinstance(x, np.ndarray) for x in calls].count(True) == 1
+    assert isinstance(calls[0], np.ndarray)
     sampling = 1 + 4098  # the array attempt that raises, then each sample
     assert len(calls) - sampling <= 75  # golden section took about 50 scalar calls
     assert p.p_minus == pytest.approx(1.9375, abs=1e-15)
@@ -72,6 +77,24 @@ def test_scalar_only_callable_refines_in_few_calls():
 def test_flat_underflowing_tail_is_the_minimum():
     # exp(-0.5 r) drops below half an ulp of 1.8 near r = 74, deep inside [1, 250].
     assert parse_exponent("1.8+exp(-0.5*r)", "r", (1.0, 250.0)).p_minus == 1.8
+
+
+def test_plateau_minimum_is_not_zoomed(monkeypatch):
+    # The sampled minimum is the first sample of the plateau at 1.8, which the next two
+    # samples repeat: zooming around it finds nothing lower.
+    calls = []
+    monkeypatch.setattr(exponent, "_pointwise", lambda f, x: calls.append(x) or _pointwise(f, x))
+    for top in (250.0, 140.0):
+        calls.clear()
+        p = parse_exponent("1.8+exp(-0.5*r)", "r", (1.0, top))
+        assert len(calls) <= 2
+        assert p.p_minus == 1.8
+        assert p.p_plus == p.eval(1.0) == 2.4065306597126335
+    # Two equal samples around the interior minimum of 2 + r^2 - r are not a plateau.
+    calls.clear()
+    p = parse_exponent("2+r^2-r", "r", (0.0, 1.0))
+    assert len(calls) == 9
+    assert p.p_minus == pytest.approx(1.75, abs=1e-15)
 
 
 def test_evaluation_accepts_arrays():
