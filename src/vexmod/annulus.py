@@ -174,12 +174,6 @@ class _WeightedCore:
         return ExtremalSolution(lam, modulus, rho, residual, iters, error)
 
 
-def _exponent_at(peval: Callable, x: np.ndarray) -> np.ndarray:
-    """p at the nodes x, as an array of their shape even where eval gives one value."""
-    p = np.asarray(peval(x), dtype=float)
-    return p if p.shape == x.shape else np.broadcast_to(p, x.shape)
-
-
 def _only(cores: list) -> _WeightedCore:
     """The core of a ``_WeightedCore.build`` of one grid; its error is raised."""
     (core,) = cores
@@ -201,7 +195,8 @@ def _ring_grid(prob: AnnulusProblem, quad: QuadratureConfig | None) -> np.ndarra
 def _ring_nodes(r1: float, peval: Callable, grids: list, tops: list):
     """log r and p(r) at the joined s grids of rings from r1 to each radius in tops;
     a grid's end nodes are r1 and its outer radius exactly, so p is evaluated on its
-    interval.  A single grid is used as it is, not copied."""
+    interval.  A single grid is used as it is, not copied; an eval that gives one value
+    for all nodes is broadcast to them, so that each grid has its slice."""
     s = grids[0] if len(grids) == 1 else np.concatenate(grids)
     log_r = s + math.log(r1)
     r = np.exp(log_r)
@@ -210,7 +205,8 @@ def _ring_nodes(r1: float, peval: Callable, grids: list, tops: list):
         r[stop] = r1
         stop += u.size
         r[stop - 1] = r2
-    return log_r, _exponent_at(peval, r)
+    p = np.asarray(peval(r), dtype=float)
+    return log_r, p if p.shape == r.shape else np.broadcast_to(p, r.shape)
 
 
 def _ring_cores(prob: AnnulusProblem, grids: list, tops: list) -> list:

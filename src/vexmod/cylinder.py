@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .annulus import ExtremalSolution, _WeightedCore, _density_at, _exponent_at, _only
+from .annulus import ExtremalSolution, _WeightedCore, _density_at, _only
 from .exponent import ExponentFunction
 from .quadrature import QuadratureConfig, simpson_nodes, simpson_sum
 from .rootfind import BisectionConfig, positive_normal
@@ -52,7 +52,7 @@ class CylinderProblem:
 
 def _axial_nodes(prob: CylinderProblem, quad: QuadratureConfig | None):
     t = simpson_nodes(0.0, prob.length, quad)
-    return t, _exponent_at(prob.p.eval, t)
+    return t, np.asarray(prob.p.eval(t), dtype=float)
 
 
 def _axial_core(prob: CylinderProblem, quad: QuadratureConfig | None) -> _WeightedCore:

@@ -309,11 +309,9 @@ class ExponentFunction:
         """The exponent fn on interval.  fn is first called on the array of the bound
         samples; if it raises there, it is called once per point from then on."""
         a, b = _valid_interval(interval)
-        xs = _samples(a, b)
-        ys = _on_array(fn, xs)
-        if ys is None:
-            return _bounded(partial(_per_point, fn), (a, b), source)
-        return _bounded(partial(_pointwise, fn), (a, b), source, (xs, ys))
+        ys = _on_array(fn, _samples(a, b))
+        evaluate = partial(_per_point if ys is None else _pointwise, fn)
+        return _bounded(evaluate, (a, b), source, ys)
 
     def restricted(self, a: float, b: float) -> "ExponentFunction":
         """The same map on a subinterval, with bounds recomputed there."""
@@ -331,15 +329,12 @@ def _valid_interval(interval: tuple[float, float]) -> tuple[float, float]:
 
 
 def _bounded(
-    evaluate: Callable, interval: tuple[float, float], source: str, samples: tuple | None = None
+    evaluate: Callable, interval: tuple[float, float], source: str, ys: np.ndarray | None = None
 ) -> ExponentFunction:
     """The exponent ``evaluate`` on a valid interval, with its sampled bounds checked;
-    samples, if given, are ``_samples`` of the interval and evaluate there."""
+    ys, if given, is evaluate at the ``_samples`` of the interval."""
     a, b = _valid_interval(interval)
-    if samples is None:
-        xs = _samples(a, b)
-        samples = xs, evaluate(xs)
-    p_minus, p_plus = _sampled_bounds(evaluate, *samples)
+    p_minus, p_plus = _sampled_bounds(evaluate, a, b, ys)
     if not (math.isfinite(p_minus) and math.isfinite(p_plus)):
         raise ExponentRangeError(f"exponent bounds are not finite: ({p_minus}, {p_plus})")
     if p_minus <= 1.0 + _MIN_EXPONENT_MARGIN:
@@ -372,7 +367,11 @@ def _samples(a: float, b: float) -> np.ndarray:
     return _grid(a, b, _SAMPLE_NODES + 1)
 
 
-def _sampled_bounds(evaluate: Callable, xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+def _sampled_bounds(
+    evaluate: Callable, a: float, b: float, ys: np.ndarray | None = None
+) -> tuple[float, float]:
+    xs = _samples(a, b)
+    ys = evaluate(xs) if ys is None else ys
     lo, hi = int(np.argmin(ys)), int(np.argmax(ys))  # each the first NaN if there is one
     if not (math.isfinite(ys[lo]) and math.isfinite(ys[hi])):
         bad = float(xs[~np.isfinite(ys)][0])

@@ -100,21 +100,13 @@ def _per_point(f: Callable, x):
         return np.array([float(f(v)) for v in xs.flat]).reshape(xs.shape)
 
 
-# 0, 1, 2, ... as floats, as many as the exponent's bound samples: the grids of up
-# to this many nodes scale a slice of it.
-_INDEX = np.arange(4098, dtype=float)
-
-
 def _grid(a: float, b: float, n: int) -> np.ndarray:
     """``np.linspace(a, b, n + 1)`` bit for bit, by the same arithmetic without its overhead."""
     step = (b - a) / n
     if step == 0.0:  # a subnormal interval, which np.linspace scales in another order
         return np.linspace(a, b, n + 1)
-    if n < _INDEX.size:
-        x = _INDEX[: n + 1] * step
-    else:
-        x = np.arange(n + 1, dtype=float)
-        x *= step
+    x = np.arange(n + 1, dtype=float)
+    x *= step
     x += a
     x[-1] = b
     return x

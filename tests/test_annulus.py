@@ -26,7 +26,7 @@ from vexmod import (
     solve_annulus,
     unit_sphere_area,
 )
-from vexmod import CylinderProblem, annulus, solve_cylinder
+from vexmod import annulus
 from vexmod.annulus import SweepRow
 
 REF_LAMBDA = 20.778872988263774
@@ -473,11 +473,9 @@ def test_sweep_passes_hold_at_most_65536_nodes(monkeypatch):
     assert all(row.error is None for row in rows)
 
 
-def test_exponent_eval_may_give_one_value_for_all_nodes():
+def test_ring_exponent_eval_may_give_one_value_for_all_nodes():
     one_value = ExponentFunction(lambda x: 2.5, 2.5, 2.5, "2.5", (0.0, 8.0))
     parsed = parse_exponent("2.5", "r", (0.0, 8.0))
     ring = [solve_annulus(AnnulusProblem(2, 1.0, 2.0, p)).modulus for p in (one_value, parsed)]
     assert ring[0] == ring[1]
-    cylinder = [solve_cylinder(CylinderProblem(1.0, 2.0, p)).modulus for p in (one_value, parsed)]
-    assert cylinder[0] == cylinder[1]
     _assert_sweep_is_single_solves(AnnulusProblem(3, 1.0, 8.0, one_value), [2.0, 8.0, 4.0])
