@@ -5,7 +5,8 @@ densities (stationarity solved for the scalar multiplier by the same
 log-space Newton kernel as the continuous solvers, certified optimal by the
 weak-duality bound ``dual_lower_bound``), and discrete averaging
 experiments showing that spherical or fibre averaging never increases energy.
-A projected gradient descent remains as a slower, less exact minimizer.
+A projected gradient descent remains as a slower, less exact minimizer; each
+of its steps takes one power and one sort-free projection onto the simplex.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _MIN_EXPONENT = 1.0 + 1e-6
 
 
 class NonConvergence(RuntimeError):
-    """Projected gradient descent stalled away from the reference minimum."""
+    """Projected gradient descent stalled away from the reference minimum or diverged."""
 
 
 class NotAdmissible(ValueError):
@@ -171,14 +172,23 @@ def dual_lower_bound(weights, exponents, cell_width: float, mu: float) -> float:
 
 
 def _project_unit_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {u : u >= 0, sum(u) = 1}."""
-    n = y.size
-    s = np.sort(y)[::-1]
-    css = np.cumsum(s)
-    idx = np.nonzero(s * np.arange(1, n + 1) > (css - 1.0))[0][-1]
-    theta = (css[idx] - 1.0) / (idx + 1.0)
-    u = np.maximum(y - theta, 0.0)
-    return u / u.sum()
+    """Euclidean projection onto {u : u >= 0, sum(u) = 1}, by Michelot's fixed point.
+
+    theta = (sum of the k entries above theta, minus 1)/k rises from
+    (sum(y) - 1)/n to the threshold while k shrinks: at most n passes, no
+    sort.  A theta that is not finite, or rounds past every entry, gives NaN.
+    """
+    k, theta = y.size, (y.sum() - 1.0) / y.size
+    keep = np.empty(y.size, dtype=bool)
+    while math.isfinite(theta):
+        kept = np.count_nonzero(np.greater(y, theta, out=keep))
+        if kept == 0:
+            break
+        if kept >= k:
+            u = np.maximum(y - theta, 0.0)
+            return u / u.sum()
+        k, theta = kept, (y.sum(where=keep) - 1.0) / kept
+    return np.full(y.size, math.nan)
 
 
 def projected_gradient_minimize(
@@ -191,44 +201,53 @@ def projected_gradient_minimize(
     """Second, formula-free minimization path: gradient steps plus projection.
 
     Descends on u = v * cell_width inside the unit simplex from the uniform
-    start.  The default step comes from a curvature envelope around the
-    reference minimizer, and the run is compared against the stationarity
-    solution: stalling more than 0.1% above it raises NonConvergence.
+    start, taking one power x = (u/d)^(p-1) per step for both the energy
+    sum(w x u) and the next gradient w p x.  The default step comes from a
+    curvature envelope around the reference minimizer, and the run is
+    compared against the stationarity solution: a non-finite energy, or
+    stalling more than 0.1% above it, raises NonConvergence.
     """
     w, p = _validated_problem(weights, exponents, cell_width)
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
-    if step is not None and step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (isinstance(iters, (int, np.integer)) and iters >= 1):
+        raise ValueError(f"iters must be an integer of at least 1, got {iters}")
+    if step is not None and not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
 
     reference = discrete_minimize(w, p, cell_width)
     e_ref = discrete_energy(reference, w, p)
 
     n = w.size
-    u = np.full(n, 1.0 / n)
+    pm1 = p - 1.0
     if step is None:
         v_env = 2.0 * max(float(reference.values.max()), 1.0 / (n * cell_width))
-        curvature = w * p * (p - 1.0) * v_env ** (p - 2.0) / cell_width
+        curvature = w * p * pm1 * v_env ** (p - 2.0) / cell_width
         step = 0.1 / float(curvature.max())
 
-    def energy(u_vec: np.ndarray) -> float:
-        return float((w * (u_vec / cell_width) ** p).sum() * cell_width)
-
-    e_prev = energy(u)
-    e = e_prev
+    # g = w x: the gradient is p g and the energy g . u.
+    u = np.full(n, 1.0 / n)
+    g = w * (u / cell_width) ** pm1
+    e_prev = e = float(np.dot(g, u))
     stall = 0
-    for _ in range(iters):
-        grad = w * p * (u / cell_width) ** (p - 1.0)
-        u = _project_unit_simplex(u - step * grad)
-        e = energy(u)
-        if e_prev - e < 1e-15 * max(1.0, abs(e)):
-            stall += 1
-            if stall >= 100:
-                break
-        else:
-            stall = 0
-        e_prev = e
-    if e - e_ref > 1e-3 * max(abs(e_ref), 1e-12):
+    # An overflow ends in a non-finite energy, which raises NonConvergence.
+    with np.errstate(over="ignore"):
+        shrink = -step * p
+        for _ in range(iters):
+            y = np.multiply(shrink, g, out=g)  # g is recomputed from the new u
+            y += u
+            u = _project_unit_simplex(y)
+            np.power(np.divide(u, cell_width, out=g), pm1, out=g)
+            g *= w
+            e = float(np.dot(g, u))
+            if not math.isfinite(e):
+                raise NonConvergence(f"projected gradient reached a non-finite energy {e}")
+            if e_prev - e < 1e-15 * max(1.0, abs(e)):
+                stall += 1
+                if stall >= 100:
+                    break
+            else:
+                stall = 0
+            e_prev = e
+    if not (e - e_ref <= 1e-3 * max(abs(e_ref), 1e-12)):
         raise NonConvergence(
             f"projected gradient reached energy {e}, reference minimum is {e_ref}"
         )

@@ -10,13 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vexmod import AnnulusProblem, BisectionConfig, parse_exponent, solve_annulus, solve_cylinder
+from vexmod import (
+    AnnulusProblem,
+    BisectionConfig,
+    CylinderProblem,
+    parse_exponent,
+    solve_annulus,
+    solve_cylinder,
+)
 from vexmod.oracle import (
     AveragingReport,
     GridDensity,
     GridDensity2D,
     NonConvergence,
     NotAdmissible,
+    _project_unit_simplex,
     annulus_grid,
     cylinder_grid,
     discrete_energy,
@@ -213,6 +221,120 @@ def test_projected_gradient_reports_nonconvergence():
     p = np.array([2.0, 2.2, 2.4, 2.6])
     with pytest.raises(NonConvergence):
         projected_gradient_minimize(w, p, 0.25, iters=300, step=1e-30)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", [1e300, 1.7e308])
+def test_projected_gradient_overflowing_step_is_nonconvergence(ring_problem, step):
+    w, p, delta = annulus_grid(ring_problem, 30)
+    with pytest.raises(NonConvergence):
+        projected_gradient_minimize(w, p, delta, step=step)
+
+
+@pytest.mark.filterwarnings("error")
+def test_projected_gradient_rejects_bad_steps_and_budgets(ring_problem):
+    w, p, delta = annulus_grid(ring_problem, 30)
+    for step in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            projected_gradient_minimize(w, p, delta, step=step)
+    for iters in (0, -3, 2.5, "5"):
+        with pytest.raises(ValueError, match="iters must be an integer of at least 1"):
+            projected_gradient_minimize(w, p, delta, iters=iters)
+
+
+def _sorted_projection(y):
+    """The sort-based projection onto the unit simplex, kept as the reference."""
+    n = y.size
+    s = np.sort(y)[::-1]
+    css = np.cumsum(s)
+    idx = np.nonzero(s * np.arange(1, n + 1) > (css - 1.0))[0][-1]
+    theta = (css[idx] - 1.0) / (idx + 1.0)
+    u = np.maximum(y - theta, 0.0)
+    return u / u.sum()
+
+
+@st.composite
+def _simplex_inputs(draw):
+    kind = draw(st.sampled_from(["floats", "spread", "ties", "equal", "negative", "near", "simplex"]))
+    if kind == "floats":
+        return np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40)))
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-3, 1e6))
+    if kind == "spread":
+        return rng.uniform(-scale, scale, n)
+    if kind == "ties":
+        return rng.choice(rng.uniform(-scale, scale, 3), n)
+    if kind == "equal":
+        return np.full(n, draw(st.floats(-1e6, 1e6)))
+    if kind == "negative":
+        return -rng.uniform(0.0, scale, n)
+    if kind == "near":  # many entries above the threshold, far from 0
+        return draw(st.floats(-1e6, 1e6)) + rng.uniform(0.0, draw(st.floats(0.0, 3.0)), n)
+    return rng.dirichlet(np.ones(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=_simplex_inputs())
+def test_sort_free_projection_matches_the_sorted_one(y):
+    u = _project_unit_simplex(y)
+    assert u.min() >= 0.0
+    assert abs(u.sum() - 1.0) <= 1e-12
+    # 1e-12 absolute for entries up to 1 in size; beyond that the threshold
+    # itself is only resolved to an ulp of the entries (1.2e-10 near 1e6),
+    # and the two methods sum in different orders.
+    atol = 1e-12 * max(1.0, float(np.abs(y).max()))
+    np.testing.assert_allclose(u, _sorted_projection(y), rtol=0.0, atol=atol)
+
+
+def _sorted_projected_gradient(w, p, cell_width, iters):
+    """The PGD loop with the sort and two powers per step, kept as the reference.
+
+    Returns the density and the number of steps taken.
+    """
+    reference = discrete_minimize(w, p, cell_width)
+    n = w.size
+    u = np.full(n, 1.0 / n)
+    v_env = 2.0 * max(float(reference.values.max()), 1.0 / (n * cell_width))
+    curvature = w * p * (p - 1.0) * v_env ** (p - 2.0) / cell_width
+    step = 0.1 / float(curvature.max())
+
+    def energy(u_vec):
+        return float((w * (u_vec / cell_width) ** p).sum() * cell_width)
+
+    e_prev = energy(u)
+    stall = 0
+    for taken in range(1, iters + 1):
+        grad = w * p * (u / cell_width) ** (p - 1.0)
+        u = _sorted_projection(u - step * grad)
+        e = energy(u)
+        if e_prev - e < 1e-15 * max(1.0, abs(e)):
+            stall += 1
+            if stall >= 100:
+                break
+        else:
+            stall = 0
+        e_prev = e
+    return u / cell_width, taken
+
+
+@pytest.mark.parametrize(
+    "geometry, p_text, length, cells, iters",
+    [("annulus", "1+r", 4.0, 1100, 1500), ("cylinder", "2+t", 1.0, 1550, 500),
+     ("cylinder", "1.1+t", 1.0, 200, 3000)],
+)
+def test_projected_gradient_iterates_match_the_sorted_loop(geometry, p_text, length, cells, iters):
+    if geometry == "annulus":
+        prob = AnnulusProblem(2, 1.0, length, parse_exponent(p_text, "r", (1.0, length)))
+        w, p, delta = annulus_grid(prob, cells)
+    else:
+        prob = CylinderProblem(1.0, length, parse_exponent(p_text, "t", (0.0, length)))
+        w, p, delta = cylinder_grid(prob, cells)
+    expected, taken = _sorted_projected_gradient(w, p, delta, iters)
+    assert taken == iters  # the stall rule has not fired
+    got = projected_gradient_minimize(w, p, delta, iters=iters).values
+    np.testing.assert_array_equal(got > 0, expected > 0)
+    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
 
 
 def _polar_grid(prob, n_r=40, n_theta=64):
