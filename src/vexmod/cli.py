@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import io
 import json
 import math
 import sys
@@ -67,6 +69,7 @@ def reference_cylinder_problem() -> CylinderProblem:
 
 _ALL = ("annulus", "cylinder", "sweep", "tables", "oracle-check")
 _RING = ("annulus", "sweep")
+_SOLVE = ("annulus", "cylinder", "sweep", "tables")
 _ORACLE = ("oracle-check",)
 
 
@@ -105,9 +108,9 @@ OPTIONS = (
     Option("output", help="write the report here instead of stdout"),
     Option("step-hint", float, 1e-2, help="quadrature step target"),
     Option("max-subintervals", int, 1_000_000),
-    Option("residual-tol", float, 1e-6),
-    Option("lambda-tol", float, 1e-10),
-    Option("max-iters", int, 200),
+    Option("residual-tol", float, 1e-6, _SOLVE),
+    Option("lambda-tol", float, 1e-10, _SOLVE),
+    Option("max-iters", int, 200, _SOLVE),
     Option("geometry", default="annulus", commands=("sweep",), choices=("annulus", "cylinder")),
     Option("n", int, 2, _RING),
     Option("r1", float, 1.0, _RING),
@@ -123,7 +126,6 @@ OPTIONS = (
     Option("geometric", commands=("sweep",), help="start:stop:count geometric range"),
     Option("grid", int, 200, _ORACLE),
     Option("draws", int, 20, _ORACLE),
-    Option("el-tol", float, 1e-8, _ORACLE),
     Option("seed", int, 42, _ORACLE),
 )
 
@@ -169,6 +171,8 @@ def _geometric_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"geometric range must be start:stop:count, got {text!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"--geometric ends must be finite, got {text!r}")
     if start <= 0 or stop <= 0 or count < 2:
         raise ValueError("geometric range needs positive ends and count >= 2")
     return [float(v) for v in np.geomspace(start, stop, count)]
@@ -226,11 +230,12 @@ def _render_human(rep: Report) -> str:
 
 
 def _render_csv(rep: Report) -> str:
-    lines = []
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     for table in rep.tables if rep.csv is None else rep.csv:
-        lines.append(",".join(table.columns))
-        lines += [",".join(_text(x, "", "true", "false") for x in row) for row in table.rows]
-    return "".join(line + "\n" for line in lines)
+        writer.writerow(table.columns)
+        writer.writerows([_text(x, "", "true", "false") for x in row] for row in table.rows)
+    return out.getvalue()
 
 
 def _render_json(rep: Report) -> str:
@@ -334,7 +339,11 @@ def _cmd_sweep(cfg) -> Report:
         raise ValueError("the sweep needs --values or --geometric")
     quad, bis = _tolerances(cfg)
     a, var, problem_at, length = _geometry(cfg, cfg.geometry)
-    top = max(params)
+    # A NaN or infinite value is a row error wherever it sits, not the range's end.
+    finite = [value for value in params if math.isfinite(value)]
+    if not finite:
+        raise ValueError(f"--values needs at least one finite value, got {cfg.values!r}")
+    top = max(finite)
     if top <= a:
         ring = cfg.geometry == "annulus"
         what = f"radii must exceed r1={cfg.r1}" if ring else "lengths must be positive"
@@ -410,9 +419,9 @@ def _cmd_tables(cfg) -> Report:
 def _cmd_oracle_check(cfg) -> Report:
     if cfg.draws < 1:
         raise ValueError(f"--draws must be at least 1, got {cfg.draws}")
-    if not (cfg.el_tol > 0 and math.isfinite(cfg.el_tol)):
-        raise ValueError(f"--el-tol must be positive and finite, got {cfg.el_tol}")
-    quad, _ = _tolerances(cfg)
+    if cfg.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {cfg.seed}")
+    quad = QuadratureConfig(cfg.step_hint, cfg.max_subintervals)
     tight = BisectionConfig(residual_tol=1e-10, lambda_tol=1e-13)
     checks: list[list] = []
 
@@ -436,12 +445,9 @@ def _cmd_oracle_check(cfg) -> Report:
         record(f"{label} grid energy vs solver", coarse or rel <= 1e-2,
                f"coarse grid {cfg.grid}, gap {rel:.3e} reported only" if coarse
                else f"relative gap {rel:.3e} (grid {cfg.grid})")
-        stat = w * p * gd.values ** (p - 1.0)
-        spread = float((stat.max() - stat.min()) / np.median(stat)) if gd.n_cells > 1 else 0.0
-        record(f"{label} stationarity spread", spread <= cfg.el_tol,
-               f"relative spread {spread:.3e}, tolerance {cfg.el_tol:.1e}")
         # The largest multiplier value: cells whose density underflows read 0.
-        dual = oracle.dual_lower_bound(w, p, delta, float(stat.max()))
+        mu = float((w * p * gd.values ** (p - 1.0)).max())
+        dual = oracle.dual_lower_bound(w, p, delta, mu)
         record(f"{label} duality gap", abs(energy - dual) <= 1e-12 * energy,
                f"energy {energy:.10g}, dual bound {dual:.10g}")
 
@@ -452,25 +458,17 @@ def _cmd_oracle_check(cfg) -> Report:
         ("fibre", cyl, (np.arange(40) + 0.5) * cyl.length / 40,
          cyl.length / 40, 32, cyl.area / 32, oracle.fibre_average_check),
     ):
-        ok, worst = True, 0.0
+        ok, largest = True, -math.inf
         try:
             for _ in range(cfg.draws):
                 rho = oracle.random_admissible_2d(centers, width, columns, cell, rng)
                 rep = check(rho, prob)
                 ok = ok and rep.admissible_after and rep.energy_after <= rep.energy_before
-                worst = max(worst, rep.energy_after - rep.energy_before)
-            detail = f"{cfg.draws} draws, worst increase {worst:.3e}"
+                largest = max(largest, rep.energy_after - rep.energy_before)
+            detail = f"{cfg.draws} draws, largest energy change {largest:.3e}"
         except oracle.NotAdmissible as exc:
             ok, detail = False, str(exc)
         record(f"{name} averaging never increases energy", ok, detail)
-
-    w, p, delta = oracle.annulus_grid(ann, max(cfg.grid, 2))
-    scale = 1.3
-    super_adm = np.full(w.size, scale / (w.size * delta))
-    e_super = float((w * super_adm**p).sum() * delta)
-    e_scaled = float((w * (super_adm / scale) ** p).sum() * delta)
-    record("rescaling a super-admissible density lowers energy", e_scaled < e_super,
-           f"{e_super:.6g} -> {e_scaled:.6g}")
 
     passed = all(c[1] for c in checks)
     diagnostics = {"grid": cfg.grid, "draws": cfg.draws, "seed": cfg.seed,

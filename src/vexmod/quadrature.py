@@ -51,8 +51,8 @@ def subinterval_count(a: float, b: float, cfg: QuadratureConfig | None = None) -
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    if b < a:
-        raise ValueError(f"interval is reversed: a={a} exceeds b={b}")
+    if not 0.0 <= b - a < math.inf:
+        raise ValueError(f"interval must satisfy a <= b with finite length, got a={a} b={b}")
     # Round up, so the step only ever shrinks.
     n = max(4, 4 * math.ceil((b - a) / (4.0 * cfg.step_hint)))
     if n > cfg.max_subintervals:

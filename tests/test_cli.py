@@ -1,6 +1,7 @@
 """End-to-end command-line tests, through real subprocesses unless a test counts
 library calls in-process."""
 
+import csv
 import json
 import math
 import subprocess
@@ -148,12 +149,26 @@ def test_sweep_reports_bad_rows_without_aborting():
         "sweep", "--geometry", "annulus", "--p", "2",
         "--values", "0.5,2", "--format", "csv",
     )
-    rows = [line.split(",") for line in proc.stdout.strip().splitlines()[1:]]
+    rows = list(csv.reader(proc.stdout.splitlines()))[1:]
+    assert all(len(row) == 8 for row in rows)
     assert float(rows[0][0]) == 0.5
     assert rows[0][1] == ""  # no lambda on the failed row
-    assert rows[0][7] != ""
+    assert rows[0][7].startswith("ValueError: radii must satisfy 0 < r1 < r2 < inf, got")
     assert float(rows[1][2]) == pytest.approx(math.tau / math.log(2.0), rel=1e-5)
     assert rows[1][7] == ""
+
+
+@pytest.mark.parametrize("geometry, modulus", [("annulus", math.tau / math.log(2.0)),
+                                                ("cylinder", 0.5)])
+@pytest.mark.parametrize("values", ["nan,2", "2,nan", "inf,2", "2,inf", "-inf,2", "2,-inf"])
+def test_non_finite_sweep_values_are_row_errors_wherever_they_sit(geometry, modulus, values,
+                                                                   capsys):
+    argv = ["sweep", "--geometry", geometry, "--p", "2", f"--values={values}", "--format", "json"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    bad, good = rows if values.endswith(",2") else rows[::-1]
+    assert bad["error"].startswith("ValueError: ") and bad["modulus"] is None
+    assert good["error"] is None and good["modulus"] == pytest.approx(modulus, rel=1e-5)
 
 
 @pytest.mark.parametrize(
@@ -242,7 +257,8 @@ def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
 @pytest.mark.parametrize(
     "values, key",
     [({"n": 2.5}, "'n'"), ({"r2": "four"}, "'r2'"), ({"format": "xml"}, "'format'"),
-     ({"step-hint": 0.01}, "'step-hint'"), ({"pgd_iters": 5}, "'pgd_iters'")],
+     ({"step-hint": 0.01}, "'step-hint'"), ({"pgd_iters": 5}, "'pgd_iters'"),
+     ({"el_tol": 1e-8}, "'el_tol'")],
 )
 def test_bad_config_values_are_validation_errors(tmp_path, values, key):
     config = tmp_path / "run.json"
@@ -280,10 +296,13 @@ def test_missing_exponent_is_a_validation_error():
      (("annulus", "--p", "1+r", "--density-samples", "-3"), "--density-samples"),
      (("oracle-check", "--draws", "-1"), "--draws"),
      (("oracle-check", "--draws", "0"), "--draws"),
-     (("oracle-check", "--el-tol", "nan"), "--el-tol"),
-     (("oracle-check", "--el-tol", "-1"), "--el-tol"),
+     (("oracle-check", "--seed", "-1"), "--seed"),
+     (("sweep", "--p", "2", "--values", "inf"), "--values"),
      (("sweep", "--p", "2", "--values", "2", "--geometric", "3:4:2"),
-      "--values and --geometric")],
+      "--values and --geometric"),
+     (("sweep", "--geometry", "cylinder", "--p", "2", "--values=-inf,nan"), "--values"),
+     (("sweep", "--p", "2", "--geometric", "2:inf:3"), "--geometric"),
+     (("sweep", "--geometry", "cylinder", "--p", "2", "--geometric", "nan:2:3"), "--geometric")],
 )
 def test_non_finite_tolerances_and_negative_counts_are_validation_errors(args, named):
     proc = run_cli(*args, expect=2)
@@ -336,23 +355,28 @@ def test_unwritable_output_path_is_a_validation_error(tmp_path):
 def test_oracle_check_passes_by_default():
     proc = run_cli("oracle-check")
     assert "FAIL" not in proc.stdout
-    assert proc.stdout.count("PASS") >= 9
+    assert proc.stdout.count("PASS") == 6
 
 
 def test_oracle_check_trivial_grid_still_passes():
     run_cli("oracle-check", "--grid", "1")
 
 
-def test_oracle_check_fails_under_an_impossible_tolerance():
-    proc = run_cli("oracle-check", "--el-tol", "1e-20", expect=4)
-    assert "FAIL" in proc.stdout
+def test_oracle_check_exits_4_when_a_duality_gap_opens(monkeypatch, capsys):
+    dual = cli.oracle.dual_lower_bound  # equal to the grid energy at the optimum
+    monkeypatch.setattr(cli.oracle, "dual_lower_bound", lambda *args: 0.5 * dual(*args))
+    assert cli.main(["oracle-check"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split("  ")[1] for line in lines if line.startswith("FAIL")]
+    assert failed == ["annulus duality gap", "cylinder duality gap"]
+    assert lines[-1] == "some checks FAILED"
 
 
 def test_oracle_check_json_lists_every_check():
     proc = run_cli("oracle-check", "--format", "json")
     payload = json.loads(proc.stdout)
     assert payload["passed"] is True
-    assert len(payload["checks"]) == 9
+    assert len(payload["checks"]) == 6
     assert all(c["passed"] for c in payload["checks"])
     names = [c["name"] for c in payload["checks"]]
     assert "annulus duality gap" in names and "cylinder duality gap" in names
@@ -371,3 +395,10 @@ def test_oracle_check_does_not_run_projected_gradient(monkeypatch, capsys):
 def test_pgd_iters_is_not_an_option():
     proc = run_cli("oracle-check", "--pgd-iters", "5", expect=2)
     assert "--pgd-iters" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--el-tol", "--residual-tol", "--lambda-tol", "--max-iters"])
+def test_oracle_check_rejects_options_it_does_not_read(flag):
+    proc = run_cli("oracle-check", flag, "1", expect=2)
+    assert f"unrecognized arguments: {flag} 1" in proc.stderr
+    assert proc.stdout == ""

@@ -7,6 +7,7 @@ tokens, which may differ by a relative 1e-12; JSON must be equal after
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -46,7 +47,6 @@ CASES = [
     ("oracle-check.txt", 0, ["oracle-check"]),
     ("oracle-check.csv", 0, ["oracle-check", "--format", "csv"]),
     ("oracle-check.json", 0, ["oracle-check", "--format", "json"]),
-    ("oracle-check-fail.txt", 4, ["oracle-check", "--el-tol", "1e-20"]),
 ]
 
 _NUMBER = re.compile(r"(\d+(?:\.\d*)?(?:e[-+]?\d+)?)")
@@ -93,6 +93,20 @@ def test_report_matches_golden(name, code, argv):
         assert same_json(json.loads(got), json.loads(want)), got
     else:
         assert same_text(got, want), got
+
+
+def test_every_golden_file_is_a_case():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(c[0] for c in CASES)
+
+
+@pytest.mark.parametrize("name", [c[0] for c in CASES if c[0].endswith(".csv")])
+def test_golden_csv_rows_have_the_header_length(name):
+    # A row of bare column names starts a table; a report may hold several.
+    width = 0
+    for row in csv.reader((GOLDEN / name).read_text().splitlines()):
+        if all(re.fullmatch(r"[a-z_]+", field) for field in row):
+            width = len(row)
+        assert len(row) == width, row
 
 
 if __name__ == "__main__":

@@ -436,15 +436,6 @@ def test_random_densities_average_without_energy_increase(ring_problem, cylinder
         assert report.energy_after <= report.energy_before
 
 
-def test_rescaling_a_super_admissible_density_lowers_energy(ring_problem):
-    w, p, delta = annulus_grid(ring_problem, 64)
-    scale = 1.3
-    inflated = np.full(w.size, scale / (w.size * delta))
-    energy_inflated = float((w * inflated**p).sum() * delta)
-    energy_scaled = float((w * (inflated / scale) ** p).sum() * delta)
-    assert energy_scaled < energy_inflated
-
-
 def test_annulus_grid_weights_follow_the_radial_measure(ring_problem):
     w, p, delta = annulus_grid(ring_problem, 10)
     centers = ring_problem.r1 + (np.arange(10) + 0.5) * delta

@@ -75,6 +75,12 @@ def test_reversed_interval_rejected():
         integrate(lambda x: 1.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+def test_interval_of_no_finite_length_rejected(a, b):
+    with pytest.raises(ValueError, match="interval"):
+        realized_step(a, b)
+
+
 def test_non_finite_value_is_reported_with_its_node():
     f = lambda x: math.inf if x == 0.5 else 1.0
     with pytest.raises(NonFiniteIntegrand) as info:
