@@ -170,7 +170,10 @@ def _geometric_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"geometric range must be start:stop:count, got {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ValueError(f"bad --geometric range {text!r}: {exc}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"--geometric ends must be finite, got {text!r}")
     if start <= 0 or stop <= 0 or count < 2:
@@ -417,6 +420,8 @@ def _cmd_tables(cfg) -> Report:
 
 
 def _cmd_oracle_check(cfg) -> Report:
+    if cfg.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {cfg.grid}")
     if cfg.draws < 1:
         raise ValueError(f"--draws must be at least 1, got {cfg.draws}")
     if cfg.seed < 0:

@@ -5,8 +5,11 @@ densities (stationarity solved for the scalar multiplier by the same
 log-space Newton kernel as the continuous solvers, certified optimal by the
 weak-duality bound ``dual_lower_bound``), and discrete averaging
 experiments showing that spherical or fibre averaging never increases energy.
-A projected gradient descent remains as a slower, less exact minimizer; each
-of its steps takes one power and one sort-free projection onto the simplex.
+A projected gradient descent remains as a minimizer that never uses the
+stationarity condition.  Each of its steps takes one power and one sort-free
+projection onto the simplex, in a metric that gives every cell its own step;
+it runs hundreds of steps and stops where its energy stalls, which the
+stationarity solve reaches in one multiplier solve.
 """
 
 from __future__ import annotations
@@ -171,23 +174,28 @@ def dual_lower_bound(weights, exponents, cell_width: float, mu: float) -> float:
         return float(mu - terms.sum() * cell_width)
 
 
-def _project_unit_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {u : u >= 0, sum(u) = 1}, by Michelot's fixed point.
+def _project_unit_simplex(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Projection onto {u : u >= 0, sum(u) = 1} in the metric sum((u - y)^2 / s).
 
-    theta = (sum of the k entries above theta, minus 1)/k rises from
-    (sum(y) - 1)/n to the threshold while k shrinks: at most n passes, no
-    sort.  A theta that is not finite, or rounds past every entry, gives NaN.
+    The nearest point is u = max(y - theta s, 0).  Michelot's fixed point
+    theta = (sum of the y_i with y_i > theta s_i, minus 1)/(sum of their s_i)
+    rises from (sum(y) - 1)/sum(s) to the threshold while the kept set
+    shrinks: at most n passes, no sort.  Only the ratios of s matter; s at
+    most 1 keeps its sums finite.  A theta that is not finite, or rounds past
+    every entry, gives NaN.
     """
-    k, theta = y.size, (y.sum() - 1.0) / y.size
+    k, theta = y.size, (y.sum() - 1.0) / s.sum()
     keep = np.empty(y.size, dtype=bool)
+    cut = np.empty(y.size)
     while math.isfinite(theta):
-        kept = np.count_nonzero(np.greater(y, theta, out=keep))
+        np.multiply(s, theta, out=cut)
+        kept = np.count_nonzero(np.greater(y, cut, out=keep))
         if kept == 0:
             break
         if kept >= k:
-            u = np.maximum(y - theta, 0.0)
+            u = np.maximum(y - cut, 0.0)
             return u / u.sum()
-        k, theta = kept, (y.sum(where=keep) - 1.0) / kept
+        k, theta = kept, (y.sum(where=keep) - 1.0) / s.sum(where=keep)
     return np.full(y.size, math.nan)
 
 
@@ -202,10 +210,16 @@ def projected_gradient_minimize(
 
     Descends on u = v * cell_width inside the unit simplex from the uniform
     start, taking one power x = (u/d)^(p-1) per step for both the energy
-    sum(w x u) and the next gradient w p x.  The default step comes from a
-    curvature envelope around the reference minimizer, and the run is
-    compared against the stationarity solution: a non-finite energy, or
-    stalling more than 0.1% above it, raises NonConvergence.
+    sum(w x u) and the next gradient w p x.  Cell i steps by s_i, projected
+    in the metric sum((u - y)^2 / s).  The default s_i is 0.1 over the
+    curvature w p (p-1) v^(p-2) / d of cell i at a density envelope on the
+    side where that curvature is largest: twice the larger of the reference
+    minimizer and the start for p >= 2, half the smaller for p < 2; an
+    explicit ``step`` is the same for every cell.  The run stops after 100
+    steps in a row that lower the energy by less than the rounding of its
+    n-term sum, and is compared against the stationarity solution: a
+    non-finite energy, or stalling more than 0.1% above it, raises
+    NonConvergence.
     """
     w, p = _validated_problem(weights, exponents, cell_width)
     if not (isinstance(iters, (int, np.integer)) and iters >= 1):
@@ -218,29 +232,36 @@ def projected_gradient_minimize(
 
     n = w.size
     pm1 = p - 1.0
-    if step is None:
-        v_env = 2.0 * max(float(reference.values.max()), 1.0 / (n * cell_width))
-        curvature = w * p * pm1 * v_env ** (p - 2.0) / cell_width
-        step = 0.1 / float(curvature.max())
+    # No warnings: an infinite curvature gives its cell a step of 0, which
+    # keeps it at the start, and any other non-finite value ends in a
+    # non-finite energy; NonConvergence reports either when it matters.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if step is None:
+            v0 = 1.0 / (n * cell_width)
+            v = np.where(p >= 2.0, 2.0 * np.maximum(reference.values, v0),
+                         0.5 * np.minimum(reference.values, v0))
+            s = 0.1 * cell_width / (w * p * pm1 * v ** (p - 2.0))
+        else:
+            s = np.full(n, float(step))
+        metric = s / s.max()
 
-    # g = w x: the gradient is p g and the energy g . u.
-    u = np.full(n, 1.0 / n)
-    g = w * (u / cell_width) ** pm1
-    e_prev = e = float(np.dot(g, u))
-    stall = 0
-    # An overflow ends in a non-finite energy, which raises NonConvergence.
-    with np.errstate(over="ignore"):
-        shrink = -step * p
+        # g = w x: the gradient is p g and the energy g . u.
+        u = np.full(n, 1.0 / n)
+        g = w * (u / cell_width) ** pm1
+        e_prev = e = float(np.dot(g, u))
+        rounding = n * np.finfo(float).eps
+        stall = 0
+        shrink = -s * p
         for _ in range(iters):
             y = np.multiply(shrink, g, out=g)  # g is recomputed from the new u
             y += u
-            u = _project_unit_simplex(y)
+            u = _project_unit_simplex(y, metric)
             np.power(np.divide(u, cell_width, out=g), pm1, out=g)
             g *= w
             e = float(np.dot(g, u))
             if not math.isfinite(e):
                 raise NonConvergence(f"projected gradient reached a non-finite energy {e}")
-            if e_prev - e < 1e-15 * max(1.0, abs(e)):
+            if e_prev - e < rounding * e:
                 stall += 1
                 if stall >= 100:
                     break

@@ -302,7 +302,11 @@ def test_missing_exponent_is_a_validation_error():
       "--values and --geometric"),
      (("sweep", "--geometry", "cylinder", "--p", "2", "--values=-inf,nan"), "--values"),
      (("sweep", "--p", "2", "--geometric", "2:inf:3"), "--geometric"),
-     (("sweep", "--geometry", "cylinder", "--p", "2", "--geometric", "nan:2:3"), "--geometric")],
+     (("sweep", "--geometry", "cylinder", "--p", "2", "--geometric", "nan:2:3"), "--geometric"),
+     (("oracle-check", "--grid", "0"), "--grid"),
+     (("oracle-check", "--grid", "-5"), "--grid"),
+     (("sweep", "--p", "2", "--geometric", "1:2:x"), "--geometric"),
+     (("sweep", "--p", "2", "--geometric", "1:2:2.5"), "--geometric")],
 )
 def test_non_finite_tolerances_and_negative_counts_are_validation_errors(args, named):
     proc = run_cli(*args, expect=2)
@@ -360,6 +364,15 @@ def test_oracle_check_passes_by_default():
 
 def test_oracle_check_trivial_grid_still_passes():
     run_cli("oracle-check", "--grid", "1")
+
+
+def test_oracle_check_rejects_a_bad_grid_before_solving(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("reference problem solved")
+
+    monkeypatch.setattr(cli, "solve_annulus", fail)
+    assert cli.main(["oracle-check", "--grid", "0"]) == 2
+    assert capsys.readouterr().err == "error: --grid must be at least 1, got 0\n"
 
 
 def test_oracle_check_exits_4_when_a_duality_gap_opens(monkeypatch, capsys):
