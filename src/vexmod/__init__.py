@@ -39,7 +39,6 @@ from .quadrature import (
     NonFiniteIntegrand,
     QuadratureConfig,
     integrate,
-    realized_step,
     subinterval_count,
 )
 from .rootfind import (
@@ -78,7 +77,6 @@ __all__ = [
     "modulus_sweep",
     "normalization_value",
     "parse_exponent",
-    "realized_step",
     "solve_annulus",
     "solve_cylinder",
     "solve_increasing",

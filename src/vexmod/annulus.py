@@ -89,7 +89,9 @@ class ExtremalSolution:
     Newton or bisection steps after the first evaluation, and
     quadrature_error the Simpson estimate |S_h - S_2h| / (15 S_h), the
     larger of those of the normalization and of the modulus; it is reported,
-    not enforced.
+    not enforced.  quadrature_step is the step h of the Simpson grid in the
+    variable the solve integrates over: s = log(r/r1) on the ring, t on the
+    cylinder; it never exceeds the step hint.
     """
 
     lam: float
@@ -98,6 +100,7 @@ class ExtremalSolution:
     residual: float
     solver_iters: int
     quadrature_error: float
+    quadrature_step: float
 
 
 def _density_at(peval: Callable, log_c: float, k: int, ell: float, x) -> np.ndarray:
@@ -171,7 +174,8 @@ class _WeightedCore:
         error = max(abs(n_h - n_2h) / (15.0 * n_h), abs(e_h - e_2h) / (15.0 * e_h))
         # On scalars or arrays; holds none of the node arrays.
         rho = partial(_pointwise, partial(self.density, ell))
-        return ExtremalSolution(lam, modulus, rho, residual, iters, error)
+        step = self.span[0] / (self.rows.shape[1] - 1)
+        return ExtremalSolution(lam, modulus, rho, residual, iters, error, step)
 
 
 def _only(cores: list) -> _WeightedCore:

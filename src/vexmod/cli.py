@@ -15,7 +15,6 @@ verification check.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -30,7 +29,6 @@ import numpy as np
 
 from .annulus import (
     AnnulusProblem,
-    _log_ratio,
     log_density_upper_bound,
     normalization_value,
     solve_annulus,
@@ -42,7 +40,7 @@ from .cylinder import (
     solve_cylinder,
 )
 from .exponent import parse_exponent
-from .quadrature import IntervalTooFine, NonFiniteIntegrand, QuadratureConfig, realized_step
+from .quadrature import IntervalTooFine, NonFiniteIntegrand, QuadratureConfig
 from .rootfind import BisectionConfig, BracketFailure, MaxItersExceeded
 from . import oracle
 
@@ -82,7 +80,7 @@ class Option:
     default: object = None
     commands: tuple[str, ...] = _ALL
     choices: tuple[str, ...] | None = None
-    help: str | dict | None = None  # a dict gives each subcommand its own text
+    help: str | None = None
 
     @property
     def dest(self) -> str:
@@ -117,10 +115,8 @@ OPTIONS = (
     Option("r2", float, 2.0, ("annulus",)),
     Option("area", float, 1.0, ("cylinder", "sweep")),
     Option("length", float, 1.0, ("cylinder",)),
-    Option("p", commands=("annulus", "cylinder", "sweep"), help={
-        "annulus": "radial exponent expression in r",
-        "cylinder": "axial exponent expression in t",
-    }),
+    Option("p", commands=("annulus", "cylinder", "sweep"),
+           help="exponent expression: in r on a ring, in t on a cylinder"),
     Option("density-samples", int, 0, ("annulus", "cylinder")),
     Option("values", commands=("sweep",), help="comma-separated parameter list"),
     Option("geometric", commands=("sweep",), help="start:stop:count geometric range"),
@@ -269,13 +265,12 @@ def _solve(prob, quad: QuadratureConfig, bis: BisectionConfig):
     return sol, {"lambda": sol.lam, "modulus": sol.modulus, "upper_bound": bound, **extra}
 
 
-def _geometry(cfg, geometry: str) -> tuple[float, str, Callable, Callable]:
-    """Start and variable of the exponent's interval, the problem as a function of its
-    free end b and exponent p (the ring r1 < r < b in R^n, or the cylinder of length b),
-    and the length of the interval the solve integrates over: log(b/r1), or b."""
+def _geometry(cfg, geometry: str) -> tuple[float, str, Callable]:
+    """Start and variable of the exponent's interval, and the problem as a function of
+    its free end b and exponent p: the ring r1 < r < b in R^n, or the cylinder of length b."""
     if geometry == "annulus":
-        return cfg.r1, "r", partial(AnnulusProblem, cfg.n, cfg.r1), partial(_log_ratio, cfg.r1)
-    return 0.0, "t", partial(CylinderProblem, cfg.area), float
+        return cfg.r1, "r", partial(AnnulusProblem, cfg.n, cfg.r1)
+    return 0.0, "t", partial(CylinderProblem, cfg.area)
 
 
 def _cmd_solve(cfg) -> Report:
@@ -285,24 +280,24 @@ def _cmd_solve(cfg) -> Report:
     if cfg.density_samples < 0:
         raise ValueError(f"--density-samples must be at least 0, got {cfg.density_samples}")
     if cfg.command == "annulus":
-        if not 0.0 < cfg.r1 < cfg.r2:
-            raise ValueError(f"radii must satisfy 0 < r1 < r2, got r1={cfg.r1} r2={cfg.r2}")
+        if not 0.0 < cfg.r1 < cfg.r2 < math.inf:
+            raise ValueError(f"radii must satisfy 0 < r1 < r2 < inf, got r1={cfg.r1} r2={cfg.r2}")
         b, problem = cfg.r2, {"n": cfg.n, "r1": cfg.r1, "r2": cfg.r2, "p": cfg.p}
         title = "ring modulus: n={problem[n]} r1={problem[r1]} r2={problem[r2]} p={problem[p]}"
         density, compared = "log", "  bound/modulus ratio  {ratio}"
     else:
-        if not cfg.length > 0.0:
-            raise ValueError(f"length must be positive, got length={cfg.length}")
+        if not 0.0 < cfg.length < math.inf:
+            raise ValueError(f"length must be positive and finite, got length={cfg.length}")
         b, problem = cfg.length, {"area": cfg.area, "length": cfg.length, "p": cfg.p}
         title = "cylinder modulus: area={problem[area]} length={problem[length]} p={problem[p]}"
         density, compared = "constant", "  extremality gap  {gap}"
-    a, var, problem_at, length = _geometry(cfg, cfg.command)
+    a, var, problem_at = _geometry(cfg, cfg.command)
     prob = problem_at(b, parse_exponent(cfg.p, var, (a, b)))
     quad, bis = _tolerances(cfg)
     sol, results = _solve(prob, quad, bis)
     diagnostics = {"residual": sol.residual, "quadrature_error": sol.quadrature_error,
                    "solver_iters": sol.solver_iters,
-                   "quadrature_step": realized_step(0.0, length(b), quad)}
+                   "quadrature_step": sol.quadrature_step}
     head = [
         title, "  lambda       {lambda}", "  modulus      {modulus}",
         "  upper bound  {upper_bound}   (" + density + " test density)", compared,
@@ -341,7 +336,7 @@ def _cmd_sweep(cfg) -> Report:
     if not params:
         raise ValueError("the sweep needs --values or --geometric")
     quad, bis = _tolerances(cfg)
-    a, var, problem_at, length = _geometry(cfg, cfg.geometry)
+    a, var, problem_at = _geometry(cfg, cfg.geometry)
     # A NaN or infinite value is a row error wherever it sits, not the range's end.
     finite = [value for value in params if math.isfinite(value)]
     if not finite:
@@ -356,12 +351,10 @@ def _cmd_sweep(cfg) -> Report:
     rows = []
     for value in params:
         row = [value, None, None, None, None, None, None, None]
-        with contextlib.suppress(ValueError):  # no step on a bad interval; the row says why
-            row[6] = realized_step(0.0, length(value), quad)
         try:
             sol, results = _solve(problem_at(value, p), quad, bis)
-            row[1:6] = (sol.lam, sol.modulus, results["upper_bound"], sol.residual,
-                        sol.quadrature_error)
+            row[1:7] = (sol.lam, sol.modulus, results["upper_bound"], sol.residual,
+                        sol.quadrature_error, sol.quadrature_step)
         except Exception as exc:  # report the row, keep sweeping
             row[7] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
@@ -388,7 +381,7 @@ def _cmd_tables(cfg) -> Report:
     sol_a, results_a = _solve(ann, quad, bis)
     sol_c, results_c = _solve(cyl, quad, bis)
     headline = {"annulus": results_a, "cylinder": results_c}
-    diagnostics = {"quadrature_step": realized_step(0.0, _log_ratio(ann.r1, ann.r2), quad),
+    diagnostics = {"quadrature_step": sol_a.quadrature_step,
                    "solver_iters": sol_a.solver_iters, "residual": sol_a.residual,
                    "quadrature_error": sol_a.quadrature_error}
 
@@ -477,7 +470,7 @@ def _cmd_oracle_check(cfg) -> Report:
 
     passed = all(c[1] for c in checks)
     diagnostics = {"grid": cfg.grid, "draws": cfg.draws, "seed": cfg.seed,
-                   "quadrature_step": realized_step(0.0, _log_ratio(ann.r1, ann.r2), quad),
+                   "quadrature_step": sol_a.quadrature_step,
                    "residual": sol_a.residual, "quadrature_error": sol_a.quadrature_error}
     table = Table("checks", ("name", "passed", "detail"), checks,
                   "{passed}  {name}  ({detail})".format_map)
@@ -509,8 +502,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(command, help=help_text)
         for opt in OPTIONS:
             if command in opt.commands:
-                text = opt.help.get(command) if isinstance(opt.help, dict) else opt.help
-                sp.add_argument("--" + opt.flag, type=opt.type, choices=opt.choices, help=text)
+                sp.add_argument("--" + opt.flag, type=opt.type, choices=opt.choices,
+                                help=opt.help)
     return parser
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "Binary",
     "Power",
     "Call",
-    "ExponentExpr",
     "ExponentFunction",
     "parse_expression",
     "parse_exponent",
@@ -103,14 +102,6 @@ class Call:
 
 
 Node = Union[Num, Var, Unary, Binary, Power, Call]
-
-
-@dataclass(frozen=True)
-class ExponentExpr:
-    """Parsed expression in one variable."""
-
-    root: Node
-    variable: str
 
 
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -258,10 +249,8 @@ def _compile(node: Node) -> Callable:
     raise TypeError(f"unknown node {node!r}")
 
 
-def unparse(node: Node | ExponentExpr) -> str:
+def unparse(node: Node) -> str:
     """Text form that reparses to the identical tree (fully parenthesized)."""
-    if isinstance(node, ExponentExpr):
-        return unparse(node.root)
     match node:
         case Num(value=v):
             return repr(v)
@@ -278,9 +267,9 @@ def unparse(node: Node | ExponentExpr) -> str:
     raise TypeError(f"unknown node {node!r}")
 
 
-def parse_expression(text: str, variable: str) -> ExponentExpr:
+def parse_expression(text: str, variable: str) -> Node:
     """Parse text into a syntax tree; finiteness is checked by ``parse_exponent``."""
-    return ExponentExpr(_Parser(_tokenize(text), variable).parse(), variable)
+    return _Parser(_tokenize(text), variable).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +376,5 @@ def parse_exponent(text: str, variable: str, interval: tuple[float, float]) -> E
     inferred inf does not exceed 1.
     """
     _valid_interval(interval)  # before the text: a bad interval is reported first
-    root = parse_expression(text, variable).root
-    return _bounded(partial(_pointwise, _compile(root)), interval, text)
+    return _bounded(partial(_pointwise, _compile(parse_expression(text, variable))), interval, text)
 

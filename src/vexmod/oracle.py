@@ -23,6 +23,7 @@ import numpy as np
 
 from .annulus import AnnulusProblem, unit_sphere_area
 from .cylinder import CylinderProblem
+from .exponent import _MIN_EXPONENT_MARGIN
 from .rootfind import BisectionConfig, solve_multiplier
 
 __all__ = [
@@ -43,7 +44,9 @@ __all__ = [
 ]
 
 _ADMISSIBILITY_SLACK = 1e-12
-_MIN_EXPONENT = 1.0 + 1e-6
+_MIN_EXPONENT = 1.0 + _MIN_EXPONENT_MARGIN
+# The multiplier solve of ``discrete_minimize``, tighter than the continuous solvers' default.
+_TIGHT = BisectionConfig(residual_tol=1e-10, lambda_tol=1e-13)
 # Halvings per projected Newton step: a move halved 60 times shifts no cell by
 # more than 1e-18 of the unit mass, so an energy that still rises past its
 # rounding is as low as the line search can bring it.
@@ -77,10 +80,6 @@ class GridDensity:
         total = float(v.sum() * self.cell_width)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"grid density must integrate to 1, got {total}")
-
-    @property
-    def n_cells(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -141,9 +140,7 @@ def _validated_problem(weights, exponents, cell_width):
     return w, p
 
 
-def discrete_minimize(
-    weights, exponents, cell_width: float, bis: BisectionConfig | None = None
-) -> GridDensity:
+def discrete_minimize(weights, exponents, cell_width: float) -> GridDensity:
     """Minimize sum(w_i v_i^{p_i}) * d over v >= 0 with sum(v_i) * d = 1.
 
     Works directly on the stationarity condition w_i p_i v_i^{p_i - 1} = mu:
@@ -153,11 +150,9 @@ def discrete_minimize(
     formulas, which is what makes it an oracle.
     """
     w, p = _validated_problem(weights, exponents, cell_width)
-    if bis is None:
-        bis = BisectionConfig(residual_tol=1e-10, lambda_tol=1e-13)
     inv = 1.0 / (p - 1.0)
     base = -inv * (np.log(p) + np.log(w))
-    terms = solve_multiplier(inv, base, np.ones(w.size), (cell_width, 1.0), bis).terms
+    terms = solve_multiplier(inv, base, np.ones(w.size), (cell_width, 1.0), _TIGHT).terms
     v = terms / (terms.sum() * cell_width)  # absorb the leftover residual
     return GridDensity(v, cell_width)
 

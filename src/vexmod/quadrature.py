@@ -13,7 +13,6 @@ __all__ = [
     "NonFiniteIntegrand",
     "IntervalTooFine",
     "subinterval_count",
-    "realized_step",
     "simpson_nodes",
     "simpson_rows",
     "simpson_sum",
@@ -61,10 +60,6 @@ def subinterval_count(a: float, b: float, cfg: QuadratureConfig | None = None) -
             f"the cap is {cfg.max_subintervals}"
         )
     return n
-
-
-def realized_step(a: float, b: float, cfg: QuadratureConfig | None = None) -> float:
-    return (b - a) / subinterval_count(a, b, cfg)
 
 
 def _pointwise(f: Callable, x):

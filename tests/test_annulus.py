@@ -24,6 +24,7 @@ from vexmod import (
     normalization_value,
     parse_exponent,
     solve_annulus,
+    subinterval_count,
     unit_sphere_area,
 )
 from vexmod import annulus
@@ -87,6 +88,13 @@ def test_normalization_rejects_nonpositive_multiplier(ring_problem):
             normalization_value(ring_problem, bad)
 
 
+def test_normalization_beyond_the_float_range_is_reported():
+    # With p = 1.01 the density grows like lam^100, past the float range at lam = 1e10.
+    prob = AnnulusProblem(2, 1.0, 2.0, parse_exponent("1.01", "r", (1.0, 2.0)))
+    with pytest.raises(NonFiniteIntegrand, match=r"at lam=10000000000\.0 exceeds the float range"):
+        normalization_value(prob, 1e10)
+
+
 def test_normalization_strictly_increasing_over_four_decades(ring_problem):
     lams = [10.0**k for k in range(-2, 3)]
     values = [normalization_value(ring_problem, lam) for lam in lams]
@@ -99,6 +107,15 @@ def test_solve_reference_problem(ring_problem):
     assert sol.modulus == pytest.approx(REF_MODULUS, rel=1e-5)
     assert sol.residual <= 1e-6
     assert 0 < sol.solver_iters <= 200
+
+
+@pytest.mark.parametrize("step_hint", [1e-2, 3.7e-3])
+def test_solution_reports_its_quadrature_step_in_log_radius(step_hint):
+    prob = AnnulusProblem(3, 1.5, 7.0, parse_exponent("2+r/4", "r", (1.5, 7.0)))
+    quad = QuadratureConfig(step_hint=step_hint)
+    length = math.log(7.0) - math.log(1.5)  # log(r2/r1), the ring's interval in s
+    n = subinterval_count(0.0, length, quad)
+    assert solve_annulus(prob, quad).quadrature_step == length / n
 
 
 def test_solve_reference_problem_tight(ring_problem, tight_bisection):

@@ -144,6 +144,25 @@ def test_sweep_cylinder_lengths():
     assert float(rows[1][2]) == pytest.approx(0.5, rel=1e-9)
 
 
+def test_failed_sweep_row_reports_no_quadrature_step():
+    proc = run_cli("sweep", "--p", "2", "--values", "1,2", "--format", "csv")
+    header, *rows = csv.reader(proc.stdout.splitlines())
+    step = header.index("quadrature_step")
+    assert rows[0][0] == "1.0" and rows[0][7].startswith("ValueError: radii")
+    assert rows[0][step] == ""
+    assert float(rows[1][step]) == math.log(2.0) / 72
+
+
+@pytest.mark.parametrize("command", ["annulus", "cylinder", "sweep"])
+def test_help_describes_the_exponent_option(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--help"])
+    assert info.value.code == 0
+    # The lines from the option list's "--p P" to the next option are the flag's help.
+    text = capsys.readouterr().out.split("\n  --p P", 1)[1].split("\n  --", 1)[0]
+    assert "exponent expression" in text
+
+
 def test_sweep_reports_bad_rows_without_aborting():
     proc = run_cli(
         "sweep", "--geometry", "annulus", "--p", "2",
@@ -306,7 +325,9 @@ def test_missing_exponent_is_a_validation_error():
      (("oracle-check", "--grid", "0"), "--grid"),
      (("oracle-check", "--grid", "-5"), "--grid"),
      (("sweep", "--p", "2", "--geometric", "1:2:x"), "--geometric"),
-     (("sweep", "--p", "2", "--geometric", "1:2:2.5"), "--geometric")],
+     (("sweep", "--p", "2", "--geometric", "1:2:2.5"), "--geometric"),
+     (("annulus", "--p", "1+r", "--r2", "inf"), "r2=inf"),
+     (("cylinder", "--p", "2+t", "--length", "inf"), "length=inf")],
 )
 def test_non_finite_tolerances_and_negative_counts_are_validation_errors(args, named):
     proc = run_cli(*args, expect=2)

@@ -11,12 +11,14 @@ import pytest
 from vexmod import (
     BisectionConfig,
     CylinderProblem,
+    NonFiniteIntegrand,
     QuadratureConfig,
     constant_density_upper_bound,
     cylinder_normalization_value,
     extremality_gap,
     parse_exponent,
     solve_cylinder,
+    subinterval_count,
 )
 
 REF_LAMBDA = 2.4139190536713134
@@ -61,6 +63,11 @@ def test_normalization_whose_simpson_total_overflows_is_finite():
     assert cylinder_normalization_value(prob, 7.0) == pytest.approx(6.540417198125673e305, rel=1e-9)
 
 
+def test_normalization_beyond_the_float_range_is_reported():
+    with pytest.raises(NonFiniteIntegrand, match=r"at lam=1e\+300 exceeds the float range"):
+        cylinder_normalization_value(_cylinder("1.01"), 1e300)
+
+
 def test_solve_with_exponent_near_one():
     # Bracket expansion evaluates the normalization at lam = 2, about 5e306.
     sol = solve_cylinder(CylinderProblem(1.0, 1.0, parse_exponent("1.00098", "t", (0.0, 1.0))))
@@ -73,6 +80,13 @@ def test_solve_reference_problem(cylinder_problem):
     assert sol.lam == pytest.approx(REF_LAMBDA, rel=1e-5)
     assert sol.modulus == pytest.approx(REF_MODULUS, rel=1e-5)
     assert sol.residual <= 1e-6
+
+
+@pytest.mark.parametrize("step_hint", [1e-2, 3.7e-3])
+def test_solution_reports_its_quadrature_step(step_hint):
+    quad = QuadratureConfig(step_hint=step_hint)
+    sol = solve_cylinder(_cylinder("2+t", area=2.0, length=2.3), quad)
+    assert sol.quadrature_step == 2.3 / subinterval_count(0.0, 2.3, quad)
 
 
 def test_solve_reference_problem_tight(cylinder_problem, tight_bisection):

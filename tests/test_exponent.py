@@ -166,7 +166,7 @@ def test_unparse_round_trips_handwritten_cases():
     for text in cases:
         expr = parse_expression(text, "r")
         again = parse_expression(unparse(expr), "r")
-        assert again.root == expr.root
+        assert again == expr
 
 
 def test_reserved_words_are_function_names_only():
@@ -227,7 +227,7 @@ def _ast_nodes():
 @given(tree=_ast_nodes())
 def test_unparse_round_trips_random_trees(tree):
     text = unparse(tree)
-    assert parse_expression(text, "r").root == tree
+    assert parse_expression(text, "r") == tree
 
 
 @settings(max_examples=150, deadline=None)
