@@ -24,7 +24,6 @@ from .cylinder import (
     CylinderProblem,
     constant_density_upper_bound,
     cylinder_normalization_value,
-    extremality_gap,
     solve_cylinder,
 )
 from .exponent import (
@@ -71,7 +70,6 @@ __all__ = [
     "constant_density_upper_bound",
     "constant_exponent_modulus",
     "cylinder_normalization_value",
-    "extremality_gap",
     "integrate",
     "log_density_upper_bound",
     "modulus_sweep",

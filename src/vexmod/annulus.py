@@ -13,10 +13,11 @@ estimate of its normalization and modulus integrals.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,7 +121,8 @@ class _WeightedCore:
     at lam = e^l the candidate density times J is exp(l inv + base); by the
     stationarity condition w rho^p = lam rho / p, the modulus is lam times the
     integral of rho J / p.  ``build`` makes the cores of several grids from one
-    pass over their joined nodes; a single solve is its case of one grid.
+    pass over their joined nodes, checked once: a bad node in any grid raises for
+    all of them.  A single solve is its case of one grid.
     ``density(l, x)`` gives the density at lam = e^l in the problem's variable.
     """
 
@@ -134,22 +136,20 @@ class _WeightedCore:
     @np.errstate(all="ignore")
     def build(cls, grids: list, p: np.ndarray, log_w, log_j, density: Callable) -> list:
         """The core of each Simpson grid in ``grids``, given p, log w and log J at their
-        joined nodes (log w and log J may be scalars), or else the NonFiniteIntegrand
-        that names the grid's first node where p is not a finite value above 1."""
+        joined nodes (log w and log J may be scalars).  Raises NonFiniteIntegrand naming
+        the first node of the joined grids where p is not a finite value above 1."""
         inv = 1.0 / (p - 1.0)
         base = log_j - inv * (np.log(p) + log_w)
-        checked = math.isfinite(base.sum()) and inv.min() > 0.0  # else look for bad nodes
+        if not (math.isfinite(base.sum()) and inv.min() > 0.0):  # look for a bad node
+            bad = np.flatnonzero(~(np.isfinite(base) & (inv > 0.0)))
+            if bad.size:
+                raise NonFiniteIntegrand(
+                    f"the exponent is {p[bad[0]]!r} at quadrature node"
+                    f" {np.concatenate(grids)[bad[0]]!r}, not a finite value above 1")
         cores, start = [], 0
         for u in grids:
             stop = start + u.size
-            row_inv, row_base = inv[start:stop], base[start:stop]
-            bad = () if checked else np.flatnonzero(~(np.isfinite(row_base) & (row_inv > 0.0)))
-            if len(bad):
-                cores.append(NonFiniteIntegrand(
-                    f"the exponent is {p[start + bad[0]]!r} at quadrature node"
-                    f" {u[bad[0]]!r}, not a finite value above 1"))
-            else:
-                cores.append(cls(u, row_inv, row_base, density))
+            cores.append(cls(u, inv[start:stop], base[start:stop], density))
             start = stop
         return cores
 
@@ -178,14 +178,6 @@ class _WeightedCore:
         return ExtremalSolution(lam, modulus, rho, residual, iters, error, step)
 
 
-def _only(cores: list) -> _WeightedCore:
-    """The core of a ``_WeightedCore.build`` of one grid; its error is raised."""
-    (core,) = cores
-    if isinstance(core, Exception):
-        raise core
-    return core
-
-
 def _log_ratio(r1: float, r2: float) -> float:
     """log(r2/r1), the length of the ring's interval in s; finite for any float radii."""
     return math.log(r2) - math.log(r1)
@@ -196,11 +188,10 @@ def _ring_grid(prob: AnnulusProblem, quad: QuadratureConfig | None) -> np.ndarra
     return simpson_nodes(0.0, _log_ratio(prob.r1, prob.r2), quad)
 
 
-def _ring_nodes(r1: float, peval: Callable, grids: list, tops: list):
+def _ring_nodes(r1: float, p: ExponentFunction, grids: list, tops: list):
     """log r and p(r) at the joined s grids of rings from r1 to each radius in tops;
     a grid's end nodes are r1 and its outer radius exactly, so p is evaluated on its
-    interval.  A single grid is used as it is, not copied; an eval that gives one value
-    for all nodes is broadcast to them, so that each grid has its slice."""
+    interval.  A single grid is used as it is, not copied."""
     s = grids[0] if len(grids) == 1 else np.concatenate(grids)
     log_r = s + math.log(r1)
     r = np.exp(log_r)
@@ -209,21 +200,20 @@ def _ring_nodes(r1: float, peval: Callable, grids: list, tops: list):
         r[stop] = r1
         stop += u.size
         r[stop - 1] = r2
-    p = np.asarray(peval(r), dtype=float)
-    return log_r, p if p.shape == r.shape else np.broadcast_to(p, r.shape)
+    return log_r, p.at_nodes(r)
 
 
 def _ring_cores(prob: AnnulusProblem, grids: list, tops: list) -> list:
     """``_WeightedCore.build`` for the rings of prob's n, r1 and exponent out to each radius
     in tops, on their s grids."""
-    log_r, p = _ring_nodes(prob.r1, prob.p.eval, grids, tops)
+    log_r, p = _ring_nodes(prob.r1, prob.p, grids, tops)
     log_c, k = _log_unit_sphere_area(prob.n), prob.n - 1
     return _WeightedCore.build(grids, p, log_c + k * log_r, log_r,
                                partial(_density_at, prob.p.eval, log_c, k))
 
 
 def _ring_core(prob: AnnulusProblem, quad: QuadratureConfig | None) -> _WeightedCore:
-    return _only(_ring_cores(prob, [_ring_grid(prob, quad)], [prob.r2]))
+    return _ring_cores(prob, [_ring_grid(prob, quad)], [prob.r2])[0]
 
 
 def normalization_value(
@@ -277,7 +267,7 @@ def log_density_upper_bound(
     identically the dimension n.
     """
     s = _ring_grid(prob, quad)
-    log_r, p = _ring_nodes(prob.r1, prob.p.eval, [s], [prob.r2])
+    log_r, p = _ring_nodes(prob.r1, prob.p, [s], [prob.r2])
     with np.errstate(all="ignore"):
         # omega_n r^(n-1) (r L)^-p times the Jacobian r
         values = np.exp(_log_unit_sphere_area(prob.n) + (prob.n - p) * log_r
@@ -310,53 +300,46 @@ def modulus_sweep(
     the largest requested radius; the solve reads p only at its own nodes.
     Consecutive rows share one pass over their joined nodes, at most 65,536
     of them, that evaluates p and checks it once; then each row is solved
-    alone.  A row's numbers and error are those of ``solve_annulus`` on that
-    row, and a failure on one row is reported on that row without stopping
-    the sweep.
+    alone.  If a pass raises, for any reason, each of its rows is solved as
+    ``solve_annulus`` solves it.  So a row's numbers and error are those of
+    ``solve_annulus`` on that row, and a failure on one row is reported on
+    that row without stopping the sweep.
     """
-    rows: list = []  # a SweepRow, or None while the row waits in `part`
-    part: list = []  # (index, r2, s grid) of the rows of the next pass
+    rows = []
+    for part in _sweep_passes(prob, r2_values, quad):
+        cores = [None] * len(part)
+        if part[0][1] is not None:  # else a row with no grid, alone in its pass
+            with contextlib.suppress(Exception):
+                cores = _ring_cores(prob, [grid for _, grid in part], [r2 for r2, _ in part])
+        for (r2, _), core in zip(part, cores):
+            try:
+                if core is None:  # the row alone, as solve_annulus solves it
+                    core = _ring_core(AnnulusProblem(prob.n, prob.r1, r2, prob.p), quad)
+                sol = core.solve(bis)
+            except Exception as exc:  # per-row report, the sweep keeps going
+                rows.append(SweepRow(r2, None, None, error=f"{type(exc).__name__}: {exc}"))
+            else:
+                rows.append(SweepRow(r2, sol.lam, sol.modulus, sol.residual, sol.quadrature_error))
+    return rows
+
+
+def _sweep_passes(prob: AnnulusProblem, r2_values: Sequence[float],
+                  quad: QuadratureConfig | None) -> Iterator[list]:
+    """The sweep's rows in order as (r2, s grid), in passes of at most _PASS_NODES joined
+    nodes.  A larger row has a pass of its own, and so has a row whose problem or grid
+    raises, with the grid None: its own solve raises the same error again."""
+    part: list = []
     nodes = 0
     for r2 in map(float, r2_values):
         try:
             grid = _ring_grid(AnnulusProblem(prob.n, prob.r1, r2, prob.p), quad)
-        except Exception as exc:
-            rows.append(_error_row(r2, exc))
-            continue
-        if part and nodes + grid.size > _PASS_NODES:
-            _solve_pass(prob, part, rows, bis)
+        except Exception:
+            grid = None
+        size = _PASS_NODES + 1 if grid is None else grid.size
+        if part and nodes + size > _PASS_NODES:
+            yield part
             part, nodes = [], 0
-        part.append((len(rows), r2, grid))
-        rows.append(None)
-        nodes += grid.size
+        part.append((r2, grid))
+        nodes += size
     if part:
-        _solve_pass(prob, part, rows, bis)
-    return rows
-
-
-def _error_row(r2: float, exc: Exception) -> SweepRow:
-    return SweepRow(r2, None, None, error=f"{type(exc).__name__}: {exc}")
-
-
-def _solve_pass(prob: AnnulusProblem, part: list, rows: list, bis: BisectionConfig | None) -> None:
-    """Solve the rows of a pass, (index, r2, grid) each, into rows[index]."""
-    for (i, r2, _), core in zip(part, _pass_cores(prob, part)):
-        try:
-            if isinstance(core, Exception):
-                raise core
-            sol = core.solve(bis)
-        except Exception as exc:  # per-row report, the sweep keeps going
-            rows[i] = _error_row(r2, exc)
-        else:
-            rows[i] = SweepRow(r2, sol.lam, sol.modulus, sol.residual, sol.quadrature_error)
-
-
-def _pass_cores(prob: AnnulusProblem, part: list) -> list:
-    """``_ring_cores`` of the pass's rows; if the shared pass raises, those of each row
-    alone, a row's own error standing in for its core."""
-    try:
-        return _ring_cores(prob, [grid for *_, grid in part], [r2 for _, r2, _ in part])
-    except Exception as exc:
-        if len(part) == 1:
-            return [exc]
-        return [core for row in part for core in _pass_cores(prob, [row])]
+        yield part

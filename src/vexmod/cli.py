@@ -101,28 +101,39 @@ class Option:
 
 # Declaration order is the order each subcommand's usage line lists them in.
 OPTIONS = (
-    Option("config", help="JSON file with defaults; flags override it"),
-    Option("format", default="human", choices=("human", "csv", "json")),
-    Option("output", help="write the report here instead of stdout"),
-    Option("step-hint", float, 1e-2, help="quadrature step target"),
-    Option("max-subintervals", int, 1_000_000),
-    Option("residual-tol", float, 1e-6, _SOLVE),
-    Option("lambda-tol", float, 1e-10, _SOLVE),
-    Option("max-iters", int, 200, _SOLVE),
-    Option("geometry", default="annulus", commands=("sweep",), choices=("annulus", "cylinder")),
-    Option("n", int, 2, _RING),
-    Option("r1", float, 1.0, _RING),
-    Option("r2", float, 2.0, ("annulus",)),
-    Option("area", float, 1.0, ("cylinder", "sweep")),
-    Option("length", float, 1.0, ("cylinder",)),
+    Option("config", help='JSON object of option values, such as {"step_hint": 0.001};'
+           " flags override it"),
+    Option("format", default="human", choices=("human", "csv", "json"), help="report format"),
+    Option("output", help="file to write the report to; stdout if not given"),
+    Option("step-hint", float, 1e-2,
+           help="largest quadrature step, > 0: in log(r/r1) on a ring, in t on a cylinder"),
+    Option("max-subintervals", int, 1_000_000, help="most Simpson subintervals of a solve, >= 4"),
+    Option("residual-tol", float, 1e-6, _SOLVE,
+           help="stop once |normalization - 1| is at most this, > 0"),
+    Option("lambda-tol", float, 1e-10, _SOLVE,
+           help="stop once a step moves log(lambda) by at most this, > 0"),
+    Option("max-iters", int, 200, _SOLVE, help="most multiplier steps of a solve, >= 1"),
+    Option("geometry", default="annulus", commands=("sweep",), choices=("annulus", "cylinder"),
+           help="sweep the outer radius r2 of a ring or the length of a cylinder"),
+    Option("n", int, 2, _RING, help="dimension of the ring's space, an integer >= 2"),
+    Option("r1", float, 1.0, _RING, help="inner radius of the ring, > 0"),
+    Option("r2", float, 2.0, ("annulus",), help="outer radius of the ring, r1 < r2 < inf"),
+    Option("area", float, 1.0, ("cylinder", "sweep"),
+           help="measure of the cylinder's cross-section, > 0"),
+    Option("length", float, 1.0, ("cylinder",), help="length of the cylinder, > 0"),
     Option("p", commands=("annulus", "cylinder", "sweep"),
-           help="exponent expression: in r on a ring, in t on a cylinder"),
-    Option("density-samples", int, 0, ("annulus", "cylinder")),
-    Option("values", commands=("sweep",), help="comma-separated parameter list"),
-    Option("geometric", commands=("sweep",), help="start:stop:count geometric range"),
-    Option("grid", int, 200, _ORACLE),
-    Option("draws", int, 20, _ORACLE),
-    Option("seed", int, 42, _ORACLE),
+           help="exponent expression: in r on a ring, in t on a cylinder; required"),
+    Option("density-samples", int, 0, ("annulus", "cylinder"),
+           help="evenly spaced points at which to print the density, >= 0"),
+    Option("values", commands=("sweep",),
+           help="comma-separated r2 (ring) or length (cylinder) of the rows; this or"
+           " --geometric is required"),
+    Option("geometric", commands=("sweep",),
+           help="start:stop:count geometric range of the rows, ends > 0, count >= 2"),
+    Option("grid", int, 200, _ORACLE,
+           help="cells of the grid minimizers, >= 1; below 10 the gap is reported only"),
+    Option("draws", int, 20, _ORACLE, help="random densities per averaging check, >= 1"),
+    Option("seed", int, 42, _ORACLE, help="seed of the random densities, >= 0"),
 )
 
 
@@ -502,8 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(command, help=help_text)
         for opt in OPTIONS:
             if command in opt.commands:
+                default = "" if opt.default is None else f" (default: {opt.default})"
                 sp.add_argument("--" + opt.flag, type=opt.type, choices=opt.choices,
-                                help=opt.help)
+                                help=opt.help + default)
     return parser
 
 

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .annulus import ExtremalSolution, _WeightedCore, _density_at, _only
+from .annulus import ExtremalSolution, _WeightedCore, _density_at
 from .exponent import ExponentFunction
 from .quadrature import QuadratureConfig, simpson_nodes, simpson_sum
 from .rootfind import BisectionConfig, positive_normal
@@ -25,7 +25,6 @@ __all__ = [
     "cylinder_normalization_value",
     "solve_cylinder",
     "constant_density_upper_bound",
-    "extremality_gap",
 ]
 
 
@@ -52,12 +51,12 @@ class CylinderProblem:
 
 def _axial_nodes(prob: CylinderProblem, quad: QuadratureConfig | None):
     t = simpson_nodes(0.0, prob.length, quad)
-    return t, np.asarray(prob.p.eval(t), dtype=float)
+    return t, prob.p.at_nodes(t)
 
 
 def _axial_core(prob: CylinderProblem, quad: QuadratureConfig | None) -> _WeightedCore:
     t, p = _axial_nodes(prob, quad)
-    return _only(_WeightedCore.build([t], p, 0.0, 0.0, partial(_density_at, prob.p.eval, 0.0, 0)))
+    return _WeightedCore.build([t], p, 0.0, 0.0, partial(_density_at, prob.p.eval, 0.0, 0))[0]
 
 
 def cylinder_normalization_value(
@@ -86,15 +85,3 @@ def constant_density_upper_bound(
         values = (1.0 / prob.length) ** p
     return prob.area * simpson_sum(t, values)
 
-
-def extremality_gap(
-    prob: CylinderProblem,
-    quad: QuadratureConfig | None = None,
-    bis: BisectionConfig | None = None,
-) -> float:
-    """Constant-density bound minus the modulus.
-
-    Zero exactly when p is constant, since only then is the constant density
-    extremal; strictly positive otherwise, up to solver tolerances.
-    """
-    return constant_density_upper_bound(prob, quad) - solve_cylinder(prob, quad, bis).modulus

@@ -302,6 +302,12 @@ class ExponentFunction:
         evaluate = partial(_per_point if ys is None else _pointwise, fn)
         return _bounded(evaluate, (a, b), source, ys)
 
+    def at_nodes(self, x: np.ndarray) -> np.ndarray:
+        """p at every point of the array x, as floats of x's shape: an ``eval`` that
+        gives one value for all points is broadcast to them."""
+        p = np.asarray(self.eval(x), dtype=float)
+        return p if p.shape == x.shape else np.broadcast_to(p, x.shape).copy()
+
     def restricted(self, a: float, b: float) -> "ExponentFunction":
         """The same map on a subinterval, with bounds recomputed there."""
         lo, hi = self.interval

@@ -282,7 +282,7 @@ def annulus_grid(prob: AnnulusProblem, n_cells: int):
     delta = (prob.r2 - prob.r1) / n_cells
     r = prob.r1 + (np.arange(n_cells) + 0.5) * delta
     w = unit_sphere_area(prob.n) * r ** (prob.n - 1)
-    return w, np.asarray(prob.p.eval(r), dtype=float), delta
+    return w, prob.p.at_nodes(r), delta
 
 
 def cylinder_grid(prob: CylinderProblem, n_cells: int):
@@ -291,7 +291,7 @@ def cylinder_grid(prob: CylinderProblem, n_cells: int):
     delta = prob.length / n_cells
     t = (np.arange(n_cells) + 0.5) * delta
     w = np.full(n_cells, float(prob.area))
-    return w, np.asarray(prob.p.eval(t), dtype=float), delta
+    return w, prob.p.at_nodes(t), delta
 
 
 def _average_check(rho2d: GridDensity2D, p, weight: np.ndarray, label: str) -> AveragingReport:
@@ -308,7 +308,7 @@ def _average_check(rho2d: GridDensity2D, p, weight: np.ndarray, label: str) -> A
 
     d, dx = rho2d.cell_width, rho2d.transverse_width
     m = rho2d.values.shape[1]
-    p = np.asarray(p.eval(rho2d.axial_centers), dtype=float)
+    p = p.at_nodes(rho2d.axial_centers)
     energy_before = float((rho2d.values ** p[:, None] * weight[:, None]).sum() * d * dx)
     avg = rho2d.values.mean(axis=1)
     energy_after = float((avg**p * weight).sum() * d * (m * dx))

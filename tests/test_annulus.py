@@ -15,19 +15,23 @@ from vexmod import (
     AnnulusProblem,
     BisectionConfig,
     BracketFailure,
+    CylinderProblem,
     ExponentFunction,
     NonFiniteIntegrand,
     QuadratureConfig,
+    constant_density_upper_bound,
     constant_exponent_modulus,
+    cylinder_normalization_value,
     log_density_upper_bound,
     modulus_sweep,
     normalization_value,
     parse_exponent,
     solve_annulus,
+    solve_cylinder,
     subinterval_count,
     unit_sphere_area,
 )
-from vexmod import annulus
+from vexmod import annulus, oracle
 from vexmod.annulus import SweepRow
 
 REF_LAMBDA = 20.778872988263774
@@ -490,9 +494,50 @@ def test_sweep_passes_hold_at_most_65536_nodes(monkeypatch):
     assert all(row.error is None for row in rows)
 
 
+def test_failing_pass_is_solved_row_by_row_and_leaves_its_neighbours(monkeypatch):
+    passes = []
+    ring_cores = annulus._ring_cores
+
+    def counted(prob, grids, tops):
+        passes.append([g.size for g in grids])
+        return ring_cores(prob, grids, tops)
+
+    monkeypatch.setattr(annulus, "_ring_cores", counted)
+    # NaN beyond r = e^3.2, which only the second pass's row e^3.4 reaches.
+    nan_tail = ExponentFunction(lambda r: np.where(np.asarray(r) > math.exp(3.2), np.nan, 2.5),
+                                2.5, 2.5, "2.5, NaN beyond e^3.2", (1.0, math.exp(4.0)))
+    template = AnnulusProblem(3, 1.0, math.exp(4.0), nan_tail)
+    radii = [math.exp(3.0)] * 3 + [math.exp(3.4), math.exp(2.0)]
+    quad = QuadratureConfig(1e-4)
+    rows = modulus_sweep(template, radii, quad)
+    # Three passes; only the second is solved again, one row at a time.
+    assert passes == [[30001, 30001], [30001, 34001], [30001], [34001], [20001]]
+    monkeypatch.undo()
+    assert list(map(repr, rows)) == list(map(repr, _single_solves(template, radii, quad)))
+    assert [row.error is None for row in rows] == [True, True, True, False, True]
+    assert rows[3].error.startswith("NonFiniteIntegrand: the exponent is np.float64(nan)")
+
+
 def test_ring_exponent_eval_may_give_one_value_for_all_nodes():
+    # Every path that evaluates p at nodes, on the ring and on the cylinder.
     one_value = ExponentFunction(lambda x: 2.5, 2.5, 2.5, "2.5", (0.0, 8.0))
     parsed = parse_exponent("2.5", "r", (0.0, 8.0))
     ring = [solve_annulus(AnnulusProblem(2, 1.0, 2.0, p)).modulus for p in (one_value, parsed)]
     assert ring[0] == ring[1]
     _assert_sweep_is_single_solves(AnnulusProblem(3, 1.0, 8.0, one_value), [2.0, 8.0, 4.0])
+
+    results = []
+    for p in (one_value, parsed):
+        ring, cyl = AnnulusProblem(2, 1.0, 2.0, p), CylinderProblem(1.5, 2.0, p)
+        grids = [oracle.annulus_grid(ring, 40), oracle.cylinder_grid(cyl, 40)]
+        rng = np.random.default_rng(5)
+        centers = (np.arange(20) + 0.5) * 0.1
+        column = oracle.random_admissible_2d(centers, 0.1, 3, 0.5, rng)
+        ray = oracle.random_admissible_2d(1.0 + centers / 2.0, 0.05, 3, 2.0 * math.pi / 3, rng)
+        results.append([solve_cylinder(cyl).modulus, cylinder_normalization_value(cyl, 2.0),
+                        constant_density_upper_bound(cyl), oracle.fibre_average_check(column, cyl),
+                        oracle.spherical_average_check(ray, ring)]
+                       + [oracle.discrete_minimize(*grid).values.tolist() for grid in grids]
+                       + [grid[1].tolist() for grid in grids])
+    assert results[0] == results[1]
+    assert results[0][-1] == [2.5] * 40

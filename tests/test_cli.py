@@ -153,14 +153,30 @@ def test_failed_sweep_row_reports_no_quadrature_step():
     assert float(rows[1][step]) == math.log(2.0) / 72
 
 
-@pytest.mark.parametrize("command", ["annulus", "cylinder", "sweep"])
-def test_help_describes_the_exponent_option(command, capsys):
+@pytest.mark.parametrize("command", ["annulus", "cylinder", "sweep", "tables", "oracle-check"])
+def test_help_describes_every_option(command, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main([command, "--help"])
     assert info.value.code == 0
-    # The lines from the option list's "--p P" to the next option are the flag's help.
-    text = capsys.readouterr().out.split("\n  --p P", 1)[1].split("\n  --", 1)[0]
-    assert "exponent expression" in text
+    # An option's entry is its "  --flag METAVAR" line and the deeper lines under it;
+    # its help follows two spaces on that line, or fills the lines under it.
+    entries: dict = {}
+    for line in capsys.readouterr().out.split("\noptions:\n", 1)[1].splitlines():
+        if line.startswith("  -"):
+            invocation, _, text = line.strip().partition("  ")
+            flag = next(word for word in invocation.split() if word.startswith("--"))
+            entries[flag] = [text]
+        else:
+            entries[flag].append(line)
+    texts = {flag: " ".join(" ".join(lines).split()) for flag, lines in entries.items()}
+    options = [opt for opt in cli.OPTIONS if command in opt.commands]
+    assert set(texts) == {"--help"} | {"--" + opt.flag for opt in options}
+    assert all(texts.values())
+    for opt in options:
+        if opt.default is not None:
+            assert texts["--" + opt.flag].endswith(f"(default: {opt.default})")
+    if command in ("annulus", "cylinder", "sweep"):
+        assert "exponent expression" in texts["--p"]
 
 
 def test_sweep_reports_bad_rows_without_aborting():

@@ -15,7 +15,6 @@ from vexmod import (
     QuadratureConfig,
     constant_density_upper_bound,
     cylinder_normalization_value,
-    extremality_gap,
     parse_exponent,
     solve_cylinder,
     subinterval_count,
@@ -154,22 +153,27 @@ def test_upper_bound_respects_length_envelope():
 
 
 def test_gap_reference_value(cylinder_problem, tight_bisection):
-    gap = extremality_gap(cylinder_problem, QuadratureConfig(1e-3), tight_bisection)
+    quad = QuadratureConfig(1e-3)
+    gap = (constant_density_upper_bound(cylinder_problem, quad)
+           - solve_cylinder(cylinder_problem, quad, tight_bisection).modulus)
     assert gap == pytest.approx(REF_GAP, abs=1e-9)
 
 
 def test_gap_vanishes_for_constant_exponent(tight_bisection):
-    gap = extremality_gap(_cylinder("2"))
+    prob = _cylinder("2")
+    gap = constant_density_upper_bound(prob) - solve_cylinder(prob).modulus
     assert gap == 0.0
-    gap = extremality_gap(_cylinder("2.7", length=1.7), bis=tight_bisection)
+    prob = _cylinder("2.7", length=1.7)
+    gap = constant_density_upper_bound(prob) - solve_cylinder(prob, bis=tight_bisection).modulus
     assert abs(gap) < 1e-9
     assert gap > -1e-9
 
 
 def test_gap_grows_with_exponent_steepness(tight_bisection):
     quad = QuadratureConfig(1e-3)
-    steep = extremality_gap(_cylinder("2+t"), quad, tight_bisection)
-    shallow = extremality_gap(_cylinder("2+t/10"), quad, tight_bisection)
+    steep, shallow = (constant_density_upper_bound(prob, quad)
+                      - solve_cylinder(prob, quad, tight_bisection).modulus
+                      for prob in (_cylinder("2+t"), _cylinder("2+t/10")))
     assert shallow == pytest.approx(SHALLOW_GAP, abs=1e-9)
     assert steep > shallow > 0.0
 
