@@ -6,14 +6,16 @@ normalization.  The ring is the weighted 1-D problem of ``_WeightedCore``
 with weight omega_n r^(n-1), integrated in s = log(r/r1) with Jacobian r, so
 that the density times r is exactly constant when p is identically n; the
 cylinder shares the core with weight 1 in its own axial variable.  The core
-holds each node's terms in logs and solves for log(lam) with
-``rootfind.solve_multiplier``; every solve also returns a Simpson error
-estimate of its normalization and modulus integrals.
+holds each node's terms in logs and solves a pass of rows, one per grid, for
+their log(lam) with ``rootfind.solve_multiplier``, all rows in lockstep; every
+solve also returns a Simpson error estimate of its normalization and modulus
+integrals.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -30,7 +32,15 @@ from .quadrature import (
     simpson_rows,
     simpson_sum,
 )
-from .rootfind import BisectionConfig, exp_or_inf, log_total, positive_normal, solve_multiplier
+from .rootfind import (
+    BisectionConfig,
+    BracketFailure,
+    exp_or_inf,
+    log_total,
+    positive_normal,
+    raise_failure,
+    solve_multiplier,
+)
 
 __all__ = [
     "AnnulusProblem",
@@ -114,28 +124,33 @@ def _density_at(peval: Callable, log_c: float, k: int, ell: float, x) -> np.ndar
 
 
 class _WeightedCore:
-    """Minimize the integral of w rho^p given integral rho = 1, on Simpson nodes u
-    of an integration variable with Jacobian J.
+    """A pass of rows, each the minimization of the integral of w rho^p given
+    integral rho = 1 on Simpson nodes u of an integration variable with Jacobian J.
 
     Per node it keeps inv = 1/(p - 1) and base = log J - inv log(p w), so that
     at lam = e^l the candidate density times J is exp(l inv + base); by the
     stationarity condition w rho^p = lam rho / p, the modulus is lam times the
-    integral of rho J / p.  ``build`` makes the cores of several grids from one
-    pass over their joined nodes, checked once: a bad node in any grid raises for
-    all of them.  A single solve is its case of one grid.
+    integral of rho J / p.  ``build`` makes the pass from the joined nodes of
+    several grids, one row each, checked once: a bad node in any grid raises for
+    all of them.  Per node it also keeps the Simpson weights at steps h and 2h,
+    joined over the rows, and their products with inv and with 1/p, so that the
+    multiplier kernel steps all rows in lockstep and the same joined sums give
+    each row its modulus and both error estimates.  ``solve`` reports a row that
+    fails by its message and leaves the others as they are; a single solve is
+    the pass of one row, whose failure ``solution`` raises.
     ``density(l, x)`` gives the density at lam = e^l in the problem's variable.
     """
 
-    def __init__(self, u: np.ndarray, inv: np.ndarray, base: np.ndarray, density: Callable) -> None:
+    def __init__(self, starts: np.ndarray, spans: list, inv: np.ndarray, base: np.ndarray,
+                 weights: np.ndarray, density: Callable) -> None:
+        self.starts, self.spans = starts, spans
+        self.inv, self.base, self.weights = inv, base, weights
         self.density = density
-        self.inv, self.base = inv, base
-        self.rows = simpson_rows(u.size - 1)  # at steps h and 2h, of terms in [0, 1]
-        self.span = (float(u[-1] - u[0]), 3.0 * (u.size - 1))
 
     @classmethod
     @np.errstate(all="ignore")
-    def build(cls, grids: list, p: np.ndarray, log_w, log_j, density: Callable) -> list:
-        """The core of each Simpson grid in ``grids``, given p, log w and log J at their
+    def build(cls, grids: list, p: np.ndarray, log_w, log_j, density: Callable) -> _WeightedCore:
+        """The pass over the Simpson grids in ``grids``, given p, log w and log J at their
         joined nodes (log w and log J may be scalars).  Raises NonFiniteIntegrand naming
         the first node of the joined grids where p is not a finite value above 1."""
         inv = 1.0 / (p - 1.0)
@@ -144,38 +159,64 @@ class _WeightedCore:
             bad = np.flatnonzero(~(np.isfinite(base) & (inv > 0.0)))
             if bad.size:
                 raise NonFiniteIntegrand(
-                    f"the exponent is {p[bad[0]]!r} at quadrature node"
-                    f" {np.concatenate(grids)[bad[0]]!r}, not a finite value above 1")
-        cores, start = [], 0
-        for u in grids:
-            stop = start + u.size
-            cores.append(cls(u, inv[start:stop], base[start:stop], density))
-            start = stop
-        return cores
+                    f"the exponent is {float(p[bad[0]])!r} at quadrature node"
+                    f" {float(np.concatenate(grids)[bad[0]])!r}, not a finite value above 1")
+        ns = [u.size - 1 for u in grids]
+        # Simpson weights, of terms in [0, 1]: (h, h inv) for N and N', then 2h for the
+        # normalization and (h, 2h) / p for the modulus.
+        weights = simpson_rows(*ns).take((0, 0, 1, 0, 1), axis=0)
+        weights[1] *= inv
+        weights[3:] /= p
+        spans = [(float(u[-1] - u[0]), 3.0 * n) for u, n in zip(grids, ns)]
+        starts = np.array([0, *itertools.accumulate(u.size for u in grids[:-1])])
+        return cls(starts, spans, inv, base, weights, density)
 
     def normalization(self, lam: float) -> float:
+        """The normalization integral of a one-row pass at multiplier lam."""
         if not (lam > 0 and math.isfinite(lam)):
             raise ValueError(f"lam must be positive and finite, got {lam}")
-        rows = np.array((self.rows[0], self.rows[0] * self.inv))
-        value = exp_or_inf(log_total(self.inv, self.base, rows, self.span, math.log(lam))[0])
+        f = log_total(self.inv, self.base, self.weights[:2], self.starts, self.spans,
+                      [math.log(lam)])[0][0]
+        value = exp_or_inf(f)
         if value == math.inf:
             raise NonFiniteIntegrand(f"the normalization at lam={lam} exceeds the float range")
         return value
 
-    def solve(self, bis: BisectionConfig | None) -> ExtremalSolution:
-        ell, residual, iters, scale, terms = solve_multiplier(self.inv, self.base, self.rows[0],
-                                                              self.span, bis)
-        lam = positive_normal("multiplier", exp_or_inf(ell))
-        energy = terms * (self.inv / (1.0 + self.inv))  # rho J / p, scaled by e^-scale
+    def solve(self, bis: BisectionConfig | None) -> list:
+        """Per row, its solution or its failure as the message "{Type}: {msg}"."""
+        sol = solve_multiplier(self.inv, self.base, self.weights[:2], self.starts, self.spans,
+                               bis)
         # The normalization and the modulus integrals, each at steps h and 2h.
-        (n_h, n_2h), (e_h, e_2h) = np.einsum("ij,kj->ki", self.rows, (terms, energy)).tolist()
-        modulus = positive_normal("modulus", lam * exp_or_inf(scale)
-                                  * (self.span[0] * e_h / self.span[1]))
-        error = max(abs(n_h - n_2h) / (15.0 * n_h), abs(e_h - e_2h) / (15.0 * e_h))
-        # On scalars or arrays; holds none of the node arrays.
-        rho = partial(_pointwise, partial(self.density, ell))
-        step = self.span[0] / (self.rows.shape[1] - 1)
-        return ExtremalSolution(lam, modulus, rho, residual, iters, error, step)
+        n_h = sol.total
+        n_2h, e_h, e_2h = np.add.reduceat(self.weights[2:] * sol.terms, self.starts,
+                                          axis=1).tolist()
+        out = []
+        for r, (width, div) in enumerate(self.spans):
+            if sol.error[r] is not None:
+                out.append(sol.error[r])
+                continue
+            ell = sol.log_lam[r]
+            try:
+                lam = positive_normal("multiplier", exp_or_inf(ell))
+                modulus = positive_normal("modulus", lam * exp_or_inf(sol.scale[r])
+                                          * (width * e_h[r] / div))
+            except BracketFailure as exc:
+                out.append(f"BracketFailure: {exc}")
+                continue
+            error = max(abs(n_h[r] - n_2h[r]) / (15.0 * n_h[r]),
+                        abs(e_h[r] - e_2h[r]) / (15.0 * e_h[r]))
+            # On scalars or arrays; holds none of the node arrays.
+            rho = partial(_pointwise, partial(self.density, ell))
+            out.append(ExtremalSolution(lam, modulus, rho, sol.residual[r], sol.iters[r], error,
+                                        width / (div / 3.0)))  # the step, for div = 3n
+        return out
+
+    def solution(self, bis: BisectionConfig | None) -> ExtremalSolution:
+        """The solution of a one-row pass; its failure is raised as the error it names."""
+        (sol,) = self.solve(bis)
+        if isinstance(sol, str):
+            raise_failure(sol)
+        return sol
 
 
 def _log_ratio(r1: float, r2: float) -> float:
@@ -203,9 +244,9 @@ def _ring_nodes(r1: float, p: ExponentFunction, grids: list, tops: list):
     return log_r, p.at_nodes(r)
 
 
-def _ring_cores(prob: AnnulusProblem, grids: list, tops: list) -> list:
-    """``_WeightedCore.build`` for the rings of prob's n, r1 and exponent out to each radius
-    in tops, on their s grids."""
+def _ring_cores(prob: AnnulusProblem, grids: list, tops: list) -> _WeightedCore:
+    """``_WeightedCore.build``: the pass of the rings of prob's n, r1 and exponent out to
+    each radius in tops, on their s grids."""
     log_r, p = _ring_nodes(prob.r1, prob.p, grids, tops)
     log_c, k = _log_unit_sphere_area(prob.n), prob.n - 1
     return _WeightedCore.build(grids, p, log_c + k * log_r, log_r,
@@ -213,7 +254,7 @@ def _ring_cores(prob: AnnulusProblem, grids: list, tops: list) -> list:
 
 
 def _ring_core(prob: AnnulusProblem, quad: QuadratureConfig | None) -> _WeightedCore:
-    return _ring_cores(prob, [_ring_grid(prob, quad)], [prob.r2])[0]
+    return _ring_cores(prob, [_ring_grid(prob, quad)], [prob.r2])
 
 
 def normalization_value(
@@ -233,7 +274,7 @@ def solve_annulus(
     bis: BisectionConfig | None = None,
 ) -> ExtremalSolution:
     """Extremal density and modulus for the spherical-ring curve family."""
-    return _ring_core(prob, quad).solve(bis)
+    return _ring_core(prob, quad).solution(bis)
 
 
 def constant_exponent_modulus(n: int, p: float, r1: float, r2: float) -> float:
@@ -299,28 +340,36 @@ def modulus_sweep(
     Every row shares the template's exponent, which must be evaluable up to
     the largest requested radius; the solve reads p only at its own nodes.
     Consecutive rows share one pass over their joined nodes, at most 65,536
-    of them, that evaluates p and checks it once; then each row is solved
-    alone.  If a pass raises, for any reason, each of its rows is solved as
-    ``solve_annulus`` solves it.  So a row's numbers and error are those of
-    ``solve_annulus`` on that row, and a failure on one row is reported on
-    that row without stopping the sweep.
+    of them, that evaluates p and checks it once and then solves all of its
+    rows in lockstep, one multiplier kernel over the rows.  If a pass raises,
+    for any reason, each of its rows is solved as ``solve_annulus`` solves it.
+    So a row's numbers and error are those of ``solve_annulus`` on that row,
+    and a failure on one row is reported on that row without stopping the
+    sweep or changing its neighbours.
     """
     rows = []
     for part in _sweep_passes(prob, r2_values, quad):
-        cores = [None] * len(part)
+        results = None
         if part[0][1] is not None:  # else a row with no grid, alone in its pass
             with contextlib.suppress(Exception):
-                cores = _ring_cores(prob, [grid for _, grid in part], [r2 for r2, _ in part])
-        for (r2, _), core in zip(part, cores):
-            try:
-                if core is None:  # the row alone, as solve_annulus solves it
-                    core = _ring_core(AnnulusProblem(prob.n, prob.r1, r2, prob.p), quad)
-                sol = core.solve(bis)
-            except Exception as exc:  # per-row report, the sweep keeps going
-                rows.append(SweepRow(r2, None, None, error=f"{type(exc).__name__}: {exc}"))
-            else:
-                rows.append(SweepRow(r2, sol.lam, sol.modulus, sol.residual, sol.quadrature_error))
+                results = _ring_cores(prob, [grid for _, grid in part],
+                                      [r2 for r2, _ in part]).solve(bis)
+        if results is None:
+            results = [_sweep_row_alone(prob, r2, quad, bis) for r2, _ in part]
+        rows.extend(SweepRow(r2, None, None, error=sol) if isinstance(sol, str) else
+                    SweepRow(r2, sol.lam, sol.modulus, sol.residual, sol.quadrature_error)
+                    for (r2, _), sol in zip(part, results))
     return rows
+
+
+def _sweep_row_alone(prob: AnnulusProblem, r2: float, quad: QuadratureConfig | None,
+                     bis: BisectionConfig | None):
+    """The row out to r2 as ``solve_annulus`` solves it: its solution, or its failure as
+    the message "{Type}: {msg}"."""
+    try:
+        return _ring_core(AnnulusProblem(prob.n, prob.r1, r2, prob.p), quad).solve(bis)[0]
+    except Exception as exc:  # per-row report, the sweep keeps going
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _sweep_passes(prob: AnnulusProblem, r2_values: Sequence[float],

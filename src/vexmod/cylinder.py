@@ -56,7 +56,7 @@ def _axial_nodes(prob: CylinderProblem, quad: QuadratureConfig | None):
 
 def _axial_core(prob: CylinderProblem, quad: QuadratureConfig | None) -> _WeightedCore:
     t, p = _axial_nodes(prob, quad)
-    return _WeightedCore.build([t], p, 0.0, 0.0, partial(_density_at, prob.p.eval, 0.0, 0))[0]
+    return _WeightedCore.build([t], p, 0.0, 0.0, partial(_density_at, prob.p.eval, 0.0, 0))
 
 
 def cylinder_normalization_value(
@@ -72,7 +72,7 @@ def solve_cylinder(
     bis: BisectionConfig | None = None,
 ) -> ExtremalSolution:
     """Extremal density and modulus for curves joining the two ends."""
-    sol = _axial_core(prob, quad).solve(bis)
+    sol = _axial_core(prob, quad).solution(bis)
     return replace(sol, modulus=positive_normal("modulus", prob.area * sol.modulus))
 
 

@@ -112,12 +112,20 @@ def simpson_nodes(a: float, b: float, cfg: QuadratureConfig | None = None) -> np
     return _grid(a, b, subinterval_count(a, b, cfg))
 
 
-def simpson_rows(n: int) -> np.ndarray:
+def simpson_rows(*ns: int) -> np.ndarray:
     """Integer Simpson rows on n + 1 nodes, n a multiple of 4: [1, 4, 2, ..., 4, 1] and
-    [2, 0, 8, 0, 4, ..., 8, 0, 2] at step 2h; (b - a) * (row . values) / (3 n) is the rule."""
-    rows = np.zeros((2, n + 1))
+    [2, 0, 8, 0, 4, ..., 8, 0, 2] at step 2h; (b - a) * (row . values) / (3 n) is the rule.
+    Several counts give the rows of their grids joined end to end, in order."""
+    sizes = [n + 1 for n in ns]
+    rows = np.zeros((2, max(sizes)))
     rows[0, 1::2], rows[0, 2::2], rows[1, ::4], rows[1, 2::4] = 4.0, 2.0, 4.0, 8.0
-    rows[:, 0] = rows[:, -1] = 1.0, 2.0
+    rows[:, 0] = 1.0, 2.0
+    if len(sizes) == 1:
+        rows[:, -1] = 1.0, 2.0
+        return rows
+    ends = np.cumsum(sizes)  # each node takes the weights of its index in its own grid
+    rows = rows.take(np.arange(ends[-1]) - np.repeat(ends - sizes, sizes), axis=1)
+    rows[:, ends - 1] = ((1.0,), (2.0,))
     return rows
 
 

@@ -12,6 +12,15 @@ leave it or shrinks too slowly (Numerical Recipes ``rtsafe``, section 9.4).
 The sums run in log-sum-exp form, so no term overflows for any exponent,
 dimension or radius the problems accept.
 
+The kernel solves a pass of rows at once, one multiplier per row: the rows'
+nodes are joined end to end, each step evaluates all of them in one pass
+(``np.maximum.reduceat`` for each row's scale, ``np.add.reduceat`` for its
+N and N'), and each row keeps its own bracket and step history in Python.
+A row sums only its own nodes, in the same order whatever its neighbours,
+so it gets the same numbers alone as in any pass; a single solve is the
+pass of one row.  A row that fails records its message, not an exception,
+and its neighbours go on.
+
 ``solve_increasing`` is the bracketed bisection that the multiplier solve
 used before; nothing in the package calls it any more.
 """
@@ -34,6 +43,7 @@ __all__ = [
     "exp_or_inf",
     "log_total",
     "positive_normal",
+    "raise_failure",
     "solve_increasing",
     "solve_multiplier",
 ]
@@ -95,27 +105,50 @@ def positive_normal(name: str, value: float) -> float:
 
 
 class MultiplierSolve(NamedTuple):
-    """Accepted log-multiplier, |N - 1| there, steps after the first evaluation,
-    and the terms exp(l * inv + base - scale), whose total times e^scale is N."""
+    """The rows of a pass at their accepted log-multipliers.
 
-    log_lam: float
-    residual: float
-    iters: int
-    scale: float
+    Per row, lists: log_lam, |N - 1| there, the steps after the first evaluation,
+    the scale m and the failure, None or the message "{Type}: {msg}" of a row whose
+    other fields then hold its last step, and total, the sum of c * terms over the row.
+    terms are the joined terms exp(l * inv + base - m) at the accepted multipliers."""
+
+    log_lam: list
+    residual: list
+    iters: list
+    scale: list
+    error: list
+    total: list
     terms: np.ndarray
 
 
-def log_total(inv: np.ndarray, base: np.ndarray, rows: np.ndarray, span: tuple, ell: float):
-    """log N(ell) for N = width * (coef . exp(ell * inv + base)) / div, its derivative
-    in ell, the scale m and the terms exp(ell * inv + base - m), the largest of them 1;
-    rows is (coef, coef * inv) and span is (width, div)."""
-    terms = inv * ell
-    terms += base
-    m = float(terms.max())
-    terms -= m
+def log_total(inv: np.ndarray, base: np.ndarray, weights: np.ndarray, starts, spans: list,
+              ell: list):
+    """The rows of a pass at log-multipliers ell, one per row.
+
+    Row r holds the joined nodes from starts[r] up to the next start and has
+    N_r = width_r * (c . exp(ell_r * inv + base)) / div_r over them, where weights
+    is (c, c * inv) and spans[r] = (width_r, div_r).  Returns, as lists over the rows,
+    log N_r, its derivative in ell_r, the scale m_r and the sum of c * terms, then the
+    joined terms exp(ell_r * inv + base - m_r), the largest of each row 1.  One row
+    broadcasts its multiplier and scale where several repeat them per node."""
+    if len(starts) == 1:
+        terms = inv * ell[0]
+        terms += base
+        m = np.maximum.reduceat(terms, starts)
+        terms -= m
+    else:
+        sizes = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+        sizes[-1] = inv.size - starts[-1]
+        terms = inv * np.array(ell).repeat(sizes)
+        terms += base
+        m = np.maximum.reduceat(terms, starts)
+        terms -= m.repeat(sizes)
     np.exp(terms, out=terms)
-    s, ds = np.einsum("ij,j->i", rows, terms).tolist()
-    return m + math.log(span[0] * s / span[1]), ds / s, m, terms
+    m = m.tolist()
+    s, ds = np.add.reduceat(weights * terms, starts, axis=1).tolist()
+    f = [mr + math.log(width * sr / div) for mr, sr, (width, div) in zip(m, s, spans)]
+    return f, [a / b for a, b in zip(ds, s)], m, s, terms
 
 
 def _defect(f: float) -> float:
@@ -126,42 +159,68 @@ def _defect(f: float) -> float:
 def solve_multiplier(
     inv: np.ndarray,
     base: np.ndarray,
-    coef: np.ndarray,
-    span: tuple[float, float],
+    weights: np.ndarray,
+    starts,
+    spans: list,
     cfg: BisectionConfig | None = None,
 ) -> MultiplierSolve:
-    """Solve log N(l) = 0, N as in ``log_total``, for inv > 0 and positive
-    coefficients, starting at l = 0; an evaluation inside the residual
-    tolerance is accepted on the spot."""
+    """Solve log N_r(l) = 0, N_r as in ``log_total``, for every row r of a pass, for
+    inv > 0 and positive c, starting at l = 0; an evaluation inside the residual
+    tolerance is accepted on the spot.
+
+    The rows step in lockstep, one joined evaluation per step; an accepted row is
+    evaluated again at its accepted l, unchanged, so the last evaluation holds the
+    terms and sums of every row.  A row that spends max_iters steps records
+    MaxItersExceeded as its failure; every row gets the numbers it would get alone."""
     if cfg is None:
         cfg = BisectionConfig()
-    rows = np.array((coef, coef * inv))
-    ell = 0.0
-    f, df, m, terms = log_total(inv, base, rows, span, ell)
-    residual = _defect(f)
-    if residual <= cfg.residual_tol:
-        return MultiplierSolve(ell, residual, 0, m, terms)
-    ends = (ell - f / float(inv.max()), ell - f / float(inv.min()))
-    lo, hi = min(ends), max(ends)
-    step_old = step = math.inf
-    for iters in range(1, cfg.max_iters + 1):
-        newton = ell - f / df
-        if lo <= newton <= hi and abs(2.0 * f) <= abs(step_old * df):
-            new = newton
-        else:  # out of the bracket, or not half the step before last
-            new = 0.5 * (lo + hi)
-        step_old, step, ell = step, new - ell, new
-        f, df, m, terms = log_total(inv, base, rows, span, ell)
-        residual = _defect(f)
-        if residual <= cfg.residual_tol or abs(step) <= cfg.lambda_tol:
-            return MultiplierSolve(ell, residual, iters, m, terms)
-        if f < 0.0:
-            lo = ell
-        else:
-            hi = ell
-    raise MaxItersExceeded(
-        f"no convergence in {cfg.max_iters} iterations, log multiplier in [{lo}, {hi}]"
-    )
+    rows = len(starts)
+    ell = [0.0] * rows
+    f, df, m, s, terms = log_total(inv, base, weights, starts, spans, ell)
+    residual = [_defect(x) for x in f]
+    iters = [0] * rows
+    active = [r for r in range(rows) if residual[r] > cfg.residual_tol]
+    if active:
+        top = np.maximum.reduceat(inv, starts).tolist()
+        bottom = np.minimum.reduceat(inv, starts).tolist()
+        lo, hi = [0.0] * rows, [0.0] * rows
+        for r in active:
+            lo[r], hi[r] = sorted((ell[r] - f[r] / top[r], ell[r] - f[r] / bottom[r]))
+        step_old, step = [math.inf] * rows, [math.inf] * rows
+    for it in range(1, cfg.max_iters + 1):
+        if not active:
+            break
+        for r in active:
+            newton = ell[r] - f[r] / df[r]
+            if lo[r] <= newton <= hi[r] and abs(2.0 * f[r]) <= abs(step_old[r] * df[r]):
+                new = newton
+            else:  # out of the bracket, or not half the step before last
+                new = 0.5 * (lo[r] + hi[r])
+            step_old[r], step[r], ell[r] = step[r], new - ell[r], new
+        f, df, m, s, terms = log_total(inv, base, weights, starts, spans, ell)
+        going = []
+        for r in active:
+            residual[r], iters[r] = _defect(f[r]), it
+            if residual[r] <= cfg.residual_tol or abs(step[r]) <= cfg.lambda_tol:
+                continue
+            if f[r] < 0.0:
+                lo[r] = ell[r]
+            else:
+                hi[r] = ell[r]
+            going.append(r)
+        active = going
+    error = [None] * rows
+    for r in active:
+        error[r] = (f"MaxItersExceeded: no convergence in {cfg.max_iters} iterations,"
+                    f" log multiplier in [{lo[r]}, {hi[r]}]")
+    return MultiplierSolve(ell, residual, iters, m, error, s, terms)
+
+
+def raise_failure(message: str):
+    """Raise the failure a solve records as "{Type}: {msg}", BracketFailure or
+    MaxItersExceeded; the one-row case of a pass raises where a sweep reports."""
+    kind, text = message.split(": ", 1)
+    raise (BracketFailure if kind == "BracketFailure" else MaxItersExceeded)(text)
 
 
 class BisectionResult(NamedTuple):

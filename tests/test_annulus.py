@@ -5,6 +5,7 @@ precision (bisection on the exact normalization integral, then exact
 quadrature of the extremal energy); they are frozen here as constants.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -382,12 +383,12 @@ def test_solver_returns_a_positive_float_or_a_solver_error(n, p_const, log_r1, l
     assert sol.modulus <= bound * (1.0 + 1e-9 + 4.0 * sol.quadrature_error)
 
 
-def _single_solves(template, radii, quad=None):
+def _single_solves(template, radii, quad=None, bis=None):
     """The rows of a sweep solved one by one with ``solve_annulus``."""
     rows = []
     for r2 in radii:
         try:
-            sol = solve_annulus(AnnulusProblem(template.n, template.r1, r2, template.p), quad)
+            sol = solve_annulus(AnnulusProblem(template.n, template.r1, r2, template.p), quad, bis)
         except Exception as exc:
             rows.append(SweepRow(r2, None, None, error=f"{type(exc).__name__}: {exc}"))
         else:
@@ -395,11 +396,11 @@ def _single_solves(template, radii, quad=None):
     return rows
 
 
-def _assert_sweep_is_single_solves(template, radii, quad=None):
+def _assert_sweep_is_single_solves(template, radii, quad=None, bis=None):
     """Row by row in input order, field by field and bit for bit (repr tells every float
     apart); returns the rows."""
-    rows = modulus_sweep(template, radii, quad)
-    assert list(map(repr, rows)) == list(map(repr, _single_solves(template, radii, quad)))
+    rows = modulus_sweep(template, radii, quad, bis)
+    assert list(map(repr, rows)) == list(map(repr, _single_solves(template, radii, quad, bis)))
     return rows
 
 
@@ -451,6 +452,39 @@ def test_sweep_rows_are_single_solves_at_the_edges():
     assert modulus_sweep(AnnulusProblem(2, 1.0, 1024.0, p), []) == []
 
 
+def test_sweep_rows_out_of_iterations_fail_alone():
+    # The rows need 1 to 5 Newton steps; at max_iters=2 the slower ones fail in the
+    # lockstep pass and the rest keep the numbers of their single solves.
+    p = parse_exponent("1.2+0.05*r", "r", (1.0, 100.0))
+    radii = [1.0001, 1.001, 1.01, 1.1, 1.5, 3.0, 10.0, 20.0, 35.0, 60.0, 100.0]
+    template = AnnulusProblem(2, 1.0, 100.0, p)
+    steps = [row.solver_iters for row in
+             (solve_annulus(AnnulusProblem(2, 1.0, r2, p)) for r2 in radii)]
+    assert steps == [1, 1, 2, 2, 2, 3, 4, 5, 3, 3, 3]
+    rows = _assert_sweep_is_single_solves(template, radii, bis=BisectionConfig(max_iters=2))
+    assert [row.error is None for row in rows] == [k <= 2 for k in steps]
+    assert all(row.error.startswith("MaxItersExceeded: no convergence in 2 iterations")
+               for row in rows if row.error)
+
+
+def test_sweep_failures_leave_no_reference_cycles():
+    # A failure is kept as its message, so no exception, traceback or frame holds the
+    # pass's node arrays in a cycle that only the garbage collector frees.
+    p = parse_exponent("1+r", "r", (1.0, 1024.0))
+    template = AnnulusProblem(2, 1.0, 1024.0, p)
+    gc.collect()
+    gc.disable()
+    try:
+        edges = modulus_sweep(template, [0.5, 1.0] + [2.0**k for k in range(1, 11)])
+        assert gc.collect() == 0
+        capped = modulus_sweep(template, [2.0, 4.0, 8.0], bis=BisectionConfig(max_iters=1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert sum(row.error is not None for row in edges) == 5
+    assert all(row.error.startswith("MaxItersExceeded") for row in capped)
+
+
 def test_sweep_row_with_a_bad_exponent_names_its_own_node():
     # NaN beyond r = 5: each failing row names the first of its own nodes past 5.
     nan_tail = ExponentFunction(lambda r: np.where(np.asarray(r) > 5.0, np.nan, 2.5),
@@ -458,7 +492,7 @@ def test_sweep_row_with_a_bad_exponent_names_its_own_node():
     rows = _assert_sweep_is_single_solves(AnnulusProblem(3, 1.0, 20.0, nan_tail),
                                           [8.0, 3.0, 12.0, 5.0])
     assert [row.error is None for row in rows] == [False, True, False, True]
-    assert rows[0].error.startswith("NonFiniteIntegrand: the exponent is np.float64(nan)")
+    assert rows[0].error.startswith("NonFiniteIntegrand: the exponent is nan at quadrature node ")
     assert rows[0].error != rows[2].error
 
 
@@ -515,7 +549,7 @@ def test_failing_pass_is_solved_row_by_row_and_leaves_its_neighbours(monkeypatch
     monkeypatch.undo()
     assert list(map(repr, rows)) == list(map(repr, _single_solves(template, radii, quad)))
     assert [row.error is None for row in rows] == [True, True, True, False, True]
-    assert rows[3].error.startswith("NonFiniteIntegrand: the exponent is np.float64(nan)")
+    assert rows[3].error.startswith("NonFiniteIntegrand: the exponent is nan at quadrature node ")
 
 
 def test_ring_exponent_eval_may_give_one_value_for_all_nodes():

@@ -164,6 +164,12 @@ def test_simpson_rows_at_steps_h_and_2h():
         simpson_sum(nodes[::2], values[::2]), rel=1e-15)
 
 
+def test_simpson_rows_of_several_grids_are_joined_in_order():
+    for counts in ((8, 4, 12), (4, 4), (12, 4, 400, 8)):
+        alone = np.concatenate([simpson_rows(n) for n in counts], axis=1)
+        assert simpson_rows(*counts).tolist() == alone.tolist()
+
+
 @given(
     a=st.floats(-1e300, 1e300),
     width=st.floats(5e-324, 1e300),
