@@ -133,9 +133,10 @@ class _WeightedCore:
     integral of rho J / p.  ``build`` makes the pass from the joined nodes of
     several grids, one row each, checked once: a bad node in any grid raises for
     all of them.  Per node it also keeps the Simpson weights at steps h and 2h,
-    joined over the rows, and their products with inv and with 1/p, so that the
-    multiplier kernel steps all rows in lockstep and the same joined sums give
-    each row its modulus and both error estimates.  ``solve`` reports a row that
+    joined over the rows, and their products with inv and with 1/p: the
+    multiplier kernel steps all rows in lockstep on (h, h inv), and one more
+    joined pass over the last terms gives each row its modulus and both error
+    estimates.  ``solve`` reports a row that
     fails by its message and leaves the others as they are; a single solve is
     the pass of one row, whose failure ``solution`` raises.
     ``density(l, x)`` gives the density at lam = e^l in the problem's variable.
@@ -186,8 +187,9 @@ class _WeightedCore:
         """Per row, its solution or its failure as the message "{Type}: {msg}"."""
         sol = solve_multiplier(self.inv, self.base, self.weights[:2], self.starts, self.spans,
                                bis)
-        # The normalization and the modulus integrals, each at steps h and 2h.
-        n_h = sol.total
+        # The normalization and the modulus integrals, each at steps h and 2h, from the
+        # last evaluation's terms: one more joined pass, not one per step.
+        n_h = sol.sums[0]
         n_2h, e_h, e_2h = np.add.reduceat(self.weights[2:] * sol.terms, self.starts,
                                           axis=1).tolist()
         out = []

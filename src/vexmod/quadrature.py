@@ -119,9 +119,8 @@ def simpson_rows(*ns: int) -> np.ndarray:
     sizes = [n + 1 for n in ns]
     rows = np.zeros((2, max(sizes)))
     rows[0, 1::2], rows[0, 2::2], rows[1, ::4], rows[1, 2::4] = 4.0, 2.0, 4.0, 8.0
-    rows[:, 0] = 1.0, 2.0
+    rows[:, 0] = rows[:, -1] = 1.0, 2.0
     if len(sizes) == 1:
-        rows[:, -1] = 1.0, 2.0
         return rows
     ends = np.cumsum(sizes)  # each node takes the weights of its index in its own grid
     rows = rows.take(np.arange(ends[-1]) - np.repeat(ends - sizes, sizes), axis=1)

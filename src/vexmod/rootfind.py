@@ -109,15 +109,16 @@ class MultiplierSolve(NamedTuple):
 
     Per row, lists: log_lam, |N - 1| there, the steps after the first evaluation,
     the scale m and the failure, None or the message "{Type}: {msg}" of a row whose
-    other fields then hold its last step, and total, the sum of c * terms over the row.
-    terms are the joined terms exp(l * inv + base - m) at the accepted multipliers."""
+    other fields then hold its last step.  At the accepted multipliers, terms are the
+    joined terms exp(l * inv + base - m) and sums[k][r] is the sum of weights[k] * terms
+    over row r."""
 
     log_lam: list
     residual: list
     iters: list
     scale: list
     error: list
-    total: list
+    sums: list
     terms: np.ndarray
 
 
@@ -127,10 +128,11 @@ def log_total(inv: np.ndarray, base: np.ndarray, weights: np.ndarray, starts, sp
 
     Row r holds the joined nodes from starts[r] up to the next start and has
     N_r = width_r * (c . exp(ell_r * inv + base)) / div_r over them, where weights
-    is (c, c * inv) and spans[r] = (width_r, div_r).  Returns, as lists over the rows,
-    log N_r, its derivative in ell_r, the scale m_r and the sum of c * terms, then the
-    joined terms exp(ell_r * inv + base - m_r), the largest of each row 1.  One row
-    broadcasts its multiplier and scale where several repeat them per node."""
+    starts with the rows c and c * inv, and spans[r] = (width_r, div_r).  Returns, as
+    lists over the rows, log N_r, its derivative in ell_r and the scale m_r; the sums
+    of weights * terms over each row, one list per row of weights; and the joined terms
+    exp(ell_r * inv + base - m_r), the largest of each row 1.  One row broadcasts its
+    multiplier and scale where several repeat them per node."""
     if len(starts) == 1:
         terms = inv * ell[0]
         terms += base
@@ -146,9 +148,10 @@ def log_total(inv: np.ndarray, base: np.ndarray, weights: np.ndarray, starts, sp
         terms -= m.repeat(sizes)
     np.exp(terms, out=terms)
     m = m.tolist()
-    s, ds = np.add.reduceat(weights * terms, starts, axis=1).tolist()
+    sums = np.add.reduceat(weights * terms, starts, axis=1).tolist()
+    s, ds = sums[:2]
     f = [mr + math.log(width * sr / div) for mr, sr, (width, div) in zip(m, s, spans)]
-    return f, [a / b for a, b in zip(ds, s)], m, s, terms
+    return f, [a / b for a, b in zip(ds, s)], m, sums, terms
 
 
 def _defect(f: float) -> float:
@@ -176,7 +179,7 @@ def solve_multiplier(
         cfg = BisectionConfig()
     rows = len(starts)
     ell = [0.0] * rows
-    f, df, m, s, terms = log_total(inv, base, weights, starts, spans, ell)
+    f, df, m, sums, terms = log_total(inv, base, weights, starts, spans, ell)
     residual = [_defect(x) for x in f]
     iters = [0] * rows
     active = [r for r in range(rows) if residual[r] > cfg.residual_tol]
@@ -197,7 +200,7 @@ def solve_multiplier(
             else:  # out of the bracket, or not half the step before last
                 new = 0.5 * (lo[r] + hi[r])
             step_old[r], step[r], ell[r] = step[r], new - ell[r], new
-        f, df, m, s, terms = log_total(inv, base, weights, starts, spans, ell)
+        f, df, m, sums, terms = log_total(inv, base, weights, starts, spans, ell)
         going = []
         for r in active:
             residual[r], iters[r] = _defect(f[r]), it
@@ -213,7 +216,7 @@ def solve_multiplier(
     for r in active:
         error[r] = (f"MaxItersExceeded: no convergence in {cfg.max_iters} iterations,"
                     f" log multiplier in [{lo[r]}, {hi[r]}]")
-    return MultiplierSolve(ell, residual, iters, m, error, s, terms)
+    return MultiplierSolve(ell, residual, iters, m, error, sums, terms)
 
 
 def raise_failure(message: str):

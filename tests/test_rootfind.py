@@ -84,12 +84,13 @@ def test_first_evaluation_inside_the_tolerance_is_accepted():
 
 def test_log_total_and_its_slope():
     inv, base = np.array([0.5, 2.0]), np.array([0.0, -1.0])
-    f, df, scale, total, terms = log_total(inv, base, _weights(inv), [0], [UNIT], [0.3])
+    f, df, scale, sums, terms = log_total(inv, base, _weights(inv), [0], [UNIT], [0.3])
     direct = np.exp(0.3 * inv + base)
     assert f[0] == pytest.approx(math.log(direct.sum()), rel=1e-15)
     assert df[0] == pytest.approx((inv * direct).sum() / direct.sum(), rel=1e-15)
     assert terms.max() == 1.0 and np.allclose(terms * math.exp(scale[0]), direct, rtol=1e-15)
-    assert total[0] == pytest.approx(terms.sum(), rel=1e-15)
+    assert sums[0][0] == pytest.approx(terms.sum(), rel=1e-15)
+    assert sums[1][0] == pytest.approx((inv * terms).sum(), rel=1e-15)
 
 
 def test_log_total_weighs_the_terms_by_coefficients_and_span():
@@ -114,7 +115,8 @@ def test_log_total_gives_each_row_of_a_pass_its_numbers_alone():
         row = slice(a, a + n)
         alone = log_total(inv[row], base[row], _weights(inv[row], coef[row]), [0], [spans[r]],
                           [ell[r]])
-        assert [v[r] for v in joined[:4]] == [v[0] for v in alone[:4]]
+        assert [v[r] for v in joined[:3]] == [v[0] for v in alone[:3]]
+        assert [v[r] for v in joined[3]] == [v[0] for v in alone[3]]
         assert joined[4][row].tolist() == alone[4].tolist()
         assert joined[4][row].max() == 1.0
 
