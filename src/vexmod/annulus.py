@@ -162,14 +162,14 @@ class _WeightedCore:
                 raise NonFiniteIntegrand(
                     f"the exponent is {float(p[bad[0]])!r} at quadrature node"
                     f" {float(np.concatenate(grids)[bad[0]])!r}, not a finite value above 1")
-        ns = [u.size - 1 for u in grids]
+        sizes = [u.size for u in grids]
         # Simpson weights, of terms in [0, 1]: (h, h inv) for N and N', then 2h for the
         # normalization and (h, 2h) / p for the modulus.
-        weights = simpson_rows(*ns).take((0, 0, 1, 0, 1), axis=0)
+        weights = simpson_rows(*[n - 1 for n in sizes]).take((0, 0, 1, 0, 1), axis=0)
         weights[1] *= inv
         weights[3:] /= p
-        spans = [(float(u[-1] - u[0]), 3.0 * n) for u, n in zip(grids, ns)]
-        starts = np.array([0, *itertools.accumulate(u.size for u in grids[:-1])])
+        spans = [(float(u[-1] - u[0]), 3.0 * (n - 1)) for u, n in zip(grids, sizes)]
+        starts = np.array([0, *itertools.accumulate(sizes[:-1])])
         return cls(starts, spans, inv, base, weights, density)
 
     def normalization(self, lam: float) -> float:

@@ -137,7 +137,7 @@ def log_total(inv: np.ndarray, base: np.ndarray, weights: np.ndarray, starts, sp
         terms = inv * ell[0]
         terms += base
         m = np.maximum.reduceat(terms, starts)
-        terms -= m
+        terms -= m[0]
     else:
         sizes = np.empty_like(starts)
         np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
@@ -149,9 +149,11 @@ def log_total(inv: np.ndarray, base: np.ndarray, weights: np.ndarray, starts, sp
     np.exp(terms, out=terms)
     m = m.tolist()
     sums = np.add.reduceat(weights * terms, starts, axis=1).tolist()
-    s, ds = sums[:2]
-    f = [mr + math.log(width * sr / div) for mr, sr, (width, div) in zip(m, s, spans)]
-    return f, [a / b for a, b in zip(ds, s)], m, sums, terms
+    f, df = [], []
+    for mr, sr, dsr, (width, div) in zip(m, sums[0], sums[1], spans):
+        f.append(mr + math.log(width * sr / div))
+        df.append(dsr / sr)
+    return f, df, m, sums, terms
 
 
 def _defect(f: float) -> float:
@@ -177,34 +179,37 @@ def solve_multiplier(
     MaxItersExceeded as its failure; every row gets the numbers it would get alone."""
     if cfg is None:
         cfg = BisectionConfig()
+    tol, step_tol = cfg.residual_tol, cfg.lambda_tol
     rows = len(starts)
     ell = [0.0] * rows
     f, df, m, sums, terms = log_total(inv, base, weights, starts, spans, ell)
-    residual = [_defect(x) for x in f]
+    residual = list(map(_defect, f))
     iters = [0] * rows
-    active = [r for r in range(rows) if residual[r] > cfg.residual_tol]
+    active = [r for r, x in enumerate(residual) if x > tol]
     if active:
         top = np.maximum.reduceat(inv, starts).tolist()
         bottom = np.minimum.reduceat(inv, starts).tolist()
         lo, hi = [0.0] * rows, [0.0] * rows
         for r in active:
-            lo[r], hi[r] = sorted((ell[r] - f[r] / top[r], ell[r] - f[r] / bottom[r]))
+            a, b = ell[r] - f[r] / top[r], ell[r] - f[r] / bottom[r]
+            lo[r], hi[r] = (a, b) if a <= b else (b, a)
         step_old, step = [math.inf] * rows, [math.inf] * rows
     for it in range(1, cfg.max_iters + 1):
         if not active:
             break
         for r in active:
-            newton = ell[r] - f[r] / df[r]
-            if lo[r] <= newton <= hi[r] and abs(2.0 * f[r]) <= abs(step_old[r] * df[r]):
+            fr, dfr, was = f[r], df[r], ell[r]
+            newton = was - fr / dfr
+            if lo[r] <= newton <= hi[r] and abs(2.0 * fr) <= abs(step_old[r] * dfr):
                 new = newton
             else:  # out of the bracket, or not half the step before last
                 new = 0.5 * (lo[r] + hi[r])
-            step_old[r], step[r], ell[r] = step[r], new - ell[r], new
+            step_old[r], step[r], ell[r] = step[r], new - was, new
         f, df, m, sums, terms = log_total(inv, base, weights, starts, spans, ell)
         going = []
         for r in active:
             residual[r], iters[r] = _defect(f[r]), it
-            if residual[r] <= cfg.residual_tol or abs(step[r]) <= cfg.lambda_tol:
+            if residual[r] <= tol or abs(step[r]) <= step_tol:
                 continue
             if f[r] < 0.0:
                 lo[r] = ell[r]
