@@ -180,6 +180,7 @@ def solve_multiplier(
     if cfg is None:
         cfg = BisectionConfig()
     tol, step_tol = cfg.residual_tol, cfg.lambda_tol
+    starts = np.asarray(starts)  # converted once, not at every reduceat
     rows = len(starts)
     ell = [0.0] * rows
     f, df, m, sums, terms = log_total(inv, base, weights, starts, spans, ell)
