@@ -136,9 +136,9 @@ class _WeightedCore:
     joined over the rows, and their products with inv and with 1/p: the
     multiplier kernel steps all rows in lockstep on (h, h inv), and one more
     joined pass over the last terms gives each row its modulus and both error
-    estimates.  ``solve`` reports a row that
-    fails by its message and leaves the others as they are; a single solve is
-    the pass of one row, whose failure ``solution`` raises.
+    estimates.  ``solve`` reports a row that fails by its message and leaves
+    the others as they are; a single solve is the pass of one row, whose
+    failure ``solution`` raises.
     ``density(l, x)`` gives the density at lam = e^l in the problem's variable.
     """
 
