@@ -38,7 +38,6 @@ from .rootfind import (
     exp_or_inf,
     log_total,
     positive_normal,
-    raise_failure,
     solve_multiplier,
 )
 
@@ -134,17 +133,18 @@ class _WeightedCore:
     several grids, one row each, checked once: a bad node in any grid raises for
     all of them.  Per node it also keeps the Simpson weights at steps h and 2h,
     joined over the rows, and their products with inv and with 1/p: the
-    multiplier kernel steps all rows in lockstep on (h, h inv), and one more
-    joined pass over the last terms gives each row its modulus and both error
-    estimates.  ``solve`` reports a row that fails by its message and leaves
-    the others as they are; a single solve is the pass of one row, whose
-    failure ``solution`` raises.
+    multiplier kernel steps all rows in lockstep on (h, h inv), and then one
+    ``dot`` of a row's five weight rows with its last terms gives it both
+    integrals at both steps, so its modulus and error estimate.  ``solve``
+    reports a row that fails by its exception class and message and leaves the
+    others as they are; a single solve is the pass of one row, whose failure
+    ``solution`` raises.
     ``density(l, x)`` gives the density at lam = e^l in the problem's variable.
     """
 
-    def __init__(self, starts: np.ndarray, spans: list, inv: np.ndarray, base: np.ndarray,
-                 weights: np.ndarray, density: Callable) -> None:
-        self.starts, self.spans = starts, spans
+    def __init__(self, starts: np.ndarray, sizes: list, spans: list, inv: np.ndarray,
+                 base: np.ndarray, weights: np.ndarray, density: Callable) -> None:
+        self.starts, self.sizes, self.spans = starts, sizes, spans
         self.inv, self.base, self.weights = inv, base, weights
         self.density = density
 
@@ -170,13 +170,13 @@ class _WeightedCore:
         weights[3:] /= p
         spans = [(float(u[-1] - u[0]), 3.0 * (n - 1)) for u, n in zip(grids, sizes)]
         starts = np.array([0, *itertools.accumulate(sizes[:-1])])
-        return cls(starts, spans, inv, base, weights, density)
+        return cls(starts, sizes, spans, inv, base, weights, density)
 
     def normalization(self, lam: float) -> float:
         """The normalization integral of a one-row pass at multiplier lam."""
         if not (lam > 0 and math.isfinite(lam)):
             raise ValueError(f"lam must be positive and finite, got {lam}")
-        f = log_total(self.inv, self.base, self.weights[:2], self.starts, self.spans,
+        f = log_total(self.inv, self.base, self.weights[:2], self.starts, None, self.spans,
                       [math.log(lam)])[0][0]
         value = exp_or_inf(f)
         if value == math.inf:
@@ -184,29 +184,27 @@ class _WeightedCore:
         return value
 
     def solve(self, bis: BisectionConfig | None) -> list:
-        """Per row, its solution or its failure as the message "{Type}: {msg}"."""
+        """Per row, its solution or its failure as the pair (exception class, message)."""
         sol = solve_multiplier(self.inv, self.base, self.weights[:2], self.starts, self.spans,
                                bis)
-        # The normalization and the modulus integrals, each at steps h and 2h, from the
-        # last evaluation's terms: one more joined pass, not one per step.
-        n_h = sol.sums[0]
-        n_2h, e_h, e_2h = np.add.reduceat(self.weights[2:] * sol.terms, self.starts,
-                                          axis=1).tolist()
         out = []
-        for r, (width, div) in enumerate(self.spans):
+        for r, (a, n, (width, div)) in enumerate(zip(self.starts.tolist(), self.sizes,
+                                                     self.spans)):
             if sol.error[r] is not None:
                 out.append(sol.error[r])
                 continue
+            # The normalization and the modulus integrals, each at steps h and 2h, from
+            # the row's last terms.
+            n_h, _, n_2h, e_h, e_2h = self.weights[:, a:a + n].dot(sol.terms[a:a + n]).tolist()
             ell = sol.log_lam[r]
             try:
                 lam = positive_normal("multiplier", exp_or_inf(ell))
                 modulus = positive_normal("modulus", lam * exp_or_inf(sol.scale[r])
-                                          * (width * e_h[r] / div))
+                                          * (width * e_h / div))
             except BracketFailure as exc:
-                out.append(f"BracketFailure: {exc}")
+                out.append((BracketFailure, str(exc)))
                 continue
-            error = max(abs(n_h[r] - n_2h[r]) / (15.0 * n_h[r]),
-                        abs(e_h[r] - e_2h[r]) / (15.0 * e_h[r]))
+            error = max(abs(n_h - n_2h) / (15.0 * n_h), abs(e_h - e_2h) / (15.0 * e_h))
             # On scalars or arrays; holds none of the node arrays.
             rho = partial(_pointwise, partial(self.density, ell))
             out.append(ExtremalSolution(lam, modulus, rho, sol.residual[r], sol.iters[r], error,
@@ -216,8 +214,9 @@ class _WeightedCore:
     def solution(self, bis: BisectionConfig | None) -> ExtremalSolution:
         """The solution of a one-row pass; its failure is raised as the error it names."""
         (sol,) = self.solve(bis)
-        if isinstance(sol, str):
-            raise_failure(sol)
+        if isinstance(sol, tuple):
+            kind, message = sol
+            raise kind(message)
         return sol
 
 
@@ -358,7 +357,8 @@ def modulus_sweep(
                                       [r2 for r2, _ in part]).solve(bis)
         if results is None:
             results = [_sweep_row_alone(prob, r2, quad, bis) for r2, _ in part]
-        rows.extend(SweepRow(r2, None, None, error=sol) if isinstance(sol, str) else
+        rows.extend(SweepRow(r2, None, None, error=f"{sol[0].__name__}: {sol[1]}")
+                    if isinstance(sol, tuple) else
                     SweepRow(r2, sol.lam, sol.modulus, sol.residual, sol.quadrature_error)
                     for (r2, _), sol in zip(part, results))
     return rows
@@ -367,11 +367,11 @@ def modulus_sweep(
 def _sweep_row_alone(prob: AnnulusProblem, r2: float, quad: QuadratureConfig | None,
                      bis: BisectionConfig | None):
     """The row out to r2 as ``solve_annulus`` solves it: its solution, or its failure as
-    the message "{Type}: {msg}"."""
+    the pair (exception class, message)."""
     try:
         return _ring_core(AnnulusProblem(prob.n, prob.r1, r2, prob.p), quad).solve(bis)[0]
     except Exception as exc:  # per-row report, the sweep keeps going
-        return f"{type(exc).__name__}: {exc}"
+        return type(exc), str(exc)
 
 
 def _sweep_passes(prob: AnnulusProblem, r2_values: Sequence[float],

@@ -24,7 +24,7 @@ import numpy as np
 from .annulus import AnnulusProblem, unit_sphere_area
 from .cylinder import CylinderProblem
 from .exponent import _MIN_EXPONENT_MARGIN
-from .rootfind import BisectionConfig, raise_failure, solve_multiplier
+from .rootfind import BisectionConfig, solve_multiplier
 
 __all__ = [
     "NonConvergence",
@@ -155,7 +155,8 @@ def discrete_minimize(weights, exponents, cell_width: float) -> GridDensity:
     sol = solve_multiplier(inv, base, np.array((np.ones(w.size), inv)), [0], [(cell_width, 1.0)],
                            _TIGHT)
     if sol.error[0] is not None:
-        raise_failure(sol.error[0])
+        kind, message = sol.error[0]
+        raise kind(message)
     terms = sol.terms
     v = terms / (terms.sum() * cell_width)  # absorb the leftover residual
     return GridDensity(v, cell_width)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -116,15 +117,15 @@ def simpson_rows(*ns: int) -> np.ndarray:
     """Integer Simpson rows on n + 1 nodes, n a multiple of 4: [1, 4, 2, ..., 4, 1] and
     [2, 0, 8, 0, 4, ..., 8, 0, 2] at step 2h; (b - a) * (row . values) / (3 n) is the rule.
     Several counts give the rows of their grids joined end to end, in order."""
-    sizes = [n + 1 for n in ns]
-    rows = np.zeros((2, max(sizes)))
+    rows = np.zeros((2, max(ns) + 1))
     rows[0, 1::2], rows[0, 2::2], rows[1, ::4], rows[1, 2::4] = 4.0, 2.0, 4.0, 8.0
     rows[:, 0] = rows[:, -1] = 1.0, 2.0
-    if len(sizes) == 1:
+    if len(ns) == 1:
         return rows
-    ends = np.cumsum(sizes)  # each node takes the weights of its index in its own grid
-    rows = rows.take(np.arange(ends[-1]) - np.repeat(ends - sizes, sizes), axis=1)
-    rows[:, ends - 1] = ((1.0,), (2.0,))
+    # Each grid takes the weights of its own indices, then its own end weights.
+    rows = np.concatenate([rows[:, :n + 1] for n in ns], axis=1)
+    last = list(itertools.accumulate(ns, lambda end, n: end + n + 1, initial=-1))[1:]
+    rows[0, last], rows[1, last] = 1.0, 2.0
     return rows
 
 

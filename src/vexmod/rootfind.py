@@ -13,13 +13,15 @@ The sums run in log-sum-exp form, so no term overflows for any exponent,
 dimension or radius the problems accept.
 
 The kernel solves a pass of rows at once, one multiplier per row: the rows'
-nodes are joined end to end, each step evaluates all of them in one pass
-(``np.maximum.reduceat`` for each row's scale, ``np.add.reduceat`` for its
-N and N'), and each row keeps its own bracket and step history in Python.
-A row sums only its own nodes, in the same order whatever its neighbours,
-so it gets the same numbers alone as in any pass; a single solve is the
-pass of one row.  A row that fails records its message, not an exception,
-and its neighbours go on.
+nodes are joined end to end, and each step computes the terms of all of them
+in one pass (``np.maximum.reduceat`` for each row's scale), then N and N' of
+each row that is still stepping by one ``dot`` of its weights with its own
+terms; each row keeps its own bracket and step history in Python.  A row
+sums only its own nodes, in the same order whatever its neighbours, so it
+gets the same numbers alone as in any pass; a single solve is the pass of
+one row, and its ``dot`` costs less than the ``einsum`` or ``reduceat`` sums
+would.  A row that fails records its exception class and message, not an
+exception, and its neighbours go on.
 
 ``solve_increasing`` is the bracketed bisection that the multiplier solve
 used before; nothing in the package calls it any more.
@@ -43,7 +45,6 @@ __all__ = [
     "exp_or_inf",
     "log_total",
     "positive_normal",
-    "raise_failure",
     "solve_increasing",
     "solve_multiplier",
 ]
@@ -108,52 +109,76 @@ class MultiplierSolve(NamedTuple):
     """The rows of a pass at their accepted log-multipliers.
 
     Per row, lists: log_lam, |N - 1| there, the steps after the first evaluation,
-    the scale m and the failure, None or the message "{Type}: {msg}" of a row whose
-    other fields then hold its last step.  At the accepted multipliers, terms are the
-    joined terms exp(l * inv + base - m) and sums[k][r] is the sum of weights[k] * terms
-    over row r."""
+    the scale m and the failure, None or the pair (exception class, message) of a row
+    whose other fields then hold its last step; a class holds no traceback, so a kept
+    failure pins none of the pass's arrays.  terms are the joined terms
+    exp(l * inv + base - m) at the accepted multipliers."""
 
     log_lam: list
     residual: list
     iters: list
     scale: list
     error: list
-    sums: list
     terms: np.ndarray
 
 
-def log_total(inv: np.ndarray, base: np.ndarray, weights: np.ndarray, starts, spans: list,
-              ell: list):
+def log_total(inv: np.ndarray, base: np.ndarray, weights: np.ndarray, starts, sizes,
+              spans: list, ell: list):
     """The rows of a pass at log-multipliers ell, one per row.
 
-    Row r holds the joined nodes from starts[r] up to the next start and has
+    Row r holds sizes[r] joined nodes from starts[r] (both integer arrays) and has
     N_r = width_r * (c . exp(ell_r * inv + base)) / div_r over them, where weights
-    starts with the rows c and c * inv, and spans[r] = (width_r, div_r).  Returns, as
-    lists over the rows, log N_r, its derivative in ell_r and the scale m_r; the sums
-    of weights * terms over each row, one list per row of weights; and the joined terms
-    exp(ell_r * inv + base - m_r), the largest of each row 1.  One row broadcasts its
+    is the rows (c, c * inv) and spans[r] = (width_r, div_r).  Returns, as lists over
+    the rows, log N_r, its derivative in ell_r and the scale m_r, and the joined terms
+    exp(ell_r * inv + base - m_r), the largest of each row 1.  A pass of one row reads
+    no sizes."""
+    starts = np.asarray(starts)
+    terms = np.empty_like(inv)
+    parts = _row_parts(weights, starts, sizes, spans, terms)
+    m = _scaled_terms(inv, base, starts, sizes, ell, terms)
+    f, df = [0.0] * len(parts), [0.0] * len(parts)
+    _row_sums(parts, m, range(len(parts)), f, df)
+    return f, df, m, terms
+
+
+def _row_parts(weights: np.ndarray, starts: np.ndarray, sizes, spans: list,
+               terms: np.ndarray) -> list:
+    """Per row of a pass: its weight rows and its part of the joined terms, as views,
+    and its span (width, div)."""
+    if len(spans) == 1:
+        return [(weights, terms, *spans[0])]
+    return [(weights[:, a:a + n], terms[a:a + n], width, div)
+            for a, n, (width, div) in zip(starts.tolist(), sizes.tolist(), spans)]
+
+
+def _scaled_terms(inv, base, starts, sizes, ell: list, terms: np.ndarray) -> list:
+    """Write exp(ell_r * inv + base - m_r) over the joined nodes into terms, in one pass,
+    and return the scales m_r, each row's largest exponent.  One row broadcasts its
     multiplier and scale where several repeat them per node."""
-    if len(starts) == 1:
-        terms = inv * ell[0]
+    if len(ell) == 1:
+        np.multiply(inv, ell[0], out=terms)
         terms += base
-        m = np.maximum.reduceat(terms, starts)
+        m = np.maximum.reduceat(terms, starts).tolist()
         terms -= m[0]
     else:
-        sizes = np.empty_like(starts)
-        np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
-        sizes[-1] = inv.size - starts[-1]
-        terms = inv * np.array(ell).repeat(sizes)
+        np.multiply(inv, np.array(ell).repeat(sizes), out=terms)
         terms += base
         m = np.maximum.reduceat(terms, starts)
         terms -= m.repeat(sizes)
+        m = m.tolist()
     np.exp(terms, out=terms)
-    m = m.tolist()
-    sums = np.add.reduceat(weights * terms, starts, axis=1).tolist()
-    f, df = [], []
-    for mr, sr, dsr, (width, div) in zip(m, sums[0], sums[1], spans):
-        f.append(mr + math.log(width * sr / div))
-        df.append(dsr / sr)
-    return f, df, m, sums, terms
+    return m
+
+
+def _row_sums(parts: list, m: list, which, f: list, df: list) -> None:
+    """For each row r in which, log N_r into f[r] and its slope into df[r], from one
+    ``dot`` of the row's weights with its own terms: a row gets the same numbers alone
+    as in any pass."""
+    for r in which:
+        w, t, width, div = parts[r]
+        s, ds = w.dot(t).tolist()
+        f[r] = m[r] + math.log(width * s / div)
+        df[r] = ds / s
 
 
 def _defect(f: float) -> float:
@@ -173,17 +198,22 @@ def solve_multiplier(
     inv > 0 and positive c, starting at l = 0; an evaluation inside the residual
     tolerance is accepted on the spot.
 
-    The rows step in lockstep, one joined evaluation per step; an accepted row is
-    evaluated again at its accepted l, unchanged, so the last evaluation holds the
-    terms and sums of every row.  A row that spends max_iters steps records
-    MaxItersExceeded as its failure; every row gets the numbers it would get alone."""
+    The rows step in lockstep, one joined evaluation per step; an accepted row's
+    terms are evaluated again at its accepted l, unchanged, so the last evaluation
+    holds the terms of every row, but its sums are not taken again.  A row that
+    spends max_iters steps records MaxItersExceeded as its failure; every row gets
+    the numbers it would get alone."""
     if cfg is None:
         cfg = BisectionConfig()
     tol, step_tol = cfg.residual_tol, cfg.lambda_tol
-    starts = np.asarray(starts)  # converted once, not at every reduceat
+    starts = np.asarray(starts)
     rows = len(starts)
-    ell = [0.0] * rows
-    f, df, m, sums, terms = log_total(inv, base, weights, starts, spans, ell)
+    sizes = None if rows == 1 else np.append(starts[1:], inv.size) - starts
+    terms = np.empty_like(inv)  # every evaluation writes its terms here
+    parts = _row_parts(weights, starts, sizes, spans, terms)
+    ell, f, df = [0.0] * rows, [0.0] * rows, [0.0] * rows
+    m = _scaled_terms(inv, base, starts, sizes, ell, terms)
+    _row_sums(parts, m, range(rows), f, df)
     residual = list(map(_defect, f))
     iters = [0] * rows
     active = [r for r, x in enumerate(residual) if x > tol]
@@ -206,7 +236,8 @@ def solve_multiplier(
             else:  # out of the bracket, or not half the step before last
                 new = 0.5 * (lo[r] + hi[r])
             step_old[r], step[r], ell[r] = step[r], new - was, new
-        f, df, m, sums, terms = log_total(inv, base, weights, starts, spans, ell)
+        m = _scaled_terms(inv, base, starts, sizes, ell, terms)
+        _row_sums(parts, m, active, f, df)  # an accepted row keeps its numbers
         going = []
         for r in active:
             residual[r], iters[r] = _defect(f[r]), it
@@ -220,16 +251,9 @@ def solve_multiplier(
         active = going
     error = [None] * rows
     for r in active:
-        error[r] = (f"MaxItersExceeded: no convergence in {cfg.max_iters} iterations,"
+        error[r] = (MaxItersExceeded, f"no convergence in {cfg.max_iters} iterations,"
                     f" log multiplier in [{lo[r]}, {hi[r]}]")
-    return MultiplierSolve(ell, residual, iters, m, error, sums, terms)
-
-
-def raise_failure(message: str):
-    """Raise the failure a solve records as "{Type}: {msg}", BracketFailure or
-    MaxItersExceeded; the one-row case of a pass raises where a sweep reports."""
-    kind, text = message.split(": ", 1)
-    raise (BracketFailure if kind == "BracketFailure" else MaxItersExceeded)(text)
+    return MultiplierSolve(ell, residual, iters, m, error, terms)
 
 
 class BisectionResult(NamedTuple):
