@@ -468,8 +468,8 @@ def test_sweep_rows_out_of_iterations_fail_alone():
 
 
 def test_sweep_failures_leave_no_reference_cycles():
-    # A failure is kept as its message, so no exception, traceback or frame holds the
-    # pass's node arrays in a cycle that only the garbage collector frees.
+    # A failure is kept as its class and message, so no exception, traceback or frame
+    # holds the pass's node arrays in a cycle that only the garbage collector frees.
     p = parse_exponent("1+r", "r", (1.0, 1024.0))
     template = AnnulusProblem(2, 1.0, 1024.0, p)
     gc.collect()

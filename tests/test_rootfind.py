@@ -108,7 +108,8 @@ def test_log_total_gives_each_row_of_a_pass_its_numbers_alone():
     sizes, spans, ell = [5, 1, 9], [UNIT, (2.0, 6.0), (0.5, 3.0)], [0.3, -40.0, 2.0]
     inv, base, coef = rng.uniform(0.1, 20.0, 15), rng.uniform(-30.0, 5.0, 15), rng.uniform(1, 4, 15)
     starts = np.array([0, 5, 6])
-    joined = log_total(inv, base, _weights(inv, coef), starts, np.array(sizes), spans, ell)
+    joined = log_total(inv, base, _weights(inv, coef), starts, np.array(sizes), spans,
+                       ell)
     for r, (a, n) in enumerate(zip(starts, sizes)):
         row = slice(a, a + n)
         alone = log_total(inv[row], base[row], _weights(inv[row], coef[row]), [0], None,
