@@ -27,7 +27,6 @@ from .exponent import ExponentFunction
 from .quadrature import (
     NonFiniteIntegrand,
     QuadratureConfig,
-    _pointwise,
     simpson_nodes,
     simpson_rows,
     simpson_sum,
@@ -113,6 +112,7 @@ class ExtremalSolution:
     quadrature_step: float
 
 
+@np.errstate(all="ignore")
 def _density_at(peval: Callable, log_c: float, k: int, ell: float, x) -> np.ndarray:
     """(lam / (p c x^k))^(1/(p-1)) at x for lam = e^ell, in logs: no power overflows."""
     p = peval(x)
@@ -206,7 +206,7 @@ class _WeightedCore:
                 continue
             error = max(abs(n_h - n_2h) / (15.0 * n_h), abs(e_h - e_2h) / (15.0 * e_h))
             # On scalars or arrays; holds none of the node arrays.
-            rho = partial(_pointwise, partial(self.density, ell))
+            rho = partial(self.density, ell)
             out.append(ExtremalSolution(lam, modulus, rho, sol.residual[r], sol.iters[r], error,
                                         width / (div / 3.0)))  # the step, for div = 3n
         return out
@@ -242,7 +242,7 @@ def _ring_nodes(r1: float, p: ExponentFunction, grids: list, tops: list):
         r[stop] = r1
         stop += u.size
         r[stop - 1] = r2
-    return log_r, p.at_nodes(r)
+    return log_r, p.eval(r)
 
 
 def _ring_cores(prob: AnnulusProblem, grids: list, tops: list) -> _WeightedCore:

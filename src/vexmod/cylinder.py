@@ -51,7 +51,7 @@ class CylinderProblem:
 
 def _axial_nodes(prob: CylinderProblem, quad: QuadratureConfig | None):
     t = simpson_nodes(0.0, prob.length, quad)
-    return t, prob.p.at_nodes(t)
+    return t, prob.p.eval(t)
 
 
 def _axial_core(prob: CylinderProblem, quad: QuadratureConfig | None) -> _WeightedCore:

@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Union
 
 import numpy as np
 
-from .quadrature import _grid, _on_array, _per_point, _pointwise
+from .quadrature import _grid
 
 __all__ = [
     "ParseError",
@@ -249,6 +248,22 @@ def _compile(node: Node) -> Callable:
     raise TypeError(f"unknown node {node!r}")
 
 
+def _evaluator(node: Node) -> Callable:
+    """The expression as p(x) for a float or an ndarray x, with numpy errors ignored:
+    floats of x's shape, a constant broadcast to it, and a float for a scalar x."""
+    f = _compile(node)
+
+    def evaluate(x):
+        xs = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            y = f(xs)
+        if xs.ndim == 0:
+            return float(y)
+        return y if y.shape == xs.shape else np.full(xs.shape, y)
+
+    return evaluate
+
+
 def unparse(node: Node) -> str:
     """Text form that reparses to the identical tree (fully parenthesized)."""
     match node:
@@ -280,9 +295,11 @@ def parse_expression(text: str, variable: str) -> Node:
 class ExponentFunction:
     """An exponent p(.) on [a, b] together with its inf/sup bounds.
 
-    ``eval`` accepts a float or an ndarray.  Instances are immutable and are
-    safe to share; the bounds come from dense sampling refined around the
-    sampled extremes, so they carry a small sampling slack.
+    ``eval`` takes a float or an ndarray and gives p there as floats of the same
+    shape, a float for a float: the solvers and oracles call it once on their
+    array of nodes.  Instances are immutable and are safe to share; the bounds
+    come from dense sampling refined around the sampled extremes, so they carry
+    a small sampling slack.
     """
 
     eval: Callable
@@ -290,23 +307,6 @@ class ExponentFunction:
     p_plus: float
     source: str
     interval: tuple[float, float]
-
-    @classmethod
-    def from_callable(
-        cls, fn: Callable, interval: tuple[float, float], source: str = "callable"
-    ) -> "ExponentFunction":
-        """The exponent fn on interval.  fn is first called on the array of the bound
-        samples; if it raises there, it is called once per point from then on."""
-        a, b = _valid_interval(interval)
-        ys = _on_array(fn, _samples(a, b))
-        evaluate = partial(_per_point if ys is None else _pointwise, fn)
-        return _bounded(evaluate, (a, b), source, ys)
-
-    def at_nodes(self, x: np.ndarray) -> np.ndarray:
-        """p at every point of the array x, as floats of x's shape: an ``eval`` that
-        gives one value for all points is broadcast to them."""
-        p = np.asarray(self.eval(x), dtype=float)
-        return p if p.shape == x.shape else np.broadcast_to(p, x.shape).copy()
 
     def restricted(self, a: float, b: float) -> "ExponentFunction":
         """The same map on a subinterval, with bounds recomputed there."""
@@ -323,13 +323,10 @@ def _valid_interval(interval: tuple[float, float]) -> tuple[float, float]:
     return a, b
 
 
-def _bounded(
-    evaluate: Callable, interval: tuple[float, float], source: str, ys: np.ndarray | None = None
-) -> ExponentFunction:
-    """The exponent ``evaluate`` on a valid interval, with its sampled bounds checked;
-    ys, if given, is evaluate at the ``_samples`` of the interval."""
+def _bounded(evaluate: Callable, interval: tuple[float, float], source: str) -> ExponentFunction:
+    """The exponent ``evaluate`` on a valid interval, with its sampled bounds checked."""
     a, b = _valid_interval(interval)
-    p_minus, p_plus = _sampled_bounds(evaluate, a, b, ys)
+    p_minus, p_plus = _sampled_bounds(evaluate, a, b)
     if not (math.isfinite(p_minus) and math.isfinite(p_plus)):
         raise ExponentRangeError(f"exponent bounds are not finite: ({p_minus}, {p_plus})")
     if p_minus <= 1.0 + _MIN_EXPONENT_MARGIN:
@@ -362,11 +359,9 @@ def _samples(a: float, b: float) -> np.ndarray:
     return _grid(a, b, _SAMPLE_NODES + 1)
 
 
-def _sampled_bounds(
-    evaluate: Callable, a: float, b: float, ys: np.ndarray | None = None
-) -> tuple[float, float]:
+def _sampled_bounds(evaluate: Callable, a: float, b: float) -> tuple[float, float]:
     xs = _samples(a, b)
-    ys = evaluate(xs) if ys is None else ys
+    ys = evaluate(xs)
     lo, hi = int(np.argmin(ys)), int(np.argmax(ys))  # each the first NaN if there is one
     if not (math.isfinite(ys[lo]) and math.isfinite(ys[hi])):
         bad = float(xs[~np.isfinite(ys)][0])
@@ -382,5 +377,5 @@ def parse_exponent(text: str, variable: str, interval: tuple[float, float]) -> E
     inferred inf does not exceed 1.
     """
     _valid_interval(interval)  # before the text: a bad interval is reported first
-    return _bounded(partial(_pointwise, _compile(parse_expression(text, variable))), interval, text)
+    return _bounded(_evaluator(parse_expression(text, variable)), interval, text)
 

@@ -181,7 +181,8 @@ def dual_lower_bound(weights, exponents, cell_width: float, mu: float) -> float:
 
 def _check_count(name: str, value) -> None:
     if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        shown = value.item() if isinstance(value, np.generic) else value  # 0, not np.int64(0)
+        raise ValueError(f"{name} must be an integer of at least 1, got {shown!r}")
 
 
 def _project_unit_simplex(y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -287,7 +288,7 @@ def annulus_grid(prob: AnnulusProblem, n_cells: int):
     delta = (prob.r2 - prob.r1) / n_cells
     r = prob.r1 + (np.arange(n_cells) + 0.5) * delta
     w = unit_sphere_area(prob.n) * r ** (prob.n - 1)
-    return w, prob.p.at_nodes(r), delta
+    return w, prob.p.eval(r), delta
 
 
 def cylinder_grid(prob: CylinderProblem, n_cells: int):
@@ -296,7 +297,7 @@ def cylinder_grid(prob: CylinderProblem, n_cells: int):
     delta = prob.length / n_cells
     t = (np.arange(n_cells) + 0.5) * delta
     w = np.full(n_cells, float(prob.area))
-    return w, prob.p.at_nodes(t), delta
+    return w, prob.p.eval(t), delta
 
 
 def _average_check(rho2d: GridDensity2D, p, weight: np.ndarray, label: str) -> AveragingReport:
@@ -313,7 +314,7 @@ def _average_check(rho2d: GridDensity2D, p, weight: np.ndarray, label: str) -> A
 
     d, dx = rho2d.cell_width, rho2d.transverse_width
     m = rho2d.values.shape[1]
-    p = p.at_nodes(rho2d.axial_centers)
+    p = p.eval(rho2d.axial_centers)
     energy_before = float((rho2d.values ** p[:, None] * weight[:, None]).sum() * d * dx)
     avg = rho2d.values.mean(axis=1)
     energy_after = float((avg**p * weight).sum() * d * (m * dx))

@@ -47,53 +47,28 @@ def subinterval_count(a: float, b: float, cfg: QuadratureConfig | None = None) -
     """Smallest multiple of 4 subintervals whose uniform step is at most the hint.
 
     A multiple of 4 lets the same nodes carry the rule at step 2h as well,
-    which gives the error estimate |S_h - S_2h| / 15.
+    which gives the error estimate |S_h - S_2h| / 15.  A count past
+    ``cfg.max_subintervals`` raises IntervalTooFine, and so does one too large
+    for a float, which is not rounded.
     """
     if cfg is None:
         cfg = QuadratureConfig()
     if not 0.0 <= b - a < math.inf:
         raise ValueError(f"interval must satisfy a <= b with finite length, got a={a} b={b}")
+    quarters = (b - a) / (4.0 * cfg.step_hint)
+    if quarters > cfg.max_subintervals:  # the count is past the cap fourfold, maybe inf
+        raise IntervalTooFine(
+            f"[{a}, {b}] at step {cfg.step_hint} needs more than "
+            f"{4 * cfg.max_subintervals} subintervals, the cap is {cfg.max_subintervals}"
+        )
     # Round up, so the step only ever shrinks.
-    n = max(4, 4 * math.ceil((b - a) / (4.0 * cfg.step_hint)))
+    n = max(4, 4 * math.ceil(quarters))
     if n > cfg.max_subintervals:
         raise IntervalTooFine(
             f"[{a}, {b}] at step {cfg.step_hint} needs {n} subintervals, "
             f"the cap is {cfg.max_subintervals}"
         )
     return n
-
-
-def _pointwise(f: Callable, x):
-    """f at every point of x, a float or an ndarray, with numpy errors ignored.
-
-    A callable that accepts an array is called once on the whole of it, as by
-    ``_on_array``; one that raises on an array is called once per point, as by
-    ``_per_point``.  A scalar x gives a float.
-    """
-    xs = np.asarray(x, dtype=float)
-    out = _on_array(f, xs) if xs.ndim else None
-    return _per_point(f, xs) if out is None else out
-
-
-def _on_array(f: Callable, xs: np.ndarray):
-    """f called once on the whole array xs, a constant result broadcast to its shape,
-    with numpy errors ignored; None if the call raises."""
-    with np.errstate(all="ignore"):
-        try:
-            out = np.asarray(f(xs), dtype=float)
-            return out if out.shape == xs.shape else np.broadcast_to(out, xs.shape).copy()
-        except Exception:
-            return None
-
-
-def _per_point(f: Callable, x):
-    """f called once per point of x, a float or an ndarray, each point a numpy float64
-    scalar, with numpy errors ignored; a scalar x gives a float."""
-    xs = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        if xs.ndim == 0:
-            return float(f(xs[()]))
-        return np.array([float(f(v)) for v in xs.flat]).reshape(xs.shape)
 
 
 def _grid(a: float, b: float, n: int) -> np.ndarray:
@@ -148,7 +123,8 @@ def simpson_sum(nodes: np.ndarray, values: np.ndarray) -> float:
         return result
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise NonFiniteIntegrand(f"integrand is {values[bad[0]]} at node x={nodes[bad[0]]!r}")
+        raise NonFiniteIntegrand(
+            f"integrand is {float(values[bad[0]])} at node x={float(nodes[bad[0]])!r}")
     # Finite values whose unweighted total overflowed: weigh each by h / 3 before summing.
     with np.errstate(over="ignore"):
         s = values * ((nodes[-1] - nodes[0]) / (3.0 * n))
@@ -170,8 +146,16 @@ def integrate(
 
     The node count is chosen by ``subinterval_count``; the rule is
     exact for polynomials up to degree three, apart from rounding.  The
-    integrand is evaluated at every node, in one call if it accepts arrays,
-    and must be finite everywhere on the closed interval.
+    integrand is evaluated at every node, in one call if it accepts arrays and
+    else once per node, with numpy errors ignored, and must be finite everywhere
+    on the closed interval.
     """
     nodes = simpson_nodes(a, b, cfg)
-    return simpson_sum(nodes, _pointwise(f, nodes))
+    with np.errstate(all="ignore"):
+        try:  # one call on the whole array, a constant result broadcast to it
+            values = np.asarray(f(nodes), dtype=float)
+            if values.shape != nodes.shape:
+                values = np.full(nodes.shape, values)
+        except Exception:  # an integrand that rejects arrays: one call per node
+            values = np.array([float(f(x)) for x in nodes])
+    return simpson_sum(nodes, values)

@@ -5,6 +5,7 @@ precision (bisection on the exact normalization integral, then exact
 quadrature of the extremal energy); they are frozen here as constants.
 """
 
+import dataclasses
 import gc
 import math
 
@@ -18,6 +19,7 @@ from vexmod import (
     BracketFailure,
     CylinderProblem,
     ExponentFunction,
+    IntervalTooFine,
     NonFiniteIntegrand,
     QuadratureConfig,
     constant_density_upper_bound,
@@ -552,26 +554,74 @@ def test_failing_pass_is_solved_row_by_row_and_leaves_its_neighbours(monkeypatch
     assert rows[3].error.startswith("NonFiniteIntegrand: the exponent is nan at quadrature node ")
 
 
-def test_ring_exponent_eval_may_give_one_value_for_all_nodes():
-    # Every path that evaluates p at nodes, on the ring and on the cylinder.
-    one_value = ExponentFunction(lambda x: 2.5, 2.5, 2.5, "2.5", (0.0, 8.0))
-    parsed = parse_exponent("2.5", "r", (0.0, 8.0))
-    ring = [solve_annulus(AnnulusProblem(2, 1.0, 2.0, p)).modulus for p in (one_value, parsed)]
-    assert ring[0] == ring[1]
-    _assert_sweep_is_single_solves(AnnulusProblem(3, 1.0, 8.0, one_value), [2.0, 8.0, 4.0])
+def _every_evaluation_path(p):
+    """What every path that evaluates p at nodes gives, on the ring and on the cylinder,
+    each float as it is."""
+    ring, cyl = AnnulusProblem(2, 1.0, 2.0, p), CylinderProblem(1.5, 2.0, p)
+    solutions = [(solve_annulus(ring), np.linspace(1.0, 2.0, 7)),
+                 (solve_cylinder(cyl), np.linspace(0.0, 2.0, 7))]
+    grids = [oracle.annulus_grid(ring, 40), oracle.cylinder_grid(cyl, 40)]
+    rng = np.random.default_rng(5)
+    centers = (np.arange(20) + 0.5) * 0.1
+    column = oracle.random_admissible_2d(centers, 0.1, 3, 0.5, rng)
+    ray = oracle.random_admissible_2d(1.0 + centers / 2.0, 0.05, 3, 2.0 * math.pi / 3, rng)
+    narrowed = p.restricted(1.0, 4.0)
+    return ([(s.lam, s.modulus, s.residual, s.solver_iters, s.quadrature_error,
+              s.quadrature_step, s.density(x).tolist()) for s, x in solutions]
+            + [list(map(repr, modulus_sweep(AnnulusProblem(3, 1.0, 8.0, p), [2.0, 8.0, 4.0]))),
+               (narrowed.p_minus, narrowed.p_plus, narrowed.interval),
+               cylinder_normalization_value(cyl, 2.0), constant_density_upper_bound(cyl),
+               oracle.fibre_average_check(column, cyl), oracle.spherical_average_check(ray, ring)]
+            + [oracle.discrete_minimize(*grid).values.tolist() for grid in grids]
+            + [grid[1].tolist() for grid in grids])
 
-    results = []
-    for p in (one_value, parsed):
-        ring, cyl = AnnulusProblem(2, 1.0, 2.0, p), CylinderProblem(1.5, 2.0, p)
-        grids = [oracle.annulus_grid(ring, 40), oracle.cylinder_grid(cyl, 40)]
-        rng = np.random.default_rng(5)
-        centers = (np.arange(20) + 0.5) * 0.1
-        column = oracle.random_admissible_2d(centers, 0.1, 3, 0.5, rng)
-        ray = oracle.random_admissible_2d(1.0 + centers / 2.0, 0.05, 3, 2.0 * math.pi / 3, rng)
-        results.append([solve_cylinder(cyl).modulus, cylinder_normalization_value(cyl, 2.0),
-                        constant_density_upper_bound(cyl), oracle.fibre_average_check(column, cyl),
-                        oracle.spherical_average_check(ray, ring)]
-                       + [oracle.discrete_minimize(*grid).values.tolist() for grid in grids]
-                       + [grid[1].tolist() for grid in grids])
-    assert results[0] == results[1]
-    assert results[0][-1] == [2.5] * 40
+
+def test_ring_exponent_eval_may_give_one_value_for_all_nodes():
+    # A constant expression, whose eval broadcasts one value, gives the bits of one read at
+    # each node.
+    constant = parse_exponent("2.5", "r", (0.0, 8.0))
+    results = _every_evaluation_path(constant)
+    assert results == _every_evaluation_path(parse_exponent("2.5+0*r", "r", (0.0, 8.0)))
+    assert results[-1] == [2.5] * 40
+    _assert_sweep_is_single_solves(AnnulusProblem(3, 1.0, 8.0, constant), [2.0, 8.0, 4.0])
+
+
+def test_a_swapped_eval_gives_the_bits_of_the_parsed_one():
+    # The bench tracer counts evaluations by swapping eval through dataclasses.replace.
+    parsed = parse_exponent("1.5+0.1*r", "r", (0.0, 8.0))
+    swapped = dataclasses.replace(parsed, eval=lambda x: parsed.eval(x))
+    assert _every_evaluation_path(swapped) == _every_evaluation_path(parsed)
+
+
+TOO_FINE = "needs more than 4000000 subintervals, the cap is 1000000"
+
+
+def test_a_step_count_beyond_any_float_is_interval_too_fine():
+    # (r2 - r1) / (4 h) is inf at h = 5e-324, and 1e300 at h = 1e-300: neither is rounded
+    # to a count, which raised OverflowError or printed a 301-digit integer.
+    p = parse_exponent("2+0.1*r", "r", (1.0, 8.0))
+    tiny = QuadratureConfig(5e-324)
+    message = f"[0.0, 0.6931471805599453] at step 5e-324 {TOO_FINE}"
+    with pytest.raises(IntervalTooFine) as info:
+        solve_annulus(AnnulusProblem(2, 1.0, 2.0, p), tiny)
+    assert str(info.value) == message
+    rows = _assert_sweep_is_single_solves(AnnulusProblem(2, 1.0, 8.0, p), [2.0, 8.0], tiny)
+    assert [row.error for row in rows] == [
+        f"IntervalTooFine: {message}",
+        f"IntervalTooFine: [0.0, 2.0794415416798357] at step 5e-324 {TOO_FINE}"]
+    with pytest.raises(IntervalTooFine) as info:
+        subinterval_count(0.0, 1.0, QuadratureConfig(1e-300))
+    assert str(info.value) == f"[0.0, 1.0] at step 1e-300 {TOO_FINE}"
+    # A count up to four times the cap is named exactly.
+    with pytest.raises(IntervalTooFine) as info:
+        subinterval_count(0.0, 1.0, QuadratureConfig(2.6e-7))
+    assert str(info.value) == (
+        "[0.0, 1.0] at step 2.6e-07 needs 3846156 subintervals, the cap is 1000000")
+
+
+def test_upper_bound_names_a_bad_node_by_a_plain_number():
+    nan_tail = ExponentFunction(lambda r: np.where(np.asarray(r) > 5.0, np.nan, 2.5),
+                                2.5, 2.5, "2.5, NaN beyond 5", (1.0, 20.0))
+    with pytest.raises(NonFiniteIntegrand) as info:
+        log_density_upper_bound(AnnulusProblem(3, 1.0, 20.0, nan_tail))
+    assert str(info.value) == "integrand is nan at node x=1.617695427719155"  # s = log(r)

@@ -356,6 +356,32 @@ def test_too_fine_a_step_is_a_solver_error():
     assert "solver error" in proc.stderr
 
 
+TOO_FINE = "needs more than 4000000 subintervals, the cap is 1000000"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("cylinder", "--p", "2", "--step-hint", "5e-324"),
+     ("annulus", "--p", "2", "--step-hint", "5e-324"),
+     ("tables", "--step-hint", "5e-324"),
+     ("cylinder", "--length", "1e308", "--p", "2")],
+)
+def test_a_step_count_beyond_any_float_is_a_solver_error(args):
+    # The count overflows a float; it used to end in an OverflowError traceback, exit 1.
+    proc = run_cli(*args, expect=3)
+    assert proc.stderr.startswith("solver error: [0.0, ")
+    assert proc.stderr.endswith(f" {TOO_FINE}\n")
+    assert proc.stdout == ""
+
+
+def test_sweep_rows_whose_step_count_overflows_read_interval_too_fine():
+    proc = run_cli("sweep", "--p", "2", "--values", "2,4", "--step-hint", "5e-324",
+                   "--format", "json")
+    assert [row["error"] for row in json.loads(proc.stdout)["rows"]] == [
+        f"IntervalTooFine: [0.0, 0.6931471805599453] at step 5e-324 {TOO_FINE}",
+        f"IntervalTooFine: [0.0, 1.3862943611198906] at step 5e-324 {TOO_FINE}"]
+
+
 def test_four_hundred_dimensions_exit_cleanly():
     # The sphere area's Gamma(200) overflowed before it was taken in logs.
     proc = subprocess.run([sys.executable, "-m", "vexmod", "annulus", "--n", "400", "--p", "2"],

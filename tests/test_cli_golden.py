@@ -4,6 +4,14 @@ Runs in-process.  Human and CSV text must match exactly except for numeric
 tokens, which may differ by a relative 1e-12; JSON must be equal after
 `json.loads`, with the same tolerance on numbers.  Regenerate the files with
 `PYTHONPATH=src python3 tests/test_cli_golden.py`.
+
+The small `residual` and `quadrature_error` digits follow the summation order
+of the BLAS dot product that sums each row, so the files hold for one dot
+kernel: they were written under numpy's bundled OpenBLAS with its Haswell,
+SkylakeX or Zen kernel, which agree.  Its Sandybridge and Prescott kernels sum
+in another order and move 9 of the files past the tolerance (the cylinder
+`quadrature_error` 1.0898768487e-09 reads 1.0898768394e-09); CI pins the
+kernel with `OPENBLAS_CORETYPE=Haswell`.
 """
 
 import contextlib

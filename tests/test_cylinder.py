@@ -11,6 +11,7 @@ import pytest
 from vexmod import (
     BisectionConfig,
     CylinderProblem,
+    IntervalTooFine,
     NonFiniteIntegrand,
     QuadratureConfig,
     constant_density_upper_bound,
@@ -195,3 +196,13 @@ def test_problem_validation():
         CylinderProblem(1.0, math.inf, p)
     with pytest.raises(ValueError):
         CylinderProblem(1.0, 2.0, p)  # exponent undefined past t = 1
+
+
+def test_a_cylinder_too_long_to_count_its_steps_is_interval_too_fine():
+    # L / (4 h) overflows to inf, which is not rounded to a count.
+    prob = _cylinder("2", length=1e308)
+    for solve in (solve_cylinder, constant_density_upper_bound):
+        with pytest.raises(IntervalTooFine) as info:
+            solve(prob)
+        assert str(info.value) == (
+            "[0.0, 1e+308] at step 0.01 needs more than 4000000 subintervals, the cap is 1000000")

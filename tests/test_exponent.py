@@ -11,7 +11,6 @@ from vexmod.exponent import (
     Binary,
     Call,
     DomainError,
-    ExponentFunction,
     ExponentRangeError,
     Num,
     ParseError,
@@ -23,7 +22,6 @@ from vexmod.exponent import (
     parse_expression,
     unparse,
 )
-from vexmod.quadrature import _pointwise
 
 
 def test_linear_in_r_bounds():
@@ -51,27 +49,25 @@ def test_interior_minimum_is_refined():
     assert p.p_plus == pytest.approx(2.0, abs=1e-9)
 
 
-def test_interior_minimum_takes_few_array_evaluations():
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The arguments of every call of the ``eval`` of each exponent parsed from now on."""
     calls = []
-    p = ExponentFunction.from_callable(lambda x: calls.append(x) or 2.0 + x * x - x, (0.0, 1.0))
-    assert len(calls) <= 10  # the samples, then one call per zoom
+    evaluator = exponent._evaluator
+
+    def counted(node):
+        evaluate = evaluator(node)
+        return lambda x: calls.append(x) or evaluate(x)
+
+    monkeypatch.setattr(exponent, "_evaluator", counted)
+    return calls
+
+
+def test_interior_minimum_takes_few_array_evaluations(evaluations):
+    p = parse_exponent("2+x*x-x", "x", (0.0, 1.0))
+    assert len(evaluations) <= 10  # the samples, then one call per zoom
+    assert all(isinstance(x, np.ndarray) for x in evaluations)
     assert p.p_minus == pytest.approx(1.75, abs=1e-15)
-
-
-def test_scalar_only_callable_refines_in_few_calls():
-    calls = []
-
-    def scalar_only(x):
-        calls.append(x)
-        return 2.0 + math.sin(x) ** 2 - 0.5 * math.sin(x)
-
-    p = ExponentFunction.from_callable(scalar_only, (-1.0, 1.0))
-    # The first call, on the array of samples, raises; every later call is on one point.
-    assert [isinstance(x, np.ndarray) for x in calls].count(True) == 1
-    assert isinstance(calls[0], np.ndarray)
-    sampling = 1 + 4098  # the array attempt that raises, then each sample
-    assert len(calls) - sampling <= 75  # golden section took about 50 scalar calls
-    assert p.p_minus == pytest.approx(1.9375, abs=1e-15)
 
 
 def test_flat_underflowing_tail_is_the_minimum():
@@ -79,11 +75,10 @@ def test_flat_underflowing_tail_is_the_minimum():
     assert parse_exponent("1.8+exp(-0.5*r)", "r", (1.0, 250.0)).p_minus == 1.8
 
 
-def test_plateau_minimum_is_not_zoomed(monkeypatch):
+def test_plateau_minimum_is_not_zoomed(evaluations):
     # The sampled minimum is the first sample of the plateau at 1.8, which the next two
     # samples repeat: zooming around it finds nothing lower.
-    calls = []
-    monkeypatch.setattr(exponent, "_pointwise", lambda f, x: calls.append(x) or _pointwise(f, x))
+    calls = evaluations
     for top in (250.0, 140.0):
         calls.clear()
         p = parse_exponent("1.8+exp(-0.5*r)", "r", (1.0, top))
@@ -104,6 +99,15 @@ def test_evaluation_accepts_arrays():
     assert out.shape == xs.shape
     assert out[0] == 2.0
     assert isinstance(p.eval(0.5), float)
+    # Floats of the argument's shape, a constant broadcast to it, and a float for a scalar.
+    xs = np.linspace(1.0, 2.0, 6).reshape(2, 3)
+    for text in ("2.5", "1+1.5", "t+1", "2+0*t", "-t+4"):
+        p = parse_exponent(text, "t", (1.0, 2.0))
+        out = p.eval(xs)
+        assert (type(out), out.dtype, out.shape) == (np.ndarray, np.float64, (2, 3))
+        assert out.tolist() == [[p.eval(float(x)) for x in row] for row in xs]
+        assert type(p.eval(1.5)) is float and type(p.eval(2)) is float
+    assert parse_exponent("2.5", "t", (1.0, 2.0)).eval(xs).tolist() == [[2.5] * 3] * 2
 
 
 def test_bounds_enclose_samples():
@@ -186,19 +190,6 @@ def test_restricted_narrows_bounds():
     narrowed = p.restricted(1.0, 2.0)
     assert narrowed.p_plus == pytest.approx(3.0, abs=1e-9)
     assert p.p_plus == pytest.approx(5.0, abs=1e-9)
-
-
-def test_from_callable():
-    p = ExponentFunction.from_callable(lambda x: 2.0 + 0.5 * np.sin(x), (0.0, 6.0), "wave")
-    assert p.p_minus == pytest.approx(1.5, abs=1e-6)
-    assert p.p_plus == pytest.approx(2.5, abs=1e-6)
-    assert p.eval(0.0) == 2.0
-    calls = []
-    constant = ExponentFunction.from_callable(lambda x: calls.append(x) or 2.0, (0.0, 1.0))
-    assert (constant.p_minus, constant.p_plus, len(calls)) == (2.0, 2.0, 1)
-    scalar_only = ExponentFunction.from_callable(lambda x: 2.0 + math.sin(x), (0.0, 1.0))
-    assert scalar_only.eval(np.array([0.0, 1.0])).tolist() == [2.0, 2.0 + math.sin(1.0)]
-    assert isinstance(scalar_only.eval(0.5), float)
 
 
 def _ast_nodes():

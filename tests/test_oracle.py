@@ -571,6 +571,13 @@ def test_grids_reject_a_cell_count_that_is_not_a_positive_integer(
         grid(prob, n_cells)
 
 
+def test_a_numpy_cell_count_is_named_as_a_plain_number(ring_problem):
+    for n_cells, shown in ((np.int64(0), "0"), (np.float64(2.5), "2.5"), ("4", "'4'")):
+        with pytest.raises(ValueError) as info:
+            annulus_grid(ring_problem, n_cells)
+        assert str(info.value) == f"n_cells must be an integer of at least 1, got {shown}"
+
+
 def test_annulus_grid_weights_follow_the_radial_measure(ring_problem):
     w, p, delta = annulus_grid(ring_problem, 10)
     centers = ring_problem.r1 + (np.arange(10) + 0.5) * delta
