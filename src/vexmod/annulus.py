@@ -64,6 +64,14 @@ def unit_sphere_area(n: int) -> float:
     return math.exp(_log_unit_sphere_area(n))
 
 
+def _check_ring(n: int, r1: float, r2: float) -> None:
+    """ValueError naming the bad value unless n is an integer >= 2 and 0 < r1 < r2 < inf."""
+    if n < 2 or int(n) != n:
+        raise ValueError(f"dimension n must be an integer >= 2, got {n}")
+    if not (0 < r1 < r2 and math.isfinite(r2)):
+        raise ValueError(f"radii must satisfy 0 < r1 < r2 < inf, got r1={r1}, r2={r2}")
+
+
 @dataclass(frozen=True)
 class AnnulusProblem:
     """Spherical ring r1 < |x| < r2 in R^n with a radial exponent p(|x|)."""
@@ -74,12 +82,7 @@ class AnnulusProblem:
     p: ExponentFunction
 
     def __post_init__(self) -> None:
-        if self.n < 2 or int(self.n) != self.n:
-            raise ValueError(f"dimension n must be an integer >= 2, got {self.n}")
-        if not (0 < self.r1 < self.r2 and math.isfinite(self.r2)):
-            raise ValueError(
-                f"radii must satisfy 0 < r1 < r2 < inf, got r1={self.r1}, r2={self.r2}"
-            )
+        _check_ring(self.n, self.r1, self.r2)
         lo, hi = self.p.interval
         if lo > self.r1 + 1e-12 or hi < self.r2 - 1e-12:
             raise ValueError(
@@ -136,9 +139,9 @@ class _WeightedCore:
     multiplier kernel steps all rows in lockstep on (h, h inv), and then one
     ``dot`` of a row's five weight rows with its last terms gives it both
     integrals at both steps, so its modulus and error estimate.  ``solve``
-    reports a row that fails by its exception class and message and leaves the
-    others as they are; a single solve is the pass of one row, whose failure
-    ``solution`` raises.
+    gives each row as plain numbers, and a row that fails as its exception class
+    and message, leaving the others as they are; a single solve is the pass of
+    one row, whose ExtremalSolution ``solution`` builds or whose failure it raises.
     ``density(l, x)`` gives the density at lam = e^l in the problem's variable.
     """
 
@@ -184,7 +187,8 @@ class _WeightedCore:
         return value
 
     def solve(self, bis: BisectionConfig | None) -> list:
-        """Per row, its solution or its failure as the pair (exception class, message)."""
+        """Per row, the tuple (lam, modulus, residual, quadrature_error, iters, log lam),
+        or its failure as the pair (exception class, message)."""
         sol = solve_multiplier(self.inv, self.base, self.weights[:2], self.starts, self.spans,
                                bis)
         out = []
@@ -205,19 +209,22 @@ class _WeightedCore:
                 out.append((BracketFailure, str(exc)))
                 continue
             error = max(abs(n_h - n_2h) / (15.0 * n_h), abs(e_h - e_2h) / (15.0 * e_h))
-            # On scalars or arrays; holds none of the node arrays.
-            rho = partial(self.density, ell)
-            out.append(ExtremalSolution(lam, modulus, rho, sol.residual[r], sol.iters[r], error,
-                                        width / (div / 3.0)))  # the step, for div = 3n
+            out.append((lam, modulus, sol.residual[r], error, sol.iters[r], ell))
         return out
 
-    def solution(self, bis: BisectionConfig | None) -> ExtremalSolution:
-        """The solution of a one-row pass; its failure is raised as the error it names."""
-        (sol,) = self.solve(bis)
-        if isinstance(sol, tuple):
-            kind, message = sol
+    def solution(self, bis: BisectionConfig | None, area: float = 1.0) -> ExtremalSolution:
+        """The solution of a one-row pass, its modulus times ``area`` (the cylinder's
+        cross-section); its failure is raised as the error it names."""
+        (row,) = self.solve(bis)
+        if len(row) == 2:
+            kind, message = row
             raise kind(message)
-        return sol
+        lam, modulus, residual, error, iters, ell = row
+        modulus = positive_normal("modulus", area * modulus)
+        width, div = self.spans[0]
+        # The density holds none of the node arrays; the step is width / n for div = 3n.
+        return ExtremalSolution(lam, modulus, partial(self.density, ell), residual, iters,
+                                error, width / (div / 3.0))
 
 
 def _log_ratio(r1: float, r2: float) -> float:
@@ -285,10 +292,9 @@ def constant_exponent_modulus(n: int, p: float, r1: float, r2: float) -> float:
     r^-k over [r1, r2], is r1^(1-k) L expm1(x)/x with L = log(r2/r1) and
     x = (1-k) L; taken in logs, so no power overflows.
     """
-    if not (0 < r1 < r2):
-        raise ValueError(f"radii must satisfy 0 < r1 < r2, got ({r1}, {r2})")
-    if p <= 1:
-        raise ValueError(f"exponent must exceed 1, got {p}")
+    _check_ring(n, r1, r2)
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"exponent must be a finite value above 1, got {p}")
     k = (n - 1) / (p - 1.0)
     L = _log_ratio(r1, r2)
     x = (1.0 - k) * L
@@ -358,16 +364,15 @@ def modulus_sweep(
         if results is None:
             results = [_sweep_row_alone(prob, r2, quad, bis) for r2, _ in part]
         rows.extend(SweepRow(r2, None, None, error=f"{sol[0].__name__}: {sol[1]}")
-                    if isinstance(sol, tuple) else
-                    SweepRow(r2, sol.lam, sol.modulus, sol.residual, sol.quadrature_error)
+                    if len(sol) == 2 else SweepRow(r2, *sol[:4])
                     for (r2, _), sol in zip(part, results))
     return rows
 
 
 def _sweep_row_alone(prob: AnnulusProblem, r2: float, quad: QuadratureConfig | None,
                      bis: BisectionConfig | None):
-    """The row out to r2 as ``solve_annulus`` solves it: its solution, or its failure as
-    the pair (exception class, message)."""
+    """The row out to r2 as ``solve_annulus`` solves it: its row of ``_WeightedCore.solve``,
+    or its failure as the pair (exception class, message)."""
     try:
         return _ring_core(AnnulusProblem(prob.n, prob.r1, r2, prob.p), quad).solve(bis)[0]
     except Exception as exc:  # per-row report, the sweep keeps going

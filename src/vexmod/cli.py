@@ -248,13 +248,24 @@ def _render_csv(rep: Report) -> str:
     return out.getvalue()
 
 
+def _json_value(x):
+    """x with every NaN or infinity in it as None: JSON has no such numbers."""
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
 def _render_json(rep: Report) -> str:
     payload = {"command": rep.command, **rep.fields}
     if rep.diagnostics:
         payload["diagnostics"] = rep.diagnostics
     for table in rep.tables:
         payload[table.name] = [dict(zip(table.columns, row)) for row in table.rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(_json_value(payload), indent=2, allow_nan=False) + "\n"
 
 
 _RENDERERS = {"human": _render_human, "csv": _render_csv, "json": _render_json}

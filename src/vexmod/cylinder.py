@@ -10,7 +10,7 @@ the multiplier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .annulus import ExtremalSolution, _WeightedCore, _density_at
 from .exponent import ExponentFunction
 from .quadrature import QuadratureConfig, simpson_nodes, simpson_sum
-from .rootfind import BisectionConfig, positive_normal
+from .rootfind import BisectionConfig
 
 __all__ = [
     "CylinderProblem",
@@ -72,8 +72,7 @@ def solve_cylinder(
     bis: BisectionConfig | None = None,
 ) -> ExtremalSolution:
     """Extremal density and modulus for curves joining the two ends."""
-    sol = _axial_core(prob, quad).solution(bis)
-    return replace(sol, modulus=positive_normal("modulus", prob.area * sol.modulus))
+    return _axial_core(prob, quad).solution(bis, prob.area)
 
 
 def constant_density_upper_bound(

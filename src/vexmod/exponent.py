@@ -349,7 +349,7 @@ def _extreme(evaluate: Callable, xs: np.ndarray, ys: np.ndarray, i: int, sign: f
         while hi - lo > 1e-8 * max(1.0, abs(lo)):
             grid = _grid(lo, hi, 8)
             inner = sign * evaluate(grid[1:-1])
-            j = int(np.argmin(inner))
+            j = int(inner.argmin())
             best = min(best, float(inner[j]))
             lo, hi = float(grid[j]), float(grid[j + 2])
     return sign * best
@@ -362,7 +362,7 @@ def _samples(a: float, b: float) -> np.ndarray:
 def _sampled_bounds(evaluate: Callable, a: float, b: float) -> tuple[float, float]:
     xs = _samples(a, b)
     ys = evaluate(xs)
-    lo, hi = int(np.argmin(ys)), int(np.argmax(ys))  # each the first NaN if there is one
+    lo, hi = int(ys.argmin()), int(ys.argmax())  # each the first NaN if there is one
     if not (math.isfinite(ys[lo]) and math.isfinite(ys[hi])):
         bad = float(xs[~np.isfinite(ys)][0])
         raise DomainError(f"expression is non-finite near x={bad}")

@@ -90,6 +90,9 @@ class BisectionConfig:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
+_DEFAULT_CONFIG = BisectionConfig()  # frozen, so one instance serves every call
+
+
 def exp_or_inf(x: float) -> float:
     """e^x, inf where it exceeds the float range."""
     try:
@@ -204,7 +207,7 @@ def solve_multiplier(
     spends max_iters steps records MaxItersExceeded as its failure; every row gets
     the numbers it would get alone."""
     if cfg is None:
-        cfg = BisectionConfig()
+        cfg = _DEFAULT_CONFIG
     tol, step_tol = cfg.residual_tol, cfg.lambda_tol
     starts = np.asarray(starts)
     rows = len(starts)
@@ -281,7 +284,7 @@ def solve_increasing(
     Returns (root, residual at the root, bisection iterations used).
     """
     if cfg is None:
-        cfg = BisectionConfig()
+        cfg = _DEFAULT_CONFIG
 
     lo, hi = _INITIAL_BRACKET
     flo = F(lo)

@@ -8,6 +8,7 @@ quadrature of the extremal energy); they are frozen here as constants.
 import dataclasses
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,10 +215,20 @@ def test_closed_form_with_exponent_near_one():
 
 
 def test_closed_form_validation():
-    with pytest.raises(ValueError):
-        constant_exponent_modulus(2, 1.0, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        constant_exponent_modulus(2, 2.0, 2.0, 1.0)
+    # The ring's inputs are checked as AnnulusProblem checks them, and p must be finite;
+    # each error names the bad value.
+    for n, p, r1, r2, named in [
+        (2, 1.0, 1.0, 2.0, "got 1.0"),
+        (2, 2.0, 2.0, 1.0, "r1=2.0, r2=1.0"),
+        (2, 2.0, 1.0, math.inf, "r2=inf"),
+        (2, 2.0, math.nan, 2.0, "r1=nan"),
+        (2, math.nan, 1.0, 2.0, "got nan"),
+        (2, math.inf, 1.0, 2.0, "got inf"),
+        (1, 2.0, 1.0, 2.0, "got 1"),
+        (2.5, 2.0, 1.0, 2.0, "got 2.5"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            constant_exponent_modulus(n, p, r1, r2)
 
 
 def test_upper_bound_reference_value(ring_problem):

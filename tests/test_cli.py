@@ -19,6 +19,14 @@ REF_CYL_MODULUS = 0.9883254219265588
 REF_G_AT_TWO = 0.19357762825852136
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and the infinities, as strict parsers do."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_cli(*args, expect=0, binary=False):
     proc = subprocess.run(
         [sys.executable, "-m", "vexmod", *args],
@@ -200,10 +208,20 @@ def test_non_finite_sweep_values_are_row_errors_wherever_they_sit(geometry, modu
                                                                    capsys):
     argv = ["sweep", "--geometry", geometry, "--p", "2", f"--values={values}", "--format", "json"]
     assert cli.main(argv) == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
+    rows = strict_json(capsys.readouterr().out)["rows"]
     bad, good = rows if values.endswith(",2") else rows[::-1]
     assert bad["error"].startswith("ValueError: ") and bad["modulus"] is None
+    assert bad["param"] is None  # JSON has no NaN or infinity
     assert good["error"] is None and good["modulus"] == pytest.approx(modulus, rel=1e-5)
+
+
+def test_a_ratio_past_the_float_range_is_null_in_json(capsys):
+    argv = ["annulus", "--n", "3", "--r1", "1e-300", "--r2", "1e300", "--p", "2",
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["ratio"] is None
+    assert payload["modulus"] > 0.0 and payload["upper_bound"] > 0.0
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,14 @@ def test_interior_minimum_takes_few_array_evaluations(evaluations):
     assert p.p_minus == pytest.approx(1.75, abs=1e-15)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 1024.0), (-3.7, 5.3), (1e-6, 1e6),
+                                  (0.1, 0.1 + 1e-9), (-1e300, 1e300)])
+def test_sample_grid_equals_linspace_bit_for_bit(evaluations, a, b):
+    # 4,098 samples, the whole of quadrature's index template.
+    parse_exponent("2.5+0*x", "x", (a, b))
+    assert evaluations[0].tobytes() == np.linspace(a, b, 4098).tobytes()
+
+
 def test_flat_underflowing_tail_is_the_minimum():
     # exp(-0.5 r) drops below half an ulp of 1.8 near r = 74, deep inside [1, 250].
     assert parse_exponent("1.8+exp(-0.5*r)", "r", (1.0, 250.0)).p_minus == 1.8

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from vexmod.quadrature import (
     IntervalTooFine,
@@ -173,10 +173,13 @@ def test_simpson_rows_of_several_grids_are_joined_in_order():
 @given(
     a=st.floats(-1e300, 1e300),
     width=st.floats(5e-324, 1e300),
-    count=st.integers(1, 2000),
+    count=st.integers(1, 10_000),
 )
+@example(a=0.0, width=1.0, count=4096)  # 4,097 nodes: a slice of the index template
+@example(a=0.0, width=1.0, count=4097)  # 4,101 nodes: past the template, np.arange
 def test_simpson_nodes_equal_linspace_bit_for_bit(a, width, count):
-    # Tiny (down to subnormal), huge and negative intervals, on 5 to about 2,000 nodes.
+    # Tiny (down to subnormal), huge and negative intervals, on 5 to about 10,000 nodes:
+    # grids of up to 4,098 nodes scale quadrature's index template, longer ones np.arange.
     b = a + width
     assume(a < b)
     cfg = QuadratureConfig(step_hint=max((b - a) / count, 5e-324))
