@@ -9,12 +9,11 @@ cylinder shares the core with weight 1 in its own axial variable.  The core
 holds each node's terms in logs and solves a pass of rows, one per grid, for
 their log(lam) with ``rootfind.solve_multiplier``, all rows in lockstep; every
 solve also returns a Simpson error estimate of its normalization and modulus
-integrals.
+integrals.  A row that fails, at a bad exponent value or in its solve, fails alone.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -133,8 +132,8 @@ class _WeightedCore:
     at lam = e^l the candidate density times J is exp(l inv + base); by the
     stationarity condition w rho^p = lam rho / p, the modulus is lam times the
     integral of rho J / p.  ``build`` makes the pass from the joined nodes of
-    several grids, one row each, checked once: a bad node in any grid raises for
-    all of them.  Per node it also keeps the Simpson weights at steps h and 2h,
+    several grids, one row each, checked once: a row with a bad node fails, and
+    only that row.  Per node it also keeps the Simpson weights at steps h and 2h,
     joined over the rows, and their products with inv and with 1/p: the
     multiplier kernel steps all rows in lockstep on (h, h inv), and then one
     ``dot`` of a row's five weight rows with its last terms gives it both
@@ -146,37 +145,45 @@ class _WeightedCore:
     """
 
     def __init__(self, starts: np.ndarray, sizes: list, spans: list, inv: np.ndarray,
-                 base: np.ndarray, weights: np.ndarray, density: Callable) -> None:
+                 base: np.ndarray, weights: np.ndarray, failures: list, density: Callable) -> None:
         self.starts, self.sizes, self.spans = starts, sizes, spans
         self.inv, self.base, self.weights = inv, base, weights
-        self.density = density
+        self.failures, self.density = failures, density
 
     @classmethod
     @np.errstate(all="ignore")
     def build(cls, grids: list, p: np.ndarray, log_w, log_j, density: Callable) -> _WeightedCore:
         """The pass over the Simpson grids in ``grids``, given p, log w and log J at their
-        joined nodes (log w and log J may be scalars).  Raises NonFiniteIntegrand naming
-        the first node of the joined grids where p is not a finite value above 1."""
+        joined nodes (log w and log J may be scalars), checked once.  A row with a node
+        where p is not a finite value above 1 fails alone, with NonFiniteIntegrand naming
+        its own first such node; its nodes get the stand-in inv = 1 and base = 0, so the
+        kernel solves it on finite numbers, and its result is discarded."""
         inv = 1.0 / (p - 1.0)
         base = log_j - inv * (np.log(p) + log_w)
-        if not (math.isfinite(base.sum()) and inv.min() > 0.0):  # look for a bad node
-            bad = np.flatnonzero(~(np.isfinite(base) & (inv > 0.0)))
-            if bad.size:
-                raise NonFiniteIntegrand(
-                    f"the exponent is {float(p[bad[0]])!r} at quadrature node"
-                    f" {float(np.concatenate(grids)[bad[0]])!r}, not a finite value above 1")
         sizes = [u.size for u in grids]
+        starts = np.array([0, *itertools.accumulate(sizes[:-1])])
+        failures = [None] * len(sizes)
+        if not (math.isfinite(base.sum()) and inv.min() > 0.0):  # look for bad nodes
+            bad = np.flatnonzero(~(np.isfinite(base) & (inv > 0.0)))
+            rows, first = np.unique(starts.searchsorted(bad, "right") - 1, return_index=True)
+            for r, i in zip(rows.tolist(), bad[first].tolist()):
+                a = int(starts[r])
+                failures[r] = (NonFiniteIntegrand, f"the exponent is {float(p[i])!r} at quadrature"
+                               f" node {float(grids[r][i - a])!r}, not a finite value above 1")
+                inv[a:a + sizes[r]], base[a:a + sizes[r]] = 1.0, 0.0
         # Simpson weights, of terms in [0, 1]: (h, h inv) for N and N', then 2h for the
         # normalization and (h, 2h) / p for the modulus.
         weights = simpson_rows(*[n - 1 for n in sizes]).take((0, 0, 1, 0, 1), axis=0)
         weights[1] *= inv
         weights[3:] /= p
         spans = [(float(u[-1] - u[0]), 3.0 * (n - 1)) for u, n in zip(grids, sizes)]
-        starts = np.array([0, *itertools.accumulate(sizes[:-1])])
-        return cls(starts, sizes, spans, inv, base, weights, density)
+        return cls(starts, sizes, spans, inv, base, weights, failures, density)
 
     def normalization(self, lam: float) -> float:
-        """The normalization integral of a one-row pass at multiplier lam."""
+        """The normalization integral of a one-row pass at multiplier lam, or its failure."""
+        if self.failures[0]:
+            kind, message = self.failures[0]
+            raise kind(message)
         if not (lam > 0 and math.isfinite(lam)):
             raise ValueError(f"lam must be positive and finite, got {lam}")
         f = log_total(self.inv, self.base, self.weights[:2], self.starts, None, self.spans,
@@ -194,8 +201,9 @@ class _WeightedCore:
         out = []
         for r, (a, n, (width, div)) in enumerate(zip(self.starts.tolist(), self.sizes,
                                                      self.spans)):
-            if sol.error[r] is not None:
-                out.append(sol.error[r])
+            failure = self.failures[r] or sol.error[r]
+            if failure:
+                out.append(failure)
                 continue
             # The normalization and the modulus integrals, each at steps h and 2h, from
             # the row's last terms.
@@ -290,7 +298,8 @@ def constant_exponent_modulus(n: int, p: float, r1: float, r2: float) -> float:
 
     With k = (n-1)/(p-1) it is omega_n I^(1-p), where I, the integral of
     r^-k over [r1, r2], is r1^(1-k) L expm1(x)/x with L = log(r2/r1) and
-    x = (1-k) L; taken in logs, so no power overflows.
+    x = (1-k) L; taken in logs, so no power overflows.  A modulus that is not a positive
+    normal float is BracketFailure, as from ``solve_annulus``.
     """
     _check_ring(n, r1, r2)
     if not 1.0 < p < math.inf:
@@ -303,7 +312,7 @@ def constant_exponent_modulus(n: int, p: float, r1: float, r2: float) -> float:
     else:
         log_factor = math.log(math.expm1(x) / x) if x < 0.0 else 0.0
     log_inner = (1.0 - k) * math.log(r1) + math.log(L) + log_factor
-    return math.exp(_log_unit_sphere_area(n) + (1.0 - p) * log_inner)
+    return positive_normal("modulus", exp_or_inf(_log_unit_sphere_area(n) + (1 - p) * log_inner))
 
 
 def log_density_upper_bound(
@@ -348,50 +357,38 @@ def modulus_sweep(
     the largest requested radius; the solve reads p only at its own nodes.
     Consecutive rows share one pass over their joined nodes, at most 65,536
     of them, that evaluates p and checks it once and then solves all of its
-    rows in lockstep, one multiplier kernel over the rows.  If a pass raises,
-    for any reason, each of its rows is solved as ``solve_annulus`` solves it.
-    So a row's numbers and error are those of ``solve_annulus`` on that row,
-    and a failure on one row is reported on that row without stopping the
-    sweep or changing its neighbours.
+    rows in lockstep, one multiplier kernel over the rows.  A row sums only
+    its own nodes, so its numbers and error are those of ``solve_annulus`` on
+    that row; a row whose problem, grid, exponent values or solve fails
+    reports its error on that row without stopping the sweep or changing its
+    neighbours.  An exception that the exponent's ``eval`` itself raises is
+    not a row's error: it propagates, as it does from ``solve_annulus``.
     """
     rows = []
     for part in _sweep_passes(prob, r2_values, quad):
-        results = None
-        if part[0][1] is not None:  # else a row with no grid, alone in its pass
-            with contextlib.suppress(Exception):
-                results = _ring_cores(prob, [grid for _, grid in part],
-                                      [r2 for r2, _ in part]).solve(bis)
-        if results is None:
-            results = [_sweep_row_alone(prob, r2, quad, bis) for r2, _ in part]
+        tops, grids = [r2 for r2, _ in part], [grid for _, grid in part]
+        results = (grids if isinstance(grids[0], tuple)  # a failed row, alone in its pass
+                   else _ring_cores(prob, grids, tops).solve(bis))
         rows.extend(SweepRow(r2, None, None, error=f"{sol[0].__name__}: {sol[1]}")
                     if len(sol) == 2 else SweepRow(r2, *sol[:4])
-                    for (r2, _), sol in zip(part, results))
+                    for r2, sol in zip(tops, results))
     return rows
-
-
-def _sweep_row_alone(prob: AnnulusProblem, r2: float, quad: QuadratureConfig | None,
-                     bis: BisectionConfig | None):
-    """The row out to r2 as ``solve_annulus`` solves it: its row of ``_WeightedCore.solve``,
-    or its failure as the pair (exception class, message)."""
-    try:
-        return _ring_core(AnnulusProblem(prob.n, prob.r1, r2, prob.p), quad).solve(bis)[0]
-    except Exception as exc:  # per-row report, the sweep keeps going
-        return type(exc), str(exc)
 
 
 def _sweep_passes(prob: AnnulusProblem, r2_values: Sequence[float],
                   quad: QuadratureConfig | None) -> Iterator[list]:
     """The sweep's rows in order as (r2, s grid), in passes of at most _PASS_NODES joined
     nodes.  A larger row has a pass of its own, and so has a row whose problem or grid
-    raises, with the grid None: its own solve raises the same error again."""
+    raises ValueError (IntervalTooFine included), with its failure, the pair (exception
+    class, message), in place of the grid."""
     part: list = []
     nodes = 0
     for r2 in map(float, r2_values):
         try:
             grid = _ring_grid(AnnulusProblem(prob.n, prob.r1, r2, prob.p), quad)
-        except Exception:
-            grid = None
-        size = _PASS_NODES + 1 if grid is None else grid.size
+        except ValueError as exc:
+            grid = type(exc), str(exc)
+        size = _PASS_NODES + 1 if isinstance(grid, tuple) else grid.size
         if part and nodes + size > _PASS_NODES:
             yield part
             part, nodes = [], 0

@@ -105,14 +105,16 @@ OPTIONS = (
            " flags override it"),
     Option("format", default="human", choices=("human", "csv", "json"), help="report format"),
     Option("output", help="file to write the report to; stdout if not given"),
-    Option("step-hint", float, 1e-2,
+    Option("step-hint", float, QuadratureConfig.step_hint,
            help="largest quadrature step, > 0: in log(r/r1) on a ring, in t on a cylinder"),
-    Option("max-subintervals", int, 1_000_000, help="most Simpson subintervals of a solve, >= 4"),
-    Option("residual-tol", float, 1e-6, _SOLVE,
+    Option("max-subintervals", int, QuadratureConfig.max_subintervals,
+           help="most Simpson subintervals of a solve, >= 4"),
+    Option("residual-tol", float, BisectionConfig.residual_tol, _SOLVE,
            help="stop once |normalization - 1| is at most this, > 0"),
-    Option("lambda-tol", float, 1e-10, _SOLVE,
+    Option("lambda-tol", float, BisectionConfig.lambda_tol, _SOLVE,
            help="stop once a step moves log(lambda) by at most this, > 0"),
-    Option("max-iters", int, 200, _SOLVE, help="most multiplier steps of a solve, >= 1"),
+    Option("max-iters", int, BisectionConfig.max_iters, _SOLVE,
+           help="most multiplier steps of a solve, >= 1"),
     Option("geometry", default="annulus", commands=("sweep",), choices=("annulus", "cylinder"),
            help="sweep the outer radius r2 of a ring or the length of a cylinder"),
     Option("n", int, 2, _RING, help="dimension of the ring's space, an integer >= 2"),
@@ -377,7 +379,7 @@ def _cmd_sweep(cfg) -> Report:
             sol, results = _solve(problem_at(value, p), quad, bis)
             row[1:7] = (sol.lam, sol.modulus, results["upper_bound"], sol.residual,
                         sol.quadrature_error, sol.quadrature_step)
-        except Exception as exc:  # report the row, keep sweeping
+        except (ValueError, BracketFailure, MaxItersExceeded) as exc:  # report, keep sweeping
             row[7] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
 
@@ -441,8 +443,7 @@ def _cmd_oracle_check(cfg) -> Report:
         raise ValueError(f"--draws must be at least 1, got {cfg.draws}")
     if cfg.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {cfg.seed}")
-    quad = QuadratureConfig(cfg.step_hint, cfg.max_subintervals)
-    tight = BisectionConfig(residual_tol=1e-10, lambda_tol=1e-13)
+    quad, _ = _tolerances(cfg)
     checks: list[list] = []
 
     def record(name: str, passed: bool, detail: str) -> None:
@@ -450,8 +451,8 @@ def _cmd_oracle_check(cfg) -> Report:
 
     ann = reference_annulus_problem()
     cyl = reference_cylinder_problem()
-    sol_a = solve_annulus(ann, quad, tight)
-    sol_c = solve_cylinder(cyl, quad, tight)
+    sol_a = solve_annulus(ann, quad, oracle._TIGHT)
+    sol_c = solve_cylinder(cyl, quad, oracle._TIGHT)
 
     for label, prob, sol, grid_fn in (
         ("annulus", ann, sol_a, oracle.annulus_grid),

@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -212,6 +213,13 @@ def test_closed_form_with_exponent_near_one():
     # r2^(1-k) overflows for k = 10^4; mpmath at the same float p gives the value.
     got = constant_exponent_modulus(2, 1.0001, 0.5, 1.0)
     assert got == pytest.approx(3.1447054356462343495, rel=1e-14)
+
+
+def test_closed_form_outside_the_float_range_is_a_bracket_failure():
+    # As from solve_annulus: a positive normal float, or BracketFailure naming the modulus.
+    for n, p, r1, r2, value in [(2, 1000.0, 1.0, 1.001, "inf"), (2000, 1.5, 1.0, 1e6, "0.0")]:
+        with pytest.raises(BracketFailure, match=re.escape(f"the modulus is {value}, not a")):
+            constant_exponent_modulus(n, p, r1, r2)
 
 
 def test_closed_form_validation():
@@ -439,13 +447,19 @@ _SWEEP_TEMPLATES = {
     equal_row=st.booleans(),
     step=st.sampled_from([1e-2, 5e-2, 0.3]),
     cap=st.sampled_from([40, 400, 1_000_000]),
+    nan_from=st.none() | st.floats(0.0, 1.0),
 )
-def test_sweep_rows_are_single_solves(n, r1, kind, a, b, c, ratios, equal_row, step, cap):
-    # Rows with r2 <= r1 fail in the constructor, and a small cap gives IntervalTooFine rows.
+def test_sweep_rows_are_single_solves(n, r1, kind, a, b, c, ratios, equal_row, step, cap,
+                                      nan_from):
+    # Rows with r2 <= r1 fail in the constructor, and a small cap gives IntervalTooFine rows;
+    # p is NaN beyond a drawn cutoff in [r1, top], so bad and good rows share passes.
     radii = [r1] * equal_row + [r1 * q for q in ratios]
     text = _SWEEP_TEMPLATES[kind].format(a=repr(a), b=repr(b), c=repr(c))
     top = max(radii + [2.0 * r1])
-    template = AnnulusProblem(n, r1, top, parse_exponent(text, "r", (r1, top)))
+    parsed = parse_exponent(text, "r", (r1, top))
+    p = parsed if nan_from is None else dataclasses.replace(parsed, eval=lambda r: np.where(
+        np.asarray(r) > r1 + nan_from * (top - r1), np.nan, parsed.eval(r)))
+    template = AnnulusProblem(n, r1, top, p)
     _assert_sweep_is_single_solves(template, radii, QuadratureConfig(step, cap))
 
 
@@ -509,16 +523,21 @@ def test_sweep_row_with_a_bad_exponent_names_its_own_node():
     assert rows[0].error != rows[2].error
 
 
-def test_sweep_row_whose_exponent_raises_is_solved_alone():
+def test_an_exponent_eval_that_raises_propagates_from_a_sweep():
+    # Only a hand-built or swapped eval can raise; a sweep lets its exception through, as
+    # solve_annulus does, where a row's own problem, grid or values fail on that row.
     def eval_up_to_5(r):
         if np.max(r) > 5.0:
             raise ArithmeticError(f"no exponent beyond 5, asked for {float(np.max(r))!r}")
         return 2.0 + 0.1 * np.asarray(r)
 
     p = ExponentFunction(eval_up_to_5, 2.1, 2.5, "2+0.1r up to 5", (1.0, 8.0))
-    rows = _assert_sweep_is_single_solves(AnnulusProblem(2, 1.0, 8.0, p), [2.0, 8.0, 4.0])
-    assert [row.error is None for row in rows] == [True, False, True]
-    assert rows[1].error == "ArithmeticError: no exponent beyond 5, asked for 8.0"
+    message = "no exponent beyond 5, asked for 8.0"
+    with pytest.raises(ArithmeticError, match=f"^{message}$"):
+        solve_annulus(AnnulusProblem(2, 1.0, 8.0, p))
+    with pytest.raises(ArithmeticError, match=f"^{message}$"):
+        modulus_sweep(AnnulusProblem(2, 1.0, 8.0, p), [2.0, 8.0, 4.0])
+    _assert_sweep_is_single_solves(AnnulusProblem(2, 1.0, 8.0, p), [2.0, 4.0])
 
 
 def test_sweep_passes_hold_at_most_65536_nodes(monkeypatch):
@@ -541,7 +560,7 @@ def test_sweep_passes_hold_at_most_65536_nodes(monkeypatch):
     assert all(row.error is None for row in rows)
 
 
-def test_failing_pass_is_solved_row_by_row_and_leaves_its_neighbours(monkeypatch):
+def test_a_bad_row_fails_alone_in_its_pass_and_leaves_its_neighbours(monkeypatch):
     passes = []
     ring_cores = annulus._ring_cores
 
@@ -557,8 +576,8 @@ def test_failing_pass_is_solved_row_by_row_and_leaves_its_neighbours(monkeypatch
     radii = [math.exp(3.0)] * 3 + [math.exp(3.4), math.exp(2.0)]
     quad = QuadratureConfig(1e-4)
     rows = modulus_sweep(template, radii, quad)
-    # Three passes; only the second is solved again, one row at a time.
-    assert passes == [[30001, 30001], [30001, 34001], [30001], [34001], [20001]]
+    # Three passes, each solved once; the bad row fails inside the second.
+    assert passes == [[30001, 30001], [30001, 34001], [20001]]
     monkeypatch.undo()
     assert list(map(repr, rows)) == list(map(repr, _single_solves(template, radii, quad)))
     assert [row.error is None for row in rows] == [True, True, True, False, True]
@@ -628,6 +647,22 @@ def test_a_step_count_beyond_any_float_is_interval_too_fine():
         subinterval_count(0.0, 1.0, QuadratureConfig(2.6e-7))
     assert str(info.value) == (
         "[0.0, 1.0] at step 2.6e-07 needs 3846156 subintervals, the cap is 1000000")
+
+
+def test_a_bad_node_raises_from_every_single_solve():
+    # NaN beyond 5: each single solve and normalization names the first node past 5, in s
+    # on the ring and in t on the cylinder.
+    nan_tail = ExponentFunction(lambda r: np.where(np.asarray(r) > 5.0, np.nan, 2.5),
+                                2.5, 2.5, "x", (0.0, 20.0))
+    ring, cyl = AnnulusProblem(3, 1.0, 8.0, nan_tail), CylinderProblem(1.0, 8.0, nan_tail)
+    for call, node in [(partial(solve_annulus, ring), 1.6095677317810269),
+                       (partial(normalization_value, ring, 2.0), 1.6095677317810269),
+                       (partial(solve_cylinder, cyl), 5.01),
+                       (partial(cylinder_normalization_value, cyl, 2.0), 5.01)]:
+        with pytest.raises(NonFiniteIntegrand) as info:
+            call()
+        assert str(info.value) == (
+            f"the exponent is nan at quadrature node {node!r}, not a finite value above 1")
 
 
 def test_upper_bound_names_a_bad_node_by_a_plain_number():

@@ -215,6 +215,22 @@ def test_non_finite_sweep_values_are_row_errors_wherever_they_sit(geometry, modu
     assert good["error"] is None and good["modulus"] == pytest.approx(modulus, rel=1e-5)
 
 
+def test_an_unexpected_error_in_a_sweep_row_fails_the_sweep(monkeypatch, capsys):
+    # Only the documented validation and solver errors are row errors; any other exception
+    # is a fault, and it is raised, not printed as a row with exit 0.
+    solve = cli._solve
+
+    def fail_at_four(prob, quad, bis):
+        if prob.r2 == 4.0:
+            raise TypeError("not a row error")
+        return solve(prob, quad, bis)
+
+    monkeypatch.setattr(cli, "_solve", fail_at_four)
+    with pytest.raises(TypeError, match="not a row error"):
+        cli.main(["sweep", "--p", "2", "--values", "2,4,8"])
+    assert capsys.readouterr().out == ""
+
+
 def test_a_ratio_past_the_float_range_is_null_in_json(capsys):
     argv = ["annulus", "--n", "3", "--r1", "1e-300", "--r2", "1e300", "--p", "2",
             "--format", "json"]
