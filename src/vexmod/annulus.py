@@ -64,11 +64,19 @@ def unit_sphere_area(n: int) -> float:
 
 
 def _check_ring(n: int, r1: float, r2: float) -> None:
-    """ValueError naming the bad value unless n is an integer >= 2 and 0 < r1 < r2 < inf."""
+    """ValueError naming the bad value unless n is an integer >= 2, 0 < r1 < r2 < inf
+    and log(r2/r1) is not 0.0."""
     if n < 2 or int(n) != n:
         raise ValueError(f"dimension n must be an integer >= 2, got {n}")
     if not (0 < r1 < r2 and math.isfinite(r2)):
         raise ValueError(f"radii must satisfy 0 < r1 < r2 < inf, got r1={r1}, r2={r2}")
+    if _log_ratio(r1, r2) == 0.0:
+        raise ValueError(f"radii r1={r1} and r2={r2} are too close: log(r2/r1) rounds to 0.0")
+
+
+def _log_ratio(r1: float, r2: float) -> float:
+    """log(r2/r1), the length of the ring's interval in s; finite for any float radii."""
+    return math.log(r2) - math.log(r1)
 
 
 @dataclass(frozen=True)
@@ -205,8 +213,7 @@ class _WeightedCore:
             if failure:
                 out.append(failure)
                 continue
-            # The normalization and the modulus integrals, each at steps h and 2h, from
-            # the row's last terms.
+            # The normalization and modulus integrals at steps h and 2h, from its last terms.
             n_h, _, n_2h, e_h, e_2h = self.weights[:, a:a + n].dot(sol.terms[a:a + n]).tolist()
             ell = sol.log_lam[r]
             try:
@@ -233,11 +240,6 @@ class _WeightedCore:
         # The density holds none of the node arrays; the step is width / n for div = 3n.
         return ExtremalSolution(lam, modulus, partial(self.density, ell), residual, iters,
                                 error, width / (div / 3.0))
-
-
-def _log_ratio(r1: float, r2: float) -> float:
-    """log(r2/r1), the length of the ring's interval in s; finite for any float radii."""
-    return math.log(r2) - math.log(r1)
 
 
 def _ring_grid(prob: AnnulusProblem, quad: QuadratureConfig | None) -> np.ndarray:
@@ -381,8 +383,7 @@ def _sweep_passes(prob: AnnulusProblem, r2_values: Sequence[float],
     nodes.  A larger row has a pass of its own, and so has a row whose problem or grid
     raises ValueError (IntervalTooFine included), with its failure, the pair (exception
     class, message), in place of the grid."""
-    part: list = []
-    nodes = 0
+    part, nodes = [], 0
     for r2 in map(float, r2_values):
         try:
             grid = _ring_grid(AnnulusProblem(prob.n, prob.r1, r2, prob.p), quad)

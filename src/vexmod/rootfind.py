@@ -198,7 +198,7 @@ def solve_multiplier(
     cfg: BisectionConfig | None = None,
 ) -> MultiplierSolve:
     """Solve log N_r(l) = 0, N_r as in ``log_total``, for every row r of a pass, for
-    inv > 0 and positive c, starting at l = 0; an evaluation inside the residual
+    inv > 0, positive c and widths, starting at l = 0; an evaluation inside the residual
     tolerance is accepted on the spot.
 
     The rows step in lockstep, one joined evaluation per step; an accepted row's

@@ -234,6 +234,7 @@ def test_closed_form_validation():
         (2, math.inf, 1.0, 2.0, "got inf"),
         (1, 2.0, 1.0, 2.0, "got 1"),
         (2.5, 2.0, 1.0, 2.0, "got 2.5"),
+        (2, 2.0, 1e10, math.nextafter(1e10, math.inf), "log(r2/r1) rounds to 0.0"),
     ]:
         with pytest.raises(ValueError, match=re.escape(named)):
             constant_exponent_modulus(n, p, r1, r2)
@@ -510,6 +511,19 @@ def test_sweep_failures_leave_no_reference_cycles():
         gc.enable()
     assert sum(row.error is not None for row in edges) == 5
     assert all(row.error.startswith("MaxItersExceeded") for row in capped)
+
+
+def test_a_ring_whose_length_rounds_to_zero_fails_alone_in_a_sweep():
+    # r2 is one float above r1 = 1e10, and log(r2) - log(r1) is 0.0: the row's problem
+    # fails, and its neighbours in the sweep are solved as alone.
+    r1, r2 = 1e10, math.nextafter(1e10, math.inf)
+    assert math.log(r2) - math.log(r1) == 0.0
+    with pytest.raises(ValueError, match=re.escape(f"r1={r1} and r2={r2} are too close")):
+        AnnulusProblem(3, r1, r2, parse_exponent("2.5", "r", (r1, 3e10)))
+    template = AnnulusProblem(3, r1, 3e10, parse_exponent("2.5+1e-11*r", "r", (r1, 3e10)))
+    rows = _assert_sweep_is_single_solves(template, [2e10, r2, 3e10])
+    assert [row.error is None for row in rows] == [True, False, True]
+    assert rows[1].error.startswith("ValueError: radii")
 
 
 def test_sweep_row_with_a_bad_exponent_names_its_own_node():
