@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .exponent import ExponentFunction
+from .exponent import ExponentFunction, _covers
 from .quadrature import (
     NonFiniteIntegrand,
     QuadratureConfig,
@@ -90,8 +90,8 @@ class AnnulusProblem:
 
     def __post_init__(self) -> None:
         _check_ring(self.n, self.r1, self.r2)
-        lo, hi = self.p.interval
-        if lo > self.r1 + 1e-12 or hi < self.r2 - 1e-12:
+        if not _covers(self.p.interval, self.r1, self.r2):
+            lo, hi = self.p.interval
             raise ValueError(
                 f"exponent is defined on [{lo}, {hi}], which does not cover "
                 f"the radial interval [{self.r1}, {self.r2}]"

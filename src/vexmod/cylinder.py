@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .annulus import ExtremalSolution, _WeightedCore, _density_at
-from .exponent import ExponentFunction
+from .exponent import ExponentFunction, _covers
 from .quadrature import QuadratureConfig, simpson_nodes, simpson_sum
 from .rootfind import BisectionConfig
 
@@ -42,8 +42,8 @@ class CylinderProblem:
         if not (self.length > 0 and math.isfinite(self.length)):
             # An infinite strip has zero modulus and no extremal density.
             raise ValueError(f"length must be positive and finite, got {self.length}")
-        lo, hi = self.p.interval
-        if lo > 1e-12 or hi < self.length - 1e-12:
+        if not _covers(self.p.interval, 0.0, self.length):
+            lo, hi = self.p.interval
             raise ValueError(
                 f"exponent is defined on [{lo}, {hi}], which does not cover [0, {self.length}]"
             )

@@ -2,7 +2,11 @@
 
 Holds a tiny expression language so exponents such as "1+r" or "2+t" can be
 given textually and compiled once into numpy closures, and computes inf/sup
-bounds by dense sampling plus zooms of one array evaluation each.
+bounds.  The compiler also gives each expression its direction: an exponent
+that is monotone by the grammar's rules (a constant, or a sum of linear, exp and
+log parts of one direction) takes its bounds from its two end values, in one
+array evaluation.  Any other exponent, or one non-finite at an end, is bounded
+by dense sampling plus zooms of one array evaluation each.
 
 Grammar::
 
@@ -223,35 +227,90 @@ _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
            "exp": np.exp, "log": np.log}
 
 
-def _compile(node: Node) -> Callable:
-    """The expression as a function of x, one closure per node: numpy ufuncs also
-    for a scalar x and between constants, so a pole gives inf and a bad power
-    nan, never ZeroDivisionError or a complex, and a point's value is its value in an array."""
-    match node:
-        case Num(value=v):
-            c = np.float64(v)
-            return lambda x: c
-        case Var():
-            return np.asarray
-        case Unary(operand=inner):
-            f = _compile(inner)
-            return lambda x: -f(x)
-        case Binary(op=op, left=l, right=r):
-            f, g, fn = _compile(l), _compile(r), _UFUNCS[op]
-            return lambda x: fn(f(x), g(x))
-        case Power(base=b, exponent=e):
-            f = _compile(b)  # a float64 scalar's ** can differ from np.power by an ulp
-            return lambda x: np.power(f(x), e)
-        case Call(func=name, arg=a):
-            f, fn = _compile(a), _UFUNCS[name]
-            return lambda x: fn(f(x))
-    raise TypeError(f"unknown node {node!r}")
+def _compile(node: Node) -> tuple[Callable, int | None]:
+    """The expression's two forms, built node by node by the rule of ``_RULES`` for the
+    node's grammar rule:
+
+    - its closure, a function of x: numpy ufuncs also for a scalar x and between
+      constants, so a pole gives inf and a bad power nan, never ZeroDivisionError or a
+      complex, and a point's value is its value in an array;
+    - its direction in x: 1 (non-decreasing), -1 (non-increasing), 0 (a constant, whose
+      closure ignores x, so that its value is closure(None)) or None (unknown).
+    """
+    try:
+        rule = _RULES[type(node)]
+    except KeyError:
+        raise TypeError(f"unknown node {node!r}") from None
+    return rule(node)
+
+
+def _flip(d: int | None) -> int | None:
+    return None if d is None else -d
+
+
+def _by_constant(d: int | None, constant: Callable) -> int | None:
+    """The direction of a part of direction d times or over a constant: kept or flipped
+    by the constant's sign if it is finite and nonzero, else unknown."""
+    if d is None:
+        return None
+    with np.errstate(all="ignore"):
+        c = float(constant(None))
+    if not (math.isfinite(c) and c != 0.0):
+        return None
+    return d if c > 0.0 else -d
+
+
+def _num(node: Num) -> tuple[Callable, int]:
+    c = np.float64(node.value)
+    return (lambda x: c), 0
+
+
+def _unary(node: Unary) -> tuple[Callable, int | None]:
+    f, d = _compile(node.operand)
+    return (lambda x: -f(x)), _flip(d)
+
+
+def _binary(node: Binary) -> tuple[Callable, int | None]:
+    (f, d), (g, e), fn = _compile(node.left), _compile(node.right), _UFUNCS[node.op]
+    if d == 0 and e == 0:
+        direction = 0
+    elif node.op in "+-":  # a shared direction; a constant shares any
+        e = e if node.op == "+" else _flip(e)
+        if d == 0 or e == 0:
+            direction = e if d == 0 else d
+        else:
+            direction = d if d == e else None
+    elif e == 0:
+        direction = _by_constant(d, g)
+    elif node.op == "*" and d == 0:
+        direction = _by_constant(e, f)
+    else:  # a product or quotient of two non-constants, or a constant over one
+        direction = None
+    return (lambda x: fn(f(x), g(x))), direction
+
+
+def _power(node: Power) -> tuple[Callable, int | None]:
+    f, d = _compile(node.base)  # a float64 scalar's ** can differ from np.power by an ulp
+    e = node.exponent
+    return (lambda x: np.power(f(x), e)), (0 if d == 0 else None)
+
+
+def _call(node: Call) -> tuple[Callable, int | None]:
+    f, d = _compile(node.arg)
+    fn = _UFUNCS[node.func]
+    return (lambda x: fn(f(x))), d  # exp and log are increasing
+
+
+_RULES = {Num: _num, Var: lambda node: (np.asarray, 1), Unary: _unary, Binary: _binary,
+          Power: _power, Call: _call}
 
 
 def _evaluator(node: Node) -> Callable:
     """The expression as p(x) for a float or an ndarray x, with numpy errors ignored:
-    floats of x's shape, a constant broadcast to it, and a float for a scalar x."""
-    f = _compile(node)
+    floats of x's shape, a constant broadcast to it, and a float for a scalar x.  Its
+    ``direction`` attribute is the expression's (see ``_compile``); ``functools.wraps``
+    copies it to a wrapper."""
+    f, direction = _compile(node)
 
     def evaluate(x):
         xs = np.asarray(x, dtype=float)
@@ -261,6 +320,7 @@ def _evaluator(node: Node) -> Callable:
             return float(y)
         return y if y.shape == xs.shape else np.full(xs.shape, y)
 
+    evaluate.direction = direction
     return evaluate
 
 
@@ -297,9 +357,10 @@ class ExponentFunction:
 
     ``eval`` takes a float or an ndarray and gives p there as floats of the same
     shape, a float for a float: the solvers and oracles call it once on their
-    array of nodes.  Instances are immutable and are safe to share; the bounds
-    come from dense sampling refined around the sampled extremes, so they carry
-    a small sampling slack.
+    array of nodes.  Instances are immutable and are safe to share.  The bounds
+    of an exponent monotone by the grammar's rules are its end values; any
+    other exponent's come from dense sampling refined around the sampled
+    extremes, so they carry a small sampling slack.
     """
 
     eval: Callable
@@ -310,16 +371,26 @@ class ExponentFunction:
 
     def restricted(self, a: float, b: float) -> "ExponentFunction":
         """The same map on a subinterval, with bounds recomputed there."""
-        lo, hi = self.interval
-        if a < lo - 1e-12 or b > hi + 1e-12:
+        if not _covers(self.interval, a, b):
+            lo, hi = self.interval
             raise ValueError(f"[{a}, {b}] is not inside the definition interval [{lo}, {hi}]")
         return _bounded(self.eval, (a, b), self.source)
+
+
+def _covers(interval: tuple[float, float], a: float, b: float) -> bool:
+    """Whether interval holds [a, b], up to a slack of 1e-12 relative to each end of
+    [a, b]: an end's rounding scales with the end, and an absolute slack would accept
+    an exponent that misses a share of a tiny interval (or, in log r, of a ring near 0)."""
+    lo, hi = interval
+    return lo <= a + 1e-12 * abs(a) and hi >= b - 1e-12 * abs(b)
 
 
 def _valid_interval(interval: tuple[float, float]) -> tuple[float, float]:
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"interval must satisfy a < b with finite ends, got ({a}, {b})")
+    if b - a == math.inf:
+        raise ValueError(f"interval ({a}, {b}) is too wide: its width b - a overflows to inf")
     return a, b
 
 
@@ -360,6 +431,17 @@ def _samples(a: float, b: float) -> np.ndarray:
 
 
 def _sampled_bounds(evaluate: Callable, a: float, b: float) -> tuple[float, float]:
+    """(inf, sup) of evaluate on [a, b].  An evaluate of known direction (see ``_compile``)
+    whose two end values are finite gives them: the bounds of a monotone map, and the
+    bits the samples give, as long as numpy's exp and log are monotone in floats and
+    give a point the same bits in any array.  Any other takes 4,098 samples and zooms,
+    raising DomainError at a non-finite sample."""
+    direction = getattr(evaluate, "direction", None)
+    if direction is not None:
+        # The ends as the samples hold them: the first sample is 0.0 + a, 0.0 for a = -0.0.
+        lo, hi = evaluate(np.array([a + 0.0, b])).tolist()[::direction or 1]
+        if math.isfinite(lo) and math.isfinite(hi):
+            return lo, hi
     xs = _samples(a, b)
     ys = evaluate(xs)
     lo, hi = int(ys.argmin()), int(ys.argmax())  # each the first NaN if there is one

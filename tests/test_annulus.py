@@ -317,6 +317,19 @@ def test_problem_validation():
         AnnulusProblem(2, 1.0, 3.0, p)  # exponent undefined past r = 2
 
 
+def test_exponent_must_cover_a_tiny_ring():
+    # The coverage slack is relative to each radius: an absolute 1e-12 accepted an exponent
+    # on a tenth of [1e-20, 2e-20], and on [1e-13, 1] for a ring from 1e-20, which misses
+    # 17 of its 46 units of log r.
+    for r1, r2, interval in [(1e-20, 2e-20, (1.9e-20, 2e-20)), (1e-20, 1.0, (1e-13, 1.0))]:
+        with pytest.raises(ValueError, match="does not cover the radial interval"):
+            AnnulusProblem(2, r1, r2, parse_exponent("2", "r", interval))
+    # A rounding of the radii is still covered.
+    p = parse_exponent("2", "r", (1e-20, 2e-20))
+    AnnulusProblem(2, 1e-20 * (1 + 1e-13), 2e-20 * (1 - 1e-13), p)
+    AnnulusProblem(2, 1.0, 2.0 + 1e-12, parse_exponent("2", "r", (1.0, 2.0)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.sampled_from([2, 3]),

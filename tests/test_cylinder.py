@@ -11,6 +11,7 @@ import pytest
 from vexmod import (
     BisectionConfig,
     CylinderProblem,
+    ExponentRangeError,
     IntervalTooFine,
     NonFiniteIntegrand,
     QuadratureConfig,
@@ -196,6 +197,17 @@ def test_problem_validation():
         CylinderProblem(1.0, math.inf, p)
     with pytest.raises(ValueError):
         CylinderProblem(1.0, 2.0, p)  # exponent undefined past t = 1
+
+
+def test_exponent_must_cover_a_tiny_cylinder():
+    # The coverage slack is relative to the length: an absolute 1e-12 accepted this exponent
+    # on half of [0, 1e-12], where its bounds skip p(0) = 0.
+    text = "1+1e13*(t-1e-13)"
+    with pytest.raises(ValueError, match="does not cover"):
+        CylinderProblem(1.0, 1e-12, parse_exponent(text, "t", (5e-13, 1e-12)))
+    with pytest.raises(ExponentRangeError):
+        parse_exponent(text, "t", (0.0, 1e-12))
+    CylinderProblem(1.0, 1e-12 * (1 + 1e-13), parse_exponent("2", "t", (0.0, 1e-12)))
 
 
 def test_a_cylinder_too_long_to_count_its_steps_is_interval_too_fine():

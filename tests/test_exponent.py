@@ -1,10 +1,13 @@
 """Expression parsing, exponent bounds, and the regularity diagnostic."""
 
+import dataclasses
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vexmod import exponent
 from vexmod.exponent import (
@@ -49,18 +52,34 @@ def test_interior_minimum_is_refined():
     assert p.p_plus == pytest.approx(2.0, abs=1e-9)
 
 
-@pytest.fixture
-def evaluations(monkeypatch):
-    """The arguments of every call of the ``eval`` of each exponent parsed from now on."""
+def _count_evaluations(monkeypatch, keep_direction):
     calls = []
     evaluator = exponent._evaluator
 
     def counted(node):
         evaluate = evaluator(node)
-        return lambda x: calls.append(x) or evaluate(x)
+
+        def wrapper(x):
+            calls.append(x)
+            return evaluate(x)
+
+        return functools.wraps(evaluate)(wrapper) if keep_direction else wrapper
 
     monkeypatch.setattr(exponent, "_evaluator", counted)
     return calls
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The arguments of every call of the ``eval`` of each exponent parsed from now on."""
+    return _count_evaluations(monkeypatch, keep_direction=True)
+
+
+@pytest.fixture
+def scan_evaluations(monkeypatch):
+    """As ``evaluations``, with each ``eval`` stripped of its direction, so that every
+    bound is taken by the sampling scan."""
+    return _count_evaluations(monkeypatch, keep_direction=False)
 
 
 def test_interior_minimum_takes_few_array_evaluations(evaluations):
@@ -78,15 +97,16 @@ def test_sample_grid_equals_linspace_bit_for_bit(evaluations, a, b):
     assert evaluations[0].tobytes() == np.linspace(a, b, 4098).tobytes()
 
 
-def test_flat_underflowing_tail_is_the_minimum():
+def test_flat_underflowing_tail_is_the_minimum(scan_evaluations):
     # exp(-0.5 r) drops below half an ulp of 1.8 near r = 74, deep inside [1, 250].
     assert parse_exponent("1.8+exp(-0.5*r)", "r", (1.0, 250.0)).p_minus == 1.8
+    assert scan_evaluations[0].size == 4098
 
 
-def test_plateau_minimum_is_not_zoomed(evaluations):
+def test_plateau_minimum_is_not_zoomed(scan_evaluations):
     # The sampled minimum is the first sample of the plateau at 1.8, which the next two
     # samples repeat: zooming around it finds nothing lower.
-    calls = evaluations
+    calls = scan_evaluations
     for top in (250.0, 140.0):
         calls.clear()
         p = parse_exponent("1.8+exp(-0.5*r)", "r", (1.0, top))
@@ -193,11 +213,78 @@ def test_interval_validation():
         parse_exponent("2+r", "r", (0.0, math.inf))
 
 
+def test_interval_whose_width_overflows_is_rejected():
+    # Its samples would be inf apart: "2+exp(-r*r)", finite everywhere, was a DomainError.
+    for text in ("2+exp(-r*r)", "3"):
+        with pytest.raises(ValueError, match=r"\(-1e\+308, 1e\+308\) is too wide"):
+            parse_exponent(text, "r", (-1e308, 1e308))
+    assert parse_exponent("3", "r", (-1e307, 1e307)).p_minus == 3.0
+
+
 def test_restricted_narrows_bounds():
     p = parse_exponent("1+r", "r", (1.0, 4.0))
     narrowed = p.restricted(1.0, 2.0)
     assert narrowed.p_plus == pytest.approx(3.0, abs=1e-9)
     assert p.p_plus == pytest.approx(5.0, abs=1e-9)
+
+
+def test_restricted_must_stay_inside_a_tiny_interval():
+    # The slack is relative to the ends, not an absolute 1e-12.
+    p = parse_exponent("2", "r", (1.9e-20, 2e-20))
+    with pytest.raises(ValueError, match="is not inside the definition interval"):
+        p.restricted(1e-20, 2e-20)
+    assert p.restricted(1.9e-20 * (1 - 1e-13), 2e-20).p_minus == 2.0
+
+
+def _scanned(evaluate):
+    """evaluate without its direction, so that its bounds are taken by the sampling scan."""
+    return lambda x: evaluate(x)
+
+
+# The exponent templates of the bench workloads, each on a wide and a narrow interval.
+_MONOTONE_TEMPLATES = [
+    ("2.5", "r"), ("1.2+0.5*r", "r"), ("3.4-0.5*r", "r"), ("1.8+1*exp(-0.5*r)", "r"),
+    ("1.5+0.3*log(1+2*r)", "r"), ("2+t/10", "t"), ("2+exp(-r)", "r"), ("1.5+log(1+t)", "t"),
+]
+
+
+@pytest.mark.parametrize("text, var", _MONOTONE_TEMPLATES)
+@pytest.mark.parametrize("interval, sub", [((1.0, 4.5), (2.0, 3.0)),
+                                           ((0.25, 0.75), (0.5, 0.6))])
+def test_monotone_exponent_takes_its_end_values(evaluations, text, var, interval, sub):
+    p = parse_exponent(text, var, interval)
+    assert [x.tolist() for x in evaluations] == [list(interval)]  # one call, at the ends
+    ends = sorted(p.eval(np.array(interval)).tolist())
+    assert [p.p_minus, p.p_plus] == ends
+    assert exponent._sampled_bounds(_scanned(p.eval), *interval) == (p.p_minus, p.p_plus)
+    evaluations.clear()
+    narrowed = p.restricted(*sub)
+    assert [x.tolist() for x in evaluations] == [list(sub)]
+    assert (narrowed.p_minus, narrowed.p_plus) == exponent._sampled_bounds(_scanned(p.eval), *sub)
+
+
+def test_swapped_eval_is_scanned_by_restricted():
+    # An eval set by dataclasses.replace has no direction, so its NaN tail past r = 5 is
+    # found by the samples and not hidden by the finite ends of [1, 8].
+    parsed = parse_exponent("2+r", "r", (1.0, 20.0))
+    nan_tail = dataclasses.replace(parsed, eval=lambda r: np.where(
+        np.asarray(r) > 5.0, np.nan, parsed.eval(r)))
+    with pytest.raises(DomainError, match=r"^expression is non-finite near x=5\.0014644862094215$"):
+        nan_tail.restricted(1.0, 8.0)
+    narrowed = parsed.restricted(1.0, 8.0)
+    assert (narrowed.p_minus, narrowed.p_plus) == (3.0, 10.0)
+
+
+def test_direction_rules():
+    cases = {
+        "r": 1, "-r": -1, "2.5": 0, "2+1/0": 0, "1+r": 1, "1-r": -1, "r-(-r)": 1, "r+(-r)": None,
+        "r-r": None, "2*r": 1, "r*(-2)": -1, "r/-4": -1, "r/0": None, "0*r": None,
+        "r*(1/0)": None, "4/r": None, "r*r": None, "r^1": None, "2^2+r": 1,
+        "exp(-r)": -1, "log(1+r)": 1, "exp(2)*r": 1, "-log(r)*3+exp(r)": None,
+        "3-2*exp(-r)+log(r/5)": 1,
+    }
+    got = {text: exponent._compile(parse_expression(text, "r"))[1] for text in cases}
+    assert got == cases
 
 
 def _ast_nodes():
@@ -232,7 +319,7 @@ def test_unparse_round_trips_random_trees(tree):
 @settings(max_examples=150, deadline=None)
 @given(tree=_ast_nodes())
 def test_compiled_expression_on_an_array_equals_it_point_by_point(tree):
-    f = _compile(tree)
+    f, _ = _compile(tree)
     xs = np.linspace(-2.0, 3.0, 11)
     with np.errstate(all="ignore"):
         whole = np.broadcast_to(f(xs), xs.shape)
@@ -247,3 +334,28 @@ def test_pole_at_a_sample_raises_domain_error(tree):
     text = f"2 + ({unparse(tree)}) / (r - 1)"
     with pytest.raises(DomainError):
         parse_exponent(text, "r", (0.0, 4097.0))
+
+
+def _bounds_or_error(evaluate, interval, source):
+    """(p_minus, p_plus) as bits, or the error's class and message."""
+    try:
+        p = exponent._bounded(evaluate, interval, source)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return p.p_minus.hex(), p.p_plus.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_ast_nodes(), a=st.floats(-50.0, 50.0),
+       width=st.floats(1e-9, 1e4) | st.sampled_from([1.0, 1000.0]))
+@example(tree=Var("r"), a=-0.0, width=1.0)  # the first sample is 0.0, not -0.0
+def test_end_values_of_a_monotone_tree_are_its_scanned_bounds(tree, a, width):
+    # The bounds from the ends of a tree of known direction equal the scan's bit for bit,
+    # or both raise the same error; every numpy warning is an error here.
+    interval = (a, a + width)
+    evaluate = exponent._evaluator(tree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        direct = _bounds_or_error(evaluate, interval, unparse(tree))
+        scanned = _bounds_or_error(_scanned(evaluate), interval, unparse(tree))
+    assert direct == scanned
