@@ -14,7 +14,6 @@ integrals.  A row that fails, at a bad exponent value or in its solve, fails alo
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -26,13 +25,14 @@ from .exponent import ExponentFunction, _covers
 from .quadrature import (
     NonFiniteIntegrand,
     QuadratureConfig,
+    _checked_sum,
     simpson_nodes,
     simpson_rows,
-    simpson_sum,
 )
 from .rootfind import (
     BisectionConfig,
     BracketFailure,
+    _row_parts,
     exp_or_inf,
     log_total,
     positive_normal,
@@ -152,11 +152,10 @@ class _WeightedCore:
     ``density(l, x)`` gives the density at lam = e^l in the problem's variable.
     """
 
-    def __init__(self, starts: np.ndarray, sizes: list, spans: list, inv: np.ndarray,
-                 base: np.ndarray, weights: np.ndarray, failures: list, density: Callable) -> None:
-        self.starts, self.sizes, self.spans = starts, sizes, spans
-        self.inv, self.base, self.weights = inv, base, weights
-        self.failures, self.density = failures, density
+    def __init__(self, starts: np.ndarray, spans: list, inv: np.ndarray, base: np.ndarray,
+                 weights: np.ndarray, failures: list, density: Callable) -> None:
+        self.starts, self.spans, self.inv, self.base = starts, spans, inv, base
+        self.weights, self.failures, self.density = weights, failures, density
 
     @classmethod
     @np.errstate(all="ignore")
@@ -165,27 +164,32 @@ class _WeightedCore:
         joined nodes (log w and log J may be scalars), checked once.  A row with a node
         where p is not a finite value above 1 fails alone, with NonFiniteIntegrand naming
         its own first such node; its nodes get the stand-in inv = 1 and base = 0, so the
-        kernel solves it on finite numbers, and its result is discarded."""
+        kernel solves it on finite numbers, and its result is discarded.  One loop over
+        the grids gives the rows' starts, spans and subinterval counts."""
         inv = 1.0 / (p - 1.0)
         base = log_j - inv * (np.log(p) + log_w)
-        sizes = [u.size for u in grids]
-        starts = np.array([0, *itertools.accumulate(sizes[:-1])])
-        failures = [None] * len(sizes)
+        counts, starts, spans, end = [], [], [], 0
+        for u in grids:
+            counts.append(u.size - 1)
+            starts.append(end)
+            spans.append((float(u[-1]) - float(u[0]), 3.0 * counts[-1]))
+            end += u.size
+        starts = np.array(starts)
+        failures = [None] * len(grids)
         if not (math.isfinite(base.sum()) and inv.min() > 0.0):  # look for bad nodes
             bad = np.flatnonzero(~(np.isfinite(base) & (inv > 0.0)))
             rows, first = np.unique(starts.searchsorted(bad, "right") - 1, return_index=True)
             for r, i in zip(rows.tolist(), bad[first].tolist()):
-                a = int(starts[r])
+                a, u = int(starts[r]), grids[r]
                 failures[r] = (NonFiniteIntegrand, f"the exponent is {float(p[i])!r} at quadrature"
-                               f" node {float(grids[r][i - a])!r}, not a finite value above 1")
-                inv[a:a + sizes[r]], base[a:a + sizes[r]] = 1.0, 0.0
+                               f" node {float(u[i - a])!r}, not a finite value above 1")
+                inv[a:a + u.size], base[a:a + u.size] = 1.0, 0.0
         # Simpson weights, of terms in [0, 1]: (h, h inv) for N and N', then 2h for the
         # normalization and (h, 2h) / p for the modulus.
-        weights = simpson_rows(*[n - 1 for n in sizes]).take((0, 0, 1, 0, 1), axis=0)
+        weights = simpson_rows(*counts).take((0, 0, 1, 0, 1), axis=0)
         weights[1] *= inv
         weights[3:] /= p
-        spans = [(float(u[-1] - u[0]), 3.0 * (n - 1)) for u, n in zip(grids, sizes)]
-        return cls(starts, sizes, spans, inv, base, weights, failures, density)
+        return cls(starts, spans, inv, base, weights, failures, density)
 
     def normalization(self, lam: float) -> float:
         """The normalization integral of a one-row pass at multiplier lam, or its failure."""
@@ -207,14 +211,14 @@ class _WeightedCore:
         sol = solve_multiplier(self.inv, self.base, self.weights[:2], self.starts, self.spans,
                                bis)
         out = []
-        for r, (a, n, (width, div)) in enumerate(zip(self.starts.tolist(), self.sizes,
-                                                     self.spans)):
+        for r, (w, t, width, div) in enumerate(_row_parts(self.weights, sol.terms, self.starts,
+                                                          self.spans)):
             failure = self.failures[r] or sol.error[r]
             if failure:
                 out.append(failure)
                 continue
             # The normalization and modulus integrals at steps h and 2h, from its last terms.
-            n_h, _, n_2h, e_h, e_2h = self.weights[:, a:a + n].dot(sol.terms[a:a + n]).tolist()
+            n_h, _, n_2h, e_h, e_2h = w.dot(t).tolist()
             ell = sol.log_lam[r]
             try:
                 lam = positive_normal("multiplier", exp_or_inf(ell))
@@ -317,6 +321,7 @@ def constant_exponent_modulus(n: int, p: float, r1: float, r2: float) -> float:
     return positive_normal("modulus", exp_or_inf(_log_unit_sphere_area(n) + (1 - p) * log_inner))
 
 
+@np.errstate(all="ignore")  # one context for the values and their sum
 def log_density_upper_bound(
     prob: AnnulusProblem, quad: QuadratureConfig | None = None
 ) -> float:
@@ -327,11 +332,10 @@ def log_density_upper_bound(
     """
     s = _ring_grid(prob, quad)
     log_r, p = _ring_nodes(prob.r1, prob.p, [s], [prob.r2])
-    with np.errstate(all="ignore"):
-        # omega_n r^(n-1) (r L)^-p times the Jacobian r
-        values = np.exp(_log_unit_sphere_area(prob.n) + (prob.n - p) * log_r
-                        - p * math.log(_log_ratio(prob.r1, prob.r2)))
-    return simpson_sum(s, values)
+    # omega_n r^(n-1) (r L)^-p times the Jacobian r
+    values = np.exp(_log_unit_sphere_area(prob.n) + (prob.n - p) * log_r
+                    - p * math.log(_log_ratio(prob.r1, prob.r2)))
+    return _checked_sum(s, values)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .annulus import ExtremalSolution, _WeightedCore, _density_at
 from .exponent import ExponentFunction, _covers
-from .quadrature import QuadratureConfig, simpson_nodes, simpson_sum
+from .quadrature import NonFiniteIntegrand, QuadratureConfig, _checked_sum, simpson_nodes
 from .rootfind import BisectionConfig
 
 __all__ = [
@@ -75,12 +75,17 @@ def solve_cylinder(
     return _axial_core(prob, quad).solution(bis, prob.area)
 
 
+@np.errstate(all="ignore")  # one context for the values and their sum
 def constant_density_upper_bound(
     prob: CylinderProblem, quad: QuadratureConfig | None = None
 ) -> float:
-    """Energy of the constant density 1/L, admissible for end-to-end curves."""
+    """Energy of the constant density 1/L, admissible for end-to-end curves; one that
+    exceeds the float range is NonFiniteIntegrand, as is the integral's own overflow."""
     t, p = _axial_nodes(prob, quad)
-    with np.errstate(all="ignore"):
-        values = (1.0 / prob.length) ** p
-    return prob.area * simpson_sum(t, values)
+    energy = _checked_sum(t, (1.0 / prob.length) ** p)
+    bound = prob.area * energy
+    if bound == math.inf:
+        raise NonFiniteIntegrand(f"the area {prob.area} times the integral {energy}"
+                                 " overflows a float")
+    return bound
 

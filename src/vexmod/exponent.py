@@ -107,45 +107,31 @@ class Call:
 Node = Union[Num, Var, Unary, Binary, Power, Call]
 
 
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One token per match, after any whitespace: a number, a name, an operator, or any other
+# character, which is an error at its position.
+_TOKEN = re.compile(r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+                    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME.match(text, i)
-        if m:
-            tokens.append(("name", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens.  The next token is read in place, as
+    ``self.tokens[self.i]``, not by a method: a call per look costs more."""
+
     def __init__(self, tokens: list[tuple[str, str, int]], variable: str) -> None:
         self.tokens = tokens
         self.i = 0
         self.variable = variable
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
 
     def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
@@ -159,33 +145,34 @@ class _Parser:
 
     def parse(self) -> Node:
         node = self.expr()
-        kind, text, pos = self.peek()
+        kind, text, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError(f"trailing input {text!r}", pos)
         return node
 
     def expr(self) -> Node:
         node = self.term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.take()[1]
-            node = Binary(op, node, self.term())
+        while (tok := self.tokens[self.i])[0] == "op" and tok[1] in "+-":
+            self.i += 1
+            node = Binary(tok[1], node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.factor()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.take()[1]
-            node = Binary(op, node, self.factor())
+        while (tok := self.tokens[self.i])[0] == "op" and tok[1] in "*/":
+            self.i += 1
+            node = Binary(tok[1], node, self.factor())
         return node
 
     def factor(self) -> Node:
-        negated = False
-        if self.peek()[0] == "op" and self.peek()[1] == "-":
-            self.take()
-            negated = True
+        kind, text, _ = self.tokens[self.i]
+        negated = kind == "op" and text == "-"
+        if negated:
+            self.i += 1
         node = self.atom()
-        if self.peek()[0] == "op" and self.peek()[1] == "^":
-            self.take()
+        kind, text, _ = self.tokens[self.i]
+        if kind == "op" and text == "^":
+            self.i += 1
             kind, text, pos = self.take()
             if kind != "num":
                 raise ParseError(
@@ -234,8 +221,9 @@ def _compile(node: Node) -> tuple[Callable, int | None]:
     - its closure, a function of x: numpy ufuncs also for a scalar x and between
       constants, so a pole gives inf and a bad power nan, never ZeroDivisionError or a
       complex, and a point's value is its value in an array;
-    - its direction in x: 1 (non-decreasing), -1 (non-increasing), 0 (a constant, whose
-      closure ignores x, so that its value is closure(None)) or None (unknown).
+    - its direction in x: 1 (non-decreasing), -1 (non-increasing), 0 (a constant) or
+      None (unknown).  A constant subtree is folded into its float64 value once: its
+      closure ignores x and returns that value, closure(None) included.
     """
     try:
         rule = _RULES[type(node)]
@@ -253,28 +241,39 @@ def _by_constant(d: int | None, constant: Callable) -> int | None:
     by the constant's sign if it is finite and nonzero, else unknown."""
     if d is None:
         return None
-    with np.errstate(all="ignore"):
-        c = float(constant(None))
+    c = float(constant(None))  # a folded value: no arithmetic, no floating-point error
     if not (math.isfinite(c) and c != 0.0):
         return None
     return d if c > 0.0 else -d
 
 
-def _num(node: Num) -> tuple[Callable, int]:
-    c = np.float64(node.value)
+def _constant(c: np.float64) -> tuple[Callable, int]:
     return (lambda x: c), 0
+
+
+@np.errstate(all="ignore")
+def _folded(f: Callable) -> tuple[Callable, int]:
+    """The form of a constant expression of closure f: its value, computed once."""
+    return _constant(f(None))
+
+
+def _num(node: Num) -> tuple[Callable, int]:
+    return _constant(np.float64(node.value))
 
 
 def _unary(node: Unary) -> tuple[Callable, int | None]:
     f, d = _compile(node.operand)
+    if d == 0:  # a negation raises no floating-point error
+        return _constant(-f(None))
     return (lambda x: -f(x)), _flip(d)
 
 
 def _binary(node: Binary) -> tuple[Callable, int | None]:
     (f, d), (g, e), fn = _compile(node.left), _compile(node.right), _UFUNCS[node.op]
+    closure = lambda x: fn(f(x), g(x))
     if d == 0 and e == 0:
-        direction = 0
-    elif node.op in "+-":  # a shared direction; a constant shares any
+        return _folded(closure)
+    if node.op in "+-":  # a shared direction; a constant shares any
         e = e if node.op == "+" else _flip(e)
         if d == 0 or e == 0:
             direction = e if d == 0 else d
@@ -286,23 +285,30 @@ def _binary(node: Binary) -> tuple[Callable, int | None]:
         direction = _by_constant(e, f)
     else:  # a product or quotient of two non-constants, or a constant over one
         direction = None
-    return (lambda x: fn(f(x), g(x))), direction
+    return closure, direction
 
 
 def _power(node: Power) -> tuple[Callable, int | None]:
     f, d = _compile(node.base)  # a float64 scalar's ** can differ from np.power by an ulp
     e = node.exponent
-    return (lambda x: np.power(f(x), e)), (0 if d == 0 else None)
+    closure = lambda x: np.power(f(x), e)
+    return _folded(closure) if d == 0 else (closure, None)
 
 
 def _call(node: Call) -> tuple[Callable, int | None]:
     f, d = _compile(node.arg)
     fn = _UFUNCS[node.func]
-    return (lambda x: fn(f(x))), d  # exp and log are increasing
+    closure = lambda x: fn(f(x))
+    return _folded(closure) if d == 0 else (closure, d)  # exp and log are increasing
 
 
 _RULES = {Num: _num, Var: lambda node: (np.asarray, 1), Unary: _unary, Binary: _binary,
           Power: _power, Call: _call}
+
+
+@np.errstate(all="ignore")  # as a decorator, it enters its context faster than a with
+def _ignoring_errors(f: Callable, x):
+    return f(x)
 
 
 def _evaluator(node: Node) -> Callable:
@@ -314,8 +320,7 @@ def _evaluator(node: Node) -> Callable:
 
     def evaluate(x):
         xs = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            y = f(xs)
+        y = _ignoring_errors(f, xs)
         if xs.ndim == 0:
             return float(y)
         return y if y.shape == xs.shape else np.full(xs.shape, y)

@@ -24,6 +24,7 @@ import numpy as np
 from .annulus import AnnulusProblem, unit_sphere_area
 from .cylinder import CylinderProblem
 from .exponent import _MIN_EXPONENT_MARGIN
+from .quadrature import _check_count
 from .rootfind import BisectionConfig, solve_multiplier
 
 __all__ = [
@@ -177,12 +178,6 @@ def dual_lower_bound(weights, exponents, cell_width: float, mu: float) -> float:
     with np.errstate(over="ignore"):
         terms = (p - 1.0) * w * (mu / (p * w)) ** (p / (p - 1.0))
         return float(mu - terms.sum() * cell_width)
-
-
-def _check_count(name: str, value) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
-        shown = value.item() if isinstance(value, np.generic) else value  # 0, not np.int64(0)
-        raise ValueError(f"{name} must be an integer of at least 1, got {shown!r}")
 
 
 def _project_unit_simplex(y: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -29,6 +28,13 @@ class IntervalTooFine(ValueError):
     """The requested step needs more subintervals than the configured cap."""
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """ValueError naming value unless it is an integer (a bool is not) of at least least."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        shown = value.item() if isinstance(value, np.generic) else value  # 0, not np.int64(0)
+        raise ValueError(f"{name} must be an integer of at least {least}, got {shown!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Target subinterval width; the realized step never exceeds it."""
@@ -39,8 +45,7 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.step_hint) and self.step_hint > 0):
             raise ValueError(f"step_hint must be positive and finite, got {self.step_hint}")
-        if self.max_subintervals < 4:
-            raise ValueError(f"max_subintervals must be at least 4, got {self.max_subintervals}")
+        _check_count("max_subintervals", self.max_subintervals, 4)
 
 
 _DEFAULT_CONFIG = QuadratureConfig()  # frozen, so one instance serves every call
@@ -96,20 +101,28 @@ def simpson_nodes(a: float, b: float, cfg: QuadratureConfig | None = None) -> np
     return _grid(a, b, subinterval_count(a, b, cfg))
 
 
+def _simpson_pattern(size: int) -> np.ndarray:
+    """The first size columns of the integer Simpson rows of every longer grid."""
+    rows = np.zeros((2, size))
+    rows[0, 1::2], rows[0, 2::2], rows[1, ::4], rows[1, 2::4] = 4.0, 2.0, 4.0, 8.0
+    rows[:, 0] = 1.0, 2.0
+    return rows
+
+
+# Read-only, as _INDICES: a grid of at most 4,096 subintervals slices the pattern.
+_PATTERN, _ENDS = _simpson_pattern(4096), np.array([[1.0], [2.0]])
+_PATTERN.flags.writeable = _ENDS.flags.writeable = False
+
+
 def simpson_rows(*ns: int) -> np.ndarray:
     """Integer Simpson rows on n + 1 nodes, n a multiple of 4: [1, 4, 2, ..., 4, 1] and
     [2, 0, 8, 0, 4, ..., 8, 0, 2] at step 2h; (b - a) * (row . values) / (3 n) is the rule.
-    Several counts give the rows of their grids joined end to end, in order."""
-    rows = np.zeros((2, max(ns) + 1))
-    rows[0, 1::2], rows[0, 2::2], rows[1, ::4], rows[1, 2::4] = 4.0, 2.0, 4.0, 8.0
-    rows[:, 0] = rows[:, -1] = 1.0, 2.0
-    if len(ns) == 1:
-        return rows
-    # Each grid takes the weights of its own indices, then its own end weights.
-    rows = np.concatenate([rows[:, :n + 1] for n in ns], axis=1)
-    last = list(itertools.accumulate(ns, lambda end, n: end + n + 1, initial=-1))[1:]
-    rows[0, last], rows[1, last] = 1.0, 2.0
-    return rows
+    Several counts give the rows of their grids joined end to end, in order, as one new
+    array: slices of a read-only pattern (a count past 4,096 builds its own), each
+    followed by its end column."""
+    top = max(ns)
+    pattern = _PATTERN if top <= _PATTERN.shape[1] else _simpson_pattern(top)
+    return np.concatenate([part for n in ns for part in (pattern[:, :n], _ENDS)], axis=1)
 
 
 def _simpson(nodes: np.ndarray, values: np.ndarray) -> float:
@@ -122,13 +135,17 @@ def _simpson(nodes: np.ndarray, values: np.ndarray) -> float:
     return (float(nodes[-1]) - float(nodes[0])) * total / (3.0 * (nodes.size - 1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simpson_sum(nodes: np.ndarray, values: np.ndarray) -> float:
     """Composite Simpson sum of integrand values at ``simpson_nodes``; a value
     that is not finite raises NonFiniteIntegrand naming its node, and so does
     an integral of finite values that exceeds the float range, naming the interval."""
-    n = nodes.size - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = _simpson(nodes, values)
+    return _checked_sum(nodes, values)
+
+
+def _checked_sum(nodes: np.ndarray, values: np.ndarray) -> float:
+    """``simpson_sum`` for a caller that already ignores numpy's floating-point errors."""
+    result = _simpson(nodes, values)
     if math.isfinite(result):
         return result
     bad = np.flatnonzero(~np.isfinite(values))
@@ -136,9 +153,8 @@ def simpson_sum(nodes: np.ndarray, values: np.ndarray) -> float:
         raise NonFiniteIntegrand(
             f"integrand is {float(values[bad[0]])} at node x={float(nodes[bad[0]])!r}")
     # Finite values whose unweighted total overflowed: weigh each by h / 3 before summing.
-    with np.errstate(over="ignore"):
-        s = values * ((nodes[-1] - nodes[0]) / (3.0 * n))
-        result = float(s[0] + s[-1] + 4.0 * s[1:-1:2].sum() + 2.0 * s[2:-1:2].sum())
+    s = values * ((nodes[-1] - nodes[0]) / (3.0 * (nodes.size - 1)))
+    result = float(s[0] + s[-1] + 4.0 * s[1:-1:2].sum() + 2.0 * s[2:-1:2].sum())
     if not math.isfinite(result):
         raise NonFiniteIntegrand(
             f"integral over [{float(nodes[0])}, {float(nodes[-1])}] overflows a float"
@@ -168,4 +184,4 @@ def integrate(
                 values = np.full(nodes.shape, values)
         except Exception:  # an integrand that rejects arrays: one call per node
             values = np.array([float(f(x)) for x in nodes])
-    return simpson_sum(nodes, values)
+        return _checked_sum(nodes, values)

@@ -14,14 +14,14 @@ dimension or radius the problems accept.
 
 The kernel solves a pass of rows at once, one multiplier per row: the rows'
 nodes are joined end to end, and each step computes the terms of all of them
-in one pass (``np.maximum.reduceat`` for each row's scale), then N and N' of
-each row that is still stepping by one ``dot`` of its weights with its own
-terms; each row keeps its own bracket and step history in Python.  A row
-sums only its own nodes, in the same order whatever its neighbours, so it
-gets the same numbers alone as in any pass; a single solve is the pass of
-one row, and its ``dot`` costs less than the ``einsum`` or ``reduceat`` sums
-would.  A row that fails records its exception class and message, not an
-exception, and its neighbours go on.
+in one pass (``np.maximum.reduceat`` for each row's scale), then takes one
+pass in Python over the rows still stepping: N and N' of the row by one
+``dot`` of its weights with its own terms, its check, its bracket and its next
+step.  A row sums only its own nodes, in the same order whatever its
+neighbours, so it gets the same numbers alone as in any pass; a single solve
+is the pass of one row, which slices nothing, and its ``dot`` costs less than
+the ``einsum`` or ``reduceat`` sums would.  A row that fails records its
+exception class and message, not an exception, and its neighbours go on.
 
 ``solve_increasing`` is the bracketed bisection that the multiplier solve
 used before; nothing in the package calls it any more.
@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .quadrature import _check_count
 
 __all__ = [
     "BisectionConfig",
@@ -86,8 +88,7 @@ class BisectionConfig:
         if not (math.isfinite(self.residual_tol) and math.isfinite(self.lambda_tol)):
             raise ValueError(f"tolerances must be finite, got residual_tol={self.residual_tol}"
                              f" and lambda_tol={self.lambda_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        _check_count("max_iters", self.max_iters)
 
 
 _DEFAULT_CONFIG = BisectionConfig()  # frozen, so one instance serves every call
@@ -137,21 +138,21 @@ def log_total(inv: np.ndarray, base: np.ndarray, weights: np.ndarray, starts, si
     no sizes."""
     starts = np.asarray(starts)
     terms = np.empty_like(inv)
-    parts = _row_parts(weights, starts, sizes, spans, terms)
     m = _scaled_terms(inv, base, starts, sizes, ell, terms)
-    f, df = [0.0] * len(parts), [0.0] * len(parts)
-    _row_sums(parts, m, range(len(parts)), f, df)
-    return f, df, m, terms
+    sums = [_log_sums(part, scale)
+            for part, scale in zip(_row_parts(weights, terms, starts, spans), m)]
+    return [f for f, _ in sums], [df for _, df in sums], m, terms
 
 
-def _row_parts(weights: np.ndarray, starts: np.ndarray, sizes, spans: list,
-               terms: np.ndarray) -> list:
-    """Per row of a pass: its weight rows and its part of the joined terms, as views,
-    and its span (width, div)."""
+def _row_parts(weights: np.ndarray, terms: np.ndarray, starts: np.ndarray, spans: list) -> list:
+    """Per row of a pass: its columns of weights and its part of the joined terms, as
+    views, and its span (width, div); a row ends where the next starts.  A pass of one
+    row slices nothing."""
     if len(spans) == 1:
         return [(weights, terms, *spans[0])]
-    return [(weights[:, a:a + n], terms[a:a + n], width, div)
-            for a, n, (width, div) in zip(starts.tolist(), sizes.tolist(), spans)]
+    ends = starts.tolist() + [terms.size]
+    return [(weights[:, a:b], terms[a:b], width, div)
+            for a, b, (width, div) in zip(ends, ends[1:], spans)]
 
 
 def _scaled_terms(inv, base, starts, sizes, ell: list, terms: np.ndarray) -> list:
@@ -173,15 +174,13 @@ def _scaled_terms(inv, base, starts, sizes, ell: list, terms: np.ndarray) -> lis
     return m
 
 
-def _row_sums(parts: list, m: list, which, f: list, df: list) -> None:
-    """For each row r in which, log N_r into f[r] and its slope into df[r], from one
-    ``dot`` of the row's weights with its own terms: a row gets the same numbers alone
-    as in any pass."""
-    for r in which:
-        w, t, width, div = parts[r]
-        s, ds = w.dot(t).tolist()
-        f[r] = m[r] + math.log(width * s / div)
-        df[r] = ds / s
+def _log_sums(part: tuple, m: float) -> tuple[float, float]:
+    """log N of a row at scale m and its slope in l, from one ``dot`` of its weights with
+    its own terms, part = (weights, terms, width, div): a row gets the same numbers
+    alone as in any pass."""
+    w, t, width, div = part
+    s, ds = w.dot(t).tolist()
+    return m + math.log(width * s / div), ds / s
 
 
 def _defect(f: float) -> float:
@@ -201,61 +200,57 @@ def solve_multiplier(
     inv > 0, positive c and widths, starting at l = 0; an evaluation inside the residual
     tolerance is accepted on the spot.
 
-    The rows step in lockstep, one joined evaluation per step; an accepted row's
-    terms are evaluated again at its accepted l, unchanged, so the last evaluation
-    holds the terms of every row, but its sums are not taken again.  A row that
-    spends max_iters steps records MaxItersExceeded as its failure; every row gets
-    the numbers it would get alone."""
+    The rows step in lockstep, one joined evaluation per step, and each evaluation is
+    followed by one pass over the rows still stepping: a row's sums, its check, its
+    bracket and its next step.  An accepted row's terms are evaluated again at its
+    accepted l, unchanged, so the last evaluation holds the terms of every row, but its
+    sums are not taken again.  A row that spends max_iters steps records
+    MaxItersExceeded as its failure; every row gets the numbers it would get alone.  A
+    single solve is the pass of one row, which slices nothing."""
     if cfg is None:
         cfg = _DEFAULT_CONFIG
-    tol, step_tol = cfg.residual_tol, cfg.lambda_tol
+    tol, step_tol, budget = cfg.residual_tol, cfg.lambda_tol, cfg.max_iters
     starts = np.asarray(starts)
-    rows = len(starts)
+    rows = len(spans)
     sizes = None if rows == 1 else np.append(starts[1:], inv.size) - starts
     terms = np.empty_like(inv)  # every evaluation writes its terms here
-    parts = _row_parts(weights, starts, sizes, spans, terms)
-    ell, f, df = [0.0] * rows, [0.0] * rows, [0.0] * rows
-    m = _scaled_terms(inv, base, starts, sizes, ell, terms)
-    _row_sums(parts, m, range(rows), f, df)
-    residual = list(map(_defect, f))
-    iters = [0] * rows
-    active = [r for r, x in enumerate(residual) if x > tol]
-    if active:
-        top = np.maximum.reduceat(inv, starts).tolist()
-        bottom = np.minimum.reduceat(inv, starts).tolist()
-        lo, hi = [0.0] * rows, [0.0] * rows
-        for r in active:
-            a, b = ell[r] - f[r] / top[r], ell[r] - f[r] / bottom[r]
-            lo[r], hi[r] = (a, b) if a <= b else (b, a)
-        step_old, step = [math.inf] * rows, [math.inf] * rows
-    for it in range(1, cfg.max_iters + 1):
-        if not active:
-            break
-        for r in active:
-            fr, dfr, was = f[r], df[r], ell[r]
-            newton = was - fr / dfr
-            if lo[r] <= newton <= hi[r] and abs(2.0 * fr) <= abs(step_old[r] * dfr):
+    parts = _row_parts(weights, terms, starts, spans)
+    ell, residual, iters, error = [0.0] * rows, [0.0] * rows, [0] * rows, [None] * rows
+    lo, hi, step_old, step = [0.0] * rows, [0.0] * rows, [math.inf] * rows, [math.inf] * rows
+    top = None  # the rows' largest and smallest inv, once a row needs its bracket
+    stepping, it = range(rows), 0
+    while stepping:
+        m = _scaled_terms(inv, base, starts, sizes, ell, terms)
+        going = []
+        for r in stepping:  # an accepted row keeps its numbers
+            f, df = _log_sums(parts[r], m[r])
+            x = residual[r] = _defect(f)
+            iters[r] = it
+            if x <= tol or abs(step[r]) <= step_tol:
+                continue
+            was = ell[r]
+            if it == 0:  # l* lies in l - F(l) * [p_min - 1, p_max - 1]
+                if top is None:
+                    top = np.maximum.reduceat(inv, starts).tolist()
+                    bottom = np.minimum.reduceat(inv, starts).tolist()
+                a, b = was - f / top[r], was - f / bottom[r]
+                lo[r], hi[r] = (a, b) if a <= b else (b, a)
+            elif f < 0.0:
+                lo[r] = was
+            else:
+                hi[r] = was
+            if it == budget:
+                error[r] = (MaxItersExceeded, f"no convergence in {budget} iterations,"
+                            f" log multiplier in [{lo[r]}, {hi[r]}]")
+                continue
+            newton = was - f / df
+            if lo[r] <= newton <= hi[r] and abs(2.0 * f) <= abs(step_old[r] * df):
                 new = newton
             else:  # out of the bracket, or not half the step before last
                 new = 0.5 * (lo[r] + hi[r])
             step_old[r], step[r], ell[r] = step[r], new - was, new
-        m = _scaled_terms(inv, base, starts, sizes, ell, terms)
-        _row_sums(parts, m, active, f, df)  # an accepted row keeps its numbers
-        going = []
-        for r in active:
-            residual[r], iters[r] = _defect(f[r]), it
-            if residual[r] <= tol or abs(step[r]) <= step_tol:
-                continue
-            if f[r] < 0.0:
-                lo[r] = ell[r]
-            else:
-                hi[r] = ell[r]
             going.append(r)
-        active = going
-    error = [None] * rows
-    for r in active:
-        error[r] = (MaxItersExceeded, f"no convergence in {cfg.max_iters} iterations,"
-                    f" log multiplier in [{lo[r]}, {hi[r]}]")
+        stepping, it = going, it + 1
     return MultiplierSolve(ell, residual, iters, m, error, terms)
 
 

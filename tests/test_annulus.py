@@ -22,6 +22,7 @@ from vexmod import (
     CylinderProblem,
     ExponentFunction,
     IntervalTooFine,
+    MaxItersExceeded,
     NonFiniteIntegrand,
     QuadratureConfig,
     constant_density_upper_bound,
@@ -38,6 +39,7 @@ from vexmod import (
 )
 from vexmod import annulus, oracle
 from vexmod.annulus import SweepRow
+from vexmod.quadrature import simpson_nodes
 
 REF_LAMBDA = 20.778872988263774
 REF_MODULUS = 8.652192184157259
@@ -698,3 +700,118 @@ def test_upper_bound_names_a_bad_node_by_a_plain_number():
     with pytest.raises(NonFiniteIntegrand) as info:
         log_density_upper_bound(AnnulusProblem(3, 1.0, 20.0, nan_tail))
     assert str(info.value) == "integrand is nan at node x=1.617695427719155"  # s = log(r)
+
+
+def _reference_core(grids, p, log_w, log_j):
+    """The core's construction as a plain reference: each grid's Simpson rows filled
+    from np.zeros, inv and base with a bad row's stand-in of 1 and 0, the five weight
+    rows, the rows' starts and spans, and each row's bracket ends, the least and the
+    largest inv."""
+    with np.errstate(all="ignore"):
+        inv = 1.0 / (p - 1.0)
+        base = log_j - inv * (np.log(p) + log_w)
+        simpson = []
+        for u in grids:
+            rows = np.zeros((2, u.size))
+            rows[0, 1::2], rows[0, 2::2], rows[1, ::4], rows[1, 2::4] = 4.0, 2.0, 4.0, 8.0
+            rows[:, 0] = rows[:, -1] = 1.0, 2.0
+            simpson.append(rows)
+        simpson = np.concatenate(simpson, axis=1)
+        starts = np.cumsum([0] + [u.size for u in grids[:-1]])
+        rows = [slice(a, a + u.size) for a, u in zip(starts, grids)]
+        for row in rows:
+            if not (np.isfinite(base[row]).all() and (inv[row] > 0.0).all()):
+                inv[row], base[row] = 1.0, 0.0
+        weights = np.array([simpson[0], simpson[0] * inv, simpson[1],
+                            simpson[0] / p, simpson[1] / p])
+    spans = [(float(u[-1] - u[0]), 3.0 * (u.size - 1)) for u in grids]
+    brackets = [(float(inv[row].min()), float(inv[row].max())) for row in rows]
+    return inv, base, weights, starts, spans, brackets, rows
+
+
+def _reference_solve(inv, base, weights, span, bracket, cfg):
+    """The one-row safeguarded Newton solve and its record, in plain numpy on the
+    reference arrays of one row, in the kernel's order of operations."""
+    width, div = span
+
+    def evaluate(ell):
+        terms = inv * ell + base
+        m = float(terms.max())
+        terms = np.exp(terms - m)
+        s, ds = weights[:2].dot(terms).tolist()
+        return m + math.log(width * s / div), ds / s, m, terms
+
+    ell = 0.0
+    f, df, m, terms = evaluate(ell)
+    residual, iters = abs(math.expm1(f)), 0
+    if residual > cfg.residual_tol:
+        lo, hi = sorted((ell - f / bracket[1], ell - f / bracket[0]))
+        step_old = step = math.inf
+        for iters in range(1, cfg.max_iters + 1):
+            newton = ell - f / df
+            if lo <= newton <= hi and abs(2.0 * f) <= abs(step_old * df):
+                new = newton
+            else:
+                new = 0.5 * (lo + hi)
+            step_old, step, ell = step, new - ell, new
+            f, df, m, terms = evaluate(ell)
+            residual = abs(math.expm1(f))
+            if residual <= cfg.residual_tol or abs(step) <= cfg.lambda_tol:
+                break
+            lo, hi = (ell, hi) if f < 0.0 else (lo, ell)
+        else:
+            return MaxItersExceeded
+    n_h, _, n_2h, e_h, e_2h = weights.dot(terms).tolist()
+    lam = math.exp(ell)
+    modulus = lam * math.exp(m) * (width * e_h / div)
+    error = max(abs(n_h - n_2h) / (15.0 * n_h), abs(e_h - e_2h) / (15.0 * e_h))
+    return lam, modulus, residual, error, iters, ell
+
+
+def _axial_pass(p, counts):
+    """The core inputs of cylinder rows of the given subinterval counts on [0, 1]."""
+    grids = [simpson_nodes(0.0, 1.0, QuadratureConfig(1.0 / n)) for n in counts]
+    assert [u.size - 1 for u in grids] == list(counts)
+    return grids, p.eval(np.concatenate(grids)), 0.0, 0.0
+
+
+def _ring_pass(p, r1, tops):
+    """The core inputs of rings from r1 out to each radius in tops, as a sweep joins them."""
+    grids = [simpson_nodes(0.0, math.log(r2) - math.log(r1)) for r2 in tops]
+    log_r, pr = annulus._ring_nodes(r1, p, grids, tops)
+    return grids, pr, annulus._log_unit_sphere_area(3) + 2.0 * log_r, log_r
+
+
+_NAN_TAIL = ExponentFunction(lambda r: np.where(np.asarray(r) > 5.0, np.nan, 2.5), 2.5, 2.5,
+                             "2.5, NaN beyond 5", (1.0, 20.0))
+
+
+@pytest.mark.parametrize("case", ["one row", "joined pass", "bad node", "template end"])
+def test_core_equals_the_plain_reference_construction_bit_for_bit(case):
+    ring = parse_exponent("1.5+0.3*r", "r", (1.0, 9.0))
+    grids, p, log_w, log_j = {
+        "one row": lambda: _ring_pass(ring, 1.0, [2.5]),
+        "joined pass": lambda: _ring_pass(ring, 1.0, [2.5, 9.0, 1.2]),
+        "bad node": lambda: _ring_pass(_NAN_TAIL, 1.0, [3.0, 8.0, 4.0, 6.0]),
+        # Either side of the Simpson pattern's 4,096 columns.
+        "template end": lambda: _axial_pass(parse_exponent("2+t", "t", (0.0, 1.0)),
+                                            [4096, 4100, 8]),
+    }[case]()
+    inv, base, weights, starts, spans, brackets, rows = _reference_core(grids, p, log_w, log_j)
+    core = annulus._WeightedCore.build(grids, p, log_w, log_j, None)
+    for got, want in [(core.inv, inv), (core.base, base), (core.weights, weights),
+                      (core.starts, starts)]:
+        assert got.tobytes() == want.tobytes()
+    assert core.spans == spans
+    cfg = BisectionConfig()
+    for r, (row, solved) in enumerate(zip(rows, core.solve(cfg))):
+        want = _reference_solve(inv[row], base[row], weights[:, row], spans[r], brackets[r], cfg)
+        if core.failures[r]:
+            assert solved == core.failures[r] and solved[0] is NonFiniteIntegrand
+        else:
+            assert solved == want
+        # A row alone, the single solve, gives the same numbers as in the pass.
+        w, j = (x if np.isscalar(x) else x[row] for x in (log_w, log_j))
+        assert annulus._WeightedCore.build([grids[r]], p[row], w, j, None).solve(cfg) == [solved]
+    bad_rows = sum(failure is not None for failure in core.failures)
+    assert bad_rows == (2 if case == "bad node" else 0)

@@ -430,6 +430,15 @@ def test_multiplier_below_the_float_range_is_a_solver_error():
     assert proc.stderr.startswith("solver error: the multiplier is 0.0")
 
 
+
+def test_a_bound_past_the_float_range_is_a_solver_error():
+    # Both bounds raise where their energy overflows: the cylinder's once printed inf.
+    proc = run_cli("cylinder", "--area", "1e306", "--length", "0.1", "--p", "2+50*t",
+                   expect=3)
+    assert proc.stderr.startswith("solver error: the area 1e+306 times the integral ")
+    proc = run_cli("annulus", "--n", "150", "--r1", "1", "--r2", "1000", "--p", "2", expect=3)
+    assert proc.stderr.startswith("solver error: integrand is inf at node ")
+
 def test_sweep_rows_carry_the_quadrature_error():
     proc = run_cli("sweep", "--p", "1+r", "--values", "2,4", "--format", "json")
     rows = json.loads(proc.stdout)["rows"]

@@ -140,6 +140,19 @@ def test_upper_bound_is_exactly_one_for_unit_length(cylinder_problem):
     assert constant_density_upper_bound(cylinder_problem) == 1.0
 
 
+
+def test_upper_bound_past_the_float_range_is_non_finite_integrand():
+    # The integral of (1/L)^p is about 8.7e4; times an area of 1e306 it overflows, where
+    # it once came back as inf.  The solve itself stays in range.
+    prob = _cylinder("2+50*t", area=1e306, length=0.1)
+    assert math.isfinite(solve_cylinder(prob).modulus)
+    with pytest.raises(NonFiniteIntegrand, match=r"^the area 1e\+306 times the integral "
+                       r"[0-9.e+]+ overflows a float$"):
+        constant_density_upper_bound(prob)
+    # An integrand past the float range raises the same error, as on the ring.
+    with pytest.raises(NonFiniteIntegrand, match="^integrand is inf at node x="):
+        constant_density_upper_bound(_cylinder("2+4000*t", length=0.1))
+
 def test_upper_bound_constant_exponent_closed_form():
     assert constant_density_upper_bound(_cylinder("2", length=2.0)) == 0.5
 

@@ -137,6 +137,14 @@ def test_config_validation():
         QuadratureConfig(step_hint=1e-2, max_subintervals=3)
 
 
+@pytest.mark.parametrize("bad, shown", [(400.5, "400.5"), (True, "True"), (400.0, "400.0"),
+                                        ("400", "'400'"), (3, "3")])
+def test_max_subintervals_must_be_an_integer(bad, shown):
+    with pytest.raises(ValueError) as info:
+        QuadratureConfig(max_subintervals=bad)
+    assert str(info.value) == f"max_subintervals must be an integer of at least 4, got {shown}"
+
+
 def _rows_error(nodes, values):
     """|S_h - S_2h| / (15 S_h) from the rows at steps h and 2h, as the weighted core takes it."""
     s_h, s_2h = np.einsum("ij,j->i", simpson_rows(nodes.size - 1), values).tolist()
@@ -165,7 +173,7 @@ def test_simpson_rows_at_steps_h_and_2h():
 
 
 def test_simpson_rows_of_several_grids_are_joined_in_order():
-    for counts in ((8, 4, 12), (4, 4), (12, 4, 400, 8)):
+    for counts in ((8, 4, 12), (4, 4), (12, 4, 400, 8), (4100, 8, 4096)):
         alone = np.concatenate([simpson_rows(n) for n in counts], axis=1)
         assert simpson_rows(*counts).tolist() == alone.tolist()
 

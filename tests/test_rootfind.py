@@ -315,6 +315,16 @@ def test_config_validation():
             BisectionConfig(lambda_tol=bad)
 
 
+@pytest.mark.parametrize("bad, shown", [(2.5, "2.5"), (True, "True"), (200.0, "200.0"),
+                                        ("5", "'5'"), (np.float64(3.0), "3.0"), (0, "0")])
+def test_max_iters_must_be_an_integer(bad, shown):
+    # 2.5 once reached range() as a TypeError; True ran one step.
+    with pytest.raises(ValueError) as info:
+        BisectionConfig(max_iters=bad)
+    assert str(info.value) == f"max_iters must be an integer of at least 1, got {shown}"
+    assert BisectionConfig(max_iters=np.int64(7)).max_iters == 7
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     slope=st.floats(0.1, 100.0),
