@@ -1,12 +1,13 @@
 """Variable exponents p(.) on an interval.
 
 Holds a tiny expression language so exponents such as "1+r" or "2+t" can be
-given textually and compiled once into numpy closures, and computes inf/sup
-bounds.  The compiler also gives each expression its direction: an exponent
-that is monotone by the grammar's rules (a constant, or a sum of linear, exp and
-log parts of one direction) takes its bounds from its two end values, in one
-array evaluation.  Any other exponent, or one non-finite at an end, is bounded
-by dense sampling plus zooms of one array evaluation each.
+given textually and compiled into numpy closures as they are parsed, with no
+syntax tree, and computes inf/sup bounds.  The parser also gives each
+expression its direction: an exponent that is monotone by the grammar's rules
+(a constant, or a sum of linear, exp and log parts of one direction) takes its
+bounds from its two end values, in one array evaluation.  Any other exponent,
+or one non-finite at an end, is bounded by dense sampling plus zooms of one
+array evaluation each.
 
 Grammar::
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -34,16 +35,8 @@ __all__ = [
     "ParseError",
     "DomainError",
     "ExponentRangeError",
-    "Num",
-    "Var",
-    "Unary",
-    "Binary",
-    "Power",
-    "Call",
     "ExponentFunction",
-    "parse_expression",
     "parse_exponent",
-    "unparse",
 ]
 
 _MIN_EXPONENT_MARGIN = 1e-6  # p_minus must exceed 1 by at least this much
@@ -66,47 +59,6 @@ class ExponentRangeError(ValueError):
     """The exponent bounds violate 1 < p- <= p+ < inf."""
 
 
-# ---------------------------------------------------------------------------
-# Syntax tree
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Unary:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # one of + - * /
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Node"
-    exponent: float  # constant exponents only
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str  # exp or log
-    arg: "Node"
-
-
-Node = Union[Num, Var, Unary, Binary, Power, Call]
-
-
 # One token per match, after any whitespace: a number, a name, an operator, or any other
 # character, which is an error at its position.
 _TOKEN = re.compile(r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -125,8 +77,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive descent over the tokens.  The next token is read in place, as
-    ``self.tokens[self.i]``, not by a method: a call per look costs more."""
+    """Recursive descent over the tokens that compiles the expression as it reduces it.
+    Each grammar rule's function (``_constant``, ``_unary``, ``_binary``, ``_power`` and
+    ``_call``; the variable's forms are ``np.asarray, 1``) takes its operands' forms and
+    gives the expression's two forms:
+
+    - its closure, a function of x: numpy ufuncs also for a scalar x and between
+      constants, so a pole gives inf and a bad power nan, never ZeroDivisionError or a
+      complex, and a point's value is its value in an array;
+    - its direction in x: 1 (non-decreasing), -1 (non-increasing), 0 (a constant) or
+      None (unknown).  A constant subexpression is folded into its float64 value once:
+      its closure ignores x and returns that value, closure(None) included.
+
+    The next token is read in place, as ``self.tokens[self.i]``, not by a method: a call
+    per look costs more."""
 
     def __init__(self, tokens: list[tuple[str, str, int]], variable: str) -> None:
         self.tokens = tokens
@@ -143,33 +107,33 @@ class _Parser:
         if kind != "op" or text != ")":
             raise ParseError(f"expected ')', found {text or 'end of input'!r}", pos)
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> tuple[Callable, int | None]:
+        form = self.expr()
         kind, text, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError(f"trailing input {text!r}", pos)
-        return node
+        return form
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> tuple[Callable, int | None]:
+        form = self.term()
         while (tok := self.tokens[self.i])[0] == "op" and tok[1] in "+-":
             self.i += 1
-            node = Binary(tok[1], node, self.term())
-        return node
+            form = _binary(tok[1], form, self.term())
+        return form
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> tuple[Callable, int | None]:
+        form = self.factor()
         while (tok := self.tokens[self.i])[0] == "op" and tok[1] in "*/":
             self.i += 1
-            node = Binary(tok[1], node, self.factor())
-        return node
+            form = _binary(tok[1], form, self.factor())
+        return form
 
-    def factor(self) -> Node:
+    def factor(self) -> tuple[Callable, int | None]:
         kind, text, _ = self.tokens[self.i]
         negated = kind == "op" and text == "-"
         if negated:
             self.i += 1
-        node = self.atom()
+        form = self.atom()
         kind, text, _ = self.tokens[self.i]
         if kind == "op" and text == "^":
             self.i += 1
@@ -179,15 +143,15 @@ class _Parser:
                     f"power exponent must be a number literal, found {text or 'end of input'!r}",
                     pos,
                 )
-            node = Power(node, float(text))
+            form = _power(form, float(text))
         if negated:
-            node = Unary(node)
-        return node
+            form = _unary(form)
+        return form
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple[Callable, int | None]:
         kind, text, pos = self.take()
         if kind == "num":
-            return Num(float(text))
+            return _constant(np.float64(float(text)))
         if kind == "name":
             if text in ("exp", "log"):
                 k, t, p = self.take()
@@ -195,9 +159,9 @@ class _Parser:
                     raise ParseError(f"expected '(' after {text!r}", p)
                 inner = self.expr()
                 self.expect_close()
-                return Call(text, inner)
+                return _call(text, inner)
             if text == self.variable:
-                return Var(text)
+                return np.asarray, 1
             raise ParseError(f"unknown name {text!r}, the variable here is {self.variable!r}", pos)
         if kind == "op" and text == "(":
             inner = self.expr()
@@ -212,24 +176,6 @@ class _Parser:
 
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
            "exp": np.exp, "log": np.log}
-
-
-def _compile(node: Node) -> tuple[Callable, int | None]:
-    """The expression's two forms, built node by node by the rule of ``_RULES`` for the
-    node's grammar rule:
-
-    - its closure, a function of x: numpy ufuncs also for a scalar x and between
-      constants, so a pole gives inf and a bad power nan, never ZeroDivisionError or a
-      complex, and a point's value is its value in an array;
-    - its direction in x: 1 (non-decreasing), -1 (non-increasing), 0 (a constant) or
-      None (unknown).  A constant subtree is folded into its float64 value once: its
-      closure ignores x and returns that value, closure(None) included.
-    """
-    try:
-        rule = _RULES[type(node)]
-    except KeyError:
-        raise TypeError(f"unknown node {node!r}") from None
-    return rule(node)
 
 
 def _flip(d: int | None) -> int | None:
@@ -253,57 +199,49 @@ def _constant(c: np.float64) -> tuple[Callable, int]:
 
 @np.errstate(all="ignore")
 def _folded(f: Callable) -> tuple[Callable, int]:
-    """The form of a constant expression of closure f: its value, computed once."""
+    """The forms of a constant expression of closure f: its value, computed once."""
     return _constant(f(None))
 
 
-def _num(node: Num) -> tuple[Callable, int]:
-    return _constant(np.float64(node.value))
-
-
-def _unary(node: Unary) -> tuple[Callable, int | None]:
-    f, d = _compile(node.operand)
+def _unary(form: tuple[Callable, int | None]) -> tuple[Callable, int | None]:
+    f, d = form
     if d == 0:  # a negation raises no floating-point error
         return _constant(-f(None))
     return (lambda x: -f(x)), _flip(d)
 
 
-def _binary(node: Binary) -> tuple[Callable, int | None]:
-    (f, d), (g, e), fn = _compile(node.left), _compile(node.right), _UFUNCS[node.op]
+def _binary(op: str, left: tuple[Callable, int | None],
+            right: tuple[Callable, int | None]) -> tuple[Callable, int | None]:
+    (f, d), (g, e), fn = left, right, _UFUNCS[op]
     closure = lambda x: fn(f(x), g(x))
     if d == 0 and e == 0:
         return _folded(closure)
-    if node.op in "+-":  # a shared direction; a constant shares any
-        e = e if node.op == "+" else _flip(e)
+    if op in "+-":  # a shared direction; a constant shares any
+        e = e if op == "+" else _flip(e)
         if d == 0 or e == 0:
             direction = e if d == 0 else d
         else:
             direction = d if d == e else None
     elif e == 0:
         direction = _by_constant(d, g)
-    elif node.op == "*" and d == 0:
+    elif op == "*" and d == 0:
         direction = _by_constant(e, f)
     else:  # a product or quotient of two non-constants, or a constant over one
         direction = None
     return closure, direction
 
 
-def _power(node: Power) -> tuple[Callable, int | None]:
-    f, d = _compile(node.base)  # a float64 scalar's ** can differ from np.power by an ulp
-    e = node.exponent
+def _power(form: tuple[Callable, int | None], e: float) -> tuple[Callable, int | None]:
+    f, d = form  # a float64 scalar's ** can differ from np.power by an ulp
     closure = lambda x: np.power(f(x), e)
     return _folded(closure) if d == 0 else (closure, None)
 
 
-def _call(node: Call) -> tuple[Callable, int | None]:
-    f, d = _compile(node.arg)
-    fn = _UFUNCS[node.func]
+def _call(func: str, form: tuple[Callable, int | None]) -> tuple[Callable, int | None]:
+    f, d = form
+    fn = _UFUNCS[func]
     closure = lambda x: fn(f(x))
     return _folded(closure) if d == 0 else (closure, d)  # exp and log are increasing
-
-
-_RULES = {Num: _num, Var: lambda node: (np.asarray, 1), Unary: _unary, Binary: _binary,
-          Power: _power, Call: _call}
 
 
 @np.errstate(all="ignore")  # as a decorator, it enters its context faster than a with
@@ -311,12 +249,12 @@ def _ignoring_errors(f: Callable, x):
     return f(x)
 
 
-def _evaluator(node: Node) -> Callable:
-    """The expression as p(x) for a float or an ndarray x, with numpy errors ignored:
-    floats of x's shape, a constant broadcast to it, and a float for a scalar x.  Its
-    ``direction`` attribute is the expression's (see ``_compile``); ``functools.wraps``
-    copies it to a wrapper."""
-    f, direction = _compile(node)
+def _evaluator(form: tuple[Callable, int | None]) -> Callable:
+    """The expression of the forms ``form`` (see ``_Parser``) as p(x) for a float or an
+    ndarray x, with numpy errors ignored: floats of x's shape, a constant broadcast to
+    it, and a float for a scalar x.  Its ``direction`` attribute is the expression's;
+    ``functools.wraps`` copies it to a wrapper."""
+    f, direction = form
 
     def evaluate(x):
         xs = np.asarray(x, dtype=float)
@@ -327,29 +265,6 @@ def _evaluator(node: Node) -> Callable:
 
     evaluate.direction = direction
     return evaluate
-
-
-def unparse(node: Node) -> str:
-    """Text form that reparses to the identical tree (fully parenthesized)."""
-    match node:
-        case Num(value=v):
-            return repr(v)
-        case Var(name=name):
-            return name
-        case Unary(operand=inner):
-            return f"-({unparse(inner)})"
-        case Binary(op=op, left=l, right=r):
-            return f"({unparse(l)} {op} {unparse(r)})"
-        case Power(base=b, exponent=e):
-            return f"({unparse(b)})^{repr(e)}"
-        case Call(func=fn, arg=a):
-            return f"{fn}({unparse(a)})"
-    raise TypeError(f"unknown node {node!r}")
-
-
-def parse_expression(text: str, variable: str) -> Node:
-    """Parse text into a syntax tree; finiteness is checked by ``parse_exponent``."""
-    return _Parser(_tokenize(text), variable).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +351,7 @@ def _samples(a: float, b: float) -> np.ndarray:
 
 
 def _sampled_bounds(evaluate: Callable, a: float, b: float) -> tuple[float, float]:
-    """(inf, sup) of evaluate on [a, b].  An evaluate of known direction (see ``_compile``)
+    """(inf, sup) of evaluate on [a, b].  An evaluate of known direction (see ``_Parser``)
     whose two end values are finite gives them: the bounds of a monotone map, and the
     bits the samples give, as long as numpy's exp and log are monotone in floats and
     give a point the same bits in any array.  Any other takes 4,098 samples and zooms,
@@ -464,5 +379,5 @@ def parse_exponent(text: str, variable: str, interval: tuple[float, float]) -> E
     inferred inf does not exceed 1.
     """
     _valid_interval(interval)  # before the text: a bad interval is reported first
-    return _bounded(_evaluator(parse_expression(text, variable)), interval, text)
+    return _bounded(_evaluator(_Parser(_tokenize(text), variable).parse()), interval, text)
 

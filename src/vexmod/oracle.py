@@ -108,8 +108,9 @@ class GridDensity2D:
             raise ValueError(f"axial_centers shape {c.shape} does not match {v.shape[0]} rows")
         if not np.isfinite(v).all() or v.min() < 0:
             raise ValueError("density values must be finite and nonnegative")
-        if self.cell_width <= 0 or self.transverse_width <= 0:
-            raise ValueError("cell widths must be positive")
+        widths = (self.cell_width, self.transverse_width)
+        if not all(w > 0 and math.isfinite(w) for w in widths):
+            raise ValueError(f"cell widths must be positive and finite, got {widths}")
 
 
 class AveragingReport(NamedTuple):
@@ -119,9 +120,11 @@ class AveragingReport(NamedTuple):
 
 
 def discrete_energy(density: GridDensity, weights, exponents) -> float:
-    """Energy sum w_i v_i^{p_i} * cell_width of a grid density."""
-    w = np.asarray(weights, dtype=float)
-    p = np.asarray(exponents, dtype=float)
+    """Energy sum w_i v_i^{p_i} * cell_width of a grid density, one weight and one
+    exponent per cell."""
+    w, p = _validated_problem(weights, exponents, density.cell_width)
+    if w.size != density.values.size:
+        raise ValueError(f"{w.size} weights for {density.values.size} cells")
     return float((w * density.values**p).sum() * density.cell_width)
 
 

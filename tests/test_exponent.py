@@ -11,20 +11,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from vexmod import exponent
 from vexmod.exponent import (
-    Binary,
-    Call,
     DomainError,
     ExponentRangeError,
-    Num,
     ParseError,
-    Power,
-    Unary,
-    Var,
-    _compile,
+    _Parser,
+    _tokenize,
     parse_exponent,
-    parse_expression,
-    unparse,
 )
+
+
+def _forms(text, variable="r"):
+    """The text's closure and direction, as the parser compiles them."""
+    return _Parser(_tokenize(text), variable).parse()
 
 
 def test_linear_in_r_bounds():
@@ -186,21 +184,6 @@ def test_malformed_expressions_rejected():
             parse_exponent(text, "r", (1.0, 2.0))
 
 
-def test_unparse_round_trips_handwritten_cases():
-    cases = [
-        "1+r",
-        "2*r^2 - r/3 + exp(-r)",
-        "log(exp(r)) + 2.5",
-        "2 + (r - 1) * (r - 1)",
-        "-r + 3",
-        "3/(1+r)",
-    ]
-    for text in cases:
-        expr = parse_expression(text, "r")
-        again = parse_expression(unparse(expr), "r")
-        assert again == expr
-
-
 def test_reserved_words_are_function_names_only():
     with pytest.raises(ParseError):
         parse_exponent("exp", "r", (1.0, 2.0))
@@ -283,43 +266,87 @@ def test_direction_rules():
         "exp(-r)": -1, "log(1+r)": 1, "exp(2)*r": 1, "-log(r)*3+exp(r)": None,
         "3-2*exp(-r)+log(r/5)": 1,
     }
-    got = {text: exponent._compile(parse_expression(text, "r"))[1] for text in cases}
+    got = {text: _forms(text)[1] for text in cases}
     assert got == cases
 
 
-def _ast_nodes():
-    # abs() keeps -0.0 out: its literal would reparse as a unary minus node.
-    literal = st.floats(0.0, 100.0).map(lambda v: round(abs(v), 3))
-    power = st.floats(0.0, 6.0).map(lambda v: round(abs(v), 2))
-    leaves = st.one_of(st.builds(Num, literal), st.just(Var("r")))
+def _texts():
+    """Fully parenthesized expressions in r: the leaves are 3-decimal literals in [0, 100]
+    and r, the powers 2-decimal literals in [0, 6]."""
+    literal = st.floats(0.0, 100.0).map(lambda v: repr(round(abs(v), 3)))
+    power = st.floats(0.0, 6.0).map(lambda v: repr(round(abs(v), 2)))
+    leaves = literal | st.just("r")
 
     def extend(children):
         return st.one_of(
-            st.builds(Unary, children),
-            st.builds(
-                Binary,
-                st.sampled_from(["+", "-", "*", "/"]),
-                children,
-                children,
-            ),
-            st.builds(Power, children, power),
-            st.builds(Call, st.sampled_from(["exp", "log"]), children),
+            children.map(lambda a: f"-({a})"),
+            st.builds(lambda op, a, b: f"({a} {op} {b})", st.sampled_from("+-*/"),
+                      children, children),
+            st.builds(lambda a, e: f"({a})^{e}", children, power),
+            st.builds(lambda fn, a: f"{fn}({a})", st.sampled_from(["exp", "log"]), children),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
 
 
-@settings(max_examples=150, deadline=None)
-@given(tree=_ast_nodes())
-def test_unparse_round_trips_random_trees(tree):
-    text = unparse(tree)
-    assert parse_expression(text, "r") == tree
+def _flat_texts():
+    """Expressions in r without grouping parentheses: sums of products of factors, each
+    an optional minus, then a literal, r, or exp or log of such an expression without
+    calls, then an optional ^ and a literal."""
+    literal = st.floats(0.0, 100.0).map(lambda v: repr(round(v, 2)))
+    power = st.sampled_from(["0", "1", "2", "3"]) | st.floats(0.0, 3.0).map(
+        lambda v: repr(round(v, 2)))
+
+    def chain(items, ops):
+        return st.builds(lambda first, rest: first + "".join(rest), items,
+                         st.lists(st.tuples(st.sampled_from(ops), items).map("".join),
+                                  max_size=2))
+
+    def expression(atoms):
+        factor = st.builds(lambda minus, atom, e: minus + atom + e, st.sampled_from(["", "-"]),
+                           atoms, st.just("") | power.map("^".__add__))
+        return chain(chain(factor, "*/"), "+-")
+
+    leaves = literal | st.just("r")
+    calls = st.builds(lambda fn, a: f"{fn}({a})", st.sampled_from(["exp", "log"]),
+                      expression(leaves))
+    return expression(leaves | calls)
 
 
 @settings(max_examples=150, deadline=None)
-@given(tree=_ast_nodes())
-def test_compiled_expression_on_an_array_equals_it_point_by_point(tree):
-    f, _ = _compile(tree)
+@given(text=_flat_texts())
+@example(text="12/3/2*r")
+@example(text="2--r")
+@example(text="2*-r+7")
+@example(text="-r^2+9")
+def test_text_without_parentheses_reads_as_python_reads_it(text):
+    # Precedence and associativity: the text's value is Python's for the same text, with
+    # ^ as **, wherever both are finite real numbers.  Python's pow and numpy's may
+    # differ by an ulp, and at an infinite base, so the match is to a relative 1e-12.
+    evaluate = exponent._evaluator(_forms(text))
+    names = {"__builtins__": {}, "exp": np.exp, "log": np.log}
+    for r in (0.5, 1.25, 3.0):
+        try:
+            with np.errstate(all="ignore"):
+                want = eval(text.replace("^", "**"), names, {"r": r})
+        except ArithmeticError:  # Python raises where numpy gives inf or nan
+            continue
+        got = evaluate(r)
+        if not isinstance(want, complex) and math.isfinite(want) and math.isfinite(got):
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    # Every prefix parses or raises ParseError at a position inside it.
+    for cut in range(len(text)):
+        prefix = text[:cut]
+        try:
+            _forms(prefix)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(prefix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_texts())
+def test_compiled_expression_on_an_array_equals_it_point_by_point(text):
+    f, _ = _forms(text)
     xs = np.linspace(-2.0, 3.0, 11)
     with np.errstate(all="ignore"):
         whole = np.broadcast_to(f(xs), xs.shape)
@@ -328,12 +355,11 @@ def test_compiled_expression_on_an_array_equals_it_point_by_point(tree):
 
 
 @settings(max_examples=100, deadline=None)
-@given(tree=_ast_nodes())
-def test_pole_at_a_sample_raises_domain_error(tree):
+@given(text=_texts())
+def test_pole_at_a_sample_raises_domain_error(text):
     # On [0, 4097] the bound samples are the integers, so r = 1 is one of them.
-    text = f"2 + ({unparse(tree)}) / (r - 1)"
     with pytest.raises(DomainError):
-        parse_exponent(text, "r", (0.0, 4097.0))
+        parse_exponent(f"2 + ({text}) / (r - 1)", "r", (0.0, 4097.0))
 
 
 def _bounds_or_error(evaluate, interval, source):
@@ -346,16 +372,16 @@ def _bounds_or_error(evaluate, interval, source):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tree=_ast_nodes(), a=st.floats(-50.0, 50.0),
+@given(text=_texts(), a=st.floats(-50.0, 50.0),
        width=st.floats(1e-9, 1e4) | st.sampled_from([1.0, 1000.0]))
-@example(tree=Var("r"), a=-0.0, width=1.0)  # the first sample is 0.0, not -0.0
-def test_end_values_of_a_monotone_tree_are_its_scanned_bounds(tree, a, width):
-    # The bounds from the ends of a tree of known direction equal the scan's bit for bit,
-    # or both raise the same error; every numpy warning is an error here.
+@example(text="r", a=-0.0, width=1.0)  # the first sample is 0.0, not -0.0
+def test_end_values_of_a_monotone_tree_are_its_scanned_bounds(text, a, width):
+    # The bounds from the ends of an expression of known direction equal the scan's bit
+    # for bit, or both raise the same error; every numpy warning is an error here.
     interval = (a, a + width)
-    evaluate = exponent._evaluator(tree)
+    evaluate = exponent._evaluator(_forms(text))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        direct = _bounds_or_error(evaluate, interval, unparse(tree))
-        scanned = _bounds_or_error(_scanned(evaluate), interval, unparse(tree))
+        direct = _bounds_or_error(evaluate, interval, text)
+        scanned = _bounds_or_error(_scanned(evaluate), interval, text)
     assert direct == scanned

@@ -130,6 +130,28 @@ def test_grid_density_validation():
         GridDensity(np.array([2.0, 2.0]), 0.0)
 
 
+def test_energy_takes_one_valid_weight_and_exponent_per_cell():
+    density = GridDensity(np.full(4, 1.0), 0.25)
+    assert discrete_energy(density, np.ones(4), np.full(4, 2.0)) == 1.0
+    for weights, exponents in (([1.0], [2.0]), ([1.0], np.full(4, 2.0)),
+                               (np.ones(4), [2.0]), (np.ones(5), np.full(5, 2.0))):
+        with pytest.raises(ValueError):  # no silent broadcast of one value to every cell
+            discrete_energy(density, weights, exponents)
+    for weights, exponents in ((np.array([1.0, 1.0, -0.5, 1.0]), np.full(4, 2.0)),
+                               (np.ones(4), np.array([2.0, 2.0, 1.0, 2.0])),
+                               (np.ones(4), np.array([2.0, math.nan, 2.0, 2.0]))):
+        with pytest.raises(ValueError):
+            discrete_energy(density, weights, exponents)
+
+
+def test_grid_density_2d_needs_finite_positive_widths():
+    values, centers = np.ones((2, 3)), np.array([0.25, 0.75])
+    for widths in ((math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0), (0.5, math.inf),
+                   (0.0, 1.0), (0.5, -1.0)):
+        with pytest.raises(ValueError, match="cell widths must be positive and finite"):
+            GridDensity2D(values, centers, *widths)
+
+
 def test_minimize_input_validation():
     with pytest.raises(ValueError):
         discrete_minimize(np.array([1.0, -2.0]), np.array([2.0, 2.0]), 0.5)
