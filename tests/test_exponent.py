@@ -184,6 +184,27 @@ def test_malformed_expressions_rejected():
             parse_exponent(text, "r", (1.0, 2.0))
 
 
+def test_handwritten_text_reads_as_python_reads_it():
+    # Grouping, calls, unary minus and precedence together, checked as the generated
+    # flat texts below are: the value is Python's for the same text, with ^ as **.
+    cases = [
+        "1+r",
+        "2*r^2 - r/3 + exp(-r)",
+        "log(exp(r)) + 2.5",
+        "2 + (r - 1) * (r - 1)",
+        "-r + 3",
+        "3/(1+r)",
+        "2/r^2.5*r",
+        "-(r - 2)^2 + 9",
+    ]
+    names = {"__builtins__": {}, "exp": np.exp, "log": np.log}
+    for text in cases:
+        evaluate = exponent._evaluator(_forms(text))
+        for r in (0.5, 1.25, 3.0):
+            want = eval(text.replace("^", "**"), names, {"r": r})
+            assert evaluate(r) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
 def test_reserved_words_are_function_names_only():
     with pytest.raises(ParseError):
         parse_exponent("exp", "r", (1.0, 2.0))
