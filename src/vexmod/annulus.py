@@ -327,15 +327,15 @@ def log_density_upper_bound(
 ) -> float:
     """Energy of the admissible density 1/(r log(r2/r1)).
 
-    An upper bound for the modulus; it is attained exactly when p(r) is
-    identically the dimension n.
+    An upper bound for the modulus, attained exactly when p(r) is identically the
+    dimension n; one that is not a positive normal float is BracketFailure, as the modulus is.
     """
     s = _ring_grid(prob, quad)
     log_r, p = _ring_nodes(prob.r1, prob.p, [s], [prob.r2])
     # omega_n r^(n-1) (r L)^-p times the Jacobian r
     values = np.exp(_log_unit_sphere_area(prob.n) + (prob.n - p) * log_r
                     - p * math.log(_log_ratio(prob.r1, prob.r2)))
-    return _checked_sum(s, values)
+    return positive_normal("upper bound", _checked_sum(s, values))
 
 
 @dataclass(frozen=True)

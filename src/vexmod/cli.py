@@ -81,6 +81,7 @@ class Option:
     commands: tuple[str, ...] = _ALL
     choices: tuple[str, ...] | None = None
     help: str | None = None
+    least: int | None = None  # the least value of an integer count, checked by _settings
 
     @property
     def dest(self) -> str:
@@ -126,16 +127,16 @@ OPTIONS = (
     Option("p", commands=("annulus", "cylinder", "sweep"),
            help="exponent expression: in r on a ring, in t on a cylinder; required"),
     Option("density-samples", int, 0, ("annulus", "cylinder"),
-           help="evenly spaced points at which to print the density, >= 0"),
+           help="evenly spaced points at which to print the density, >= 0", least=0),
     Option("values", commands=("sweep",),
            help="comma-separated r2 (ring) or length (cylinder) of the rows; this or"
            " --geometric is required"),
     Option("geometric", commands=("sweep",),
            help="start:stop:count geometric range of the rows, ends > 0, count >= 2"),
     Option("grid", int, 200, _ORACLE,
-           help="cells of the grid minimizers, >= 1; below 10 the gap is reported only"),
-    Option("draws", int, 20, _ORACLE, help="random densities per averaging check, >= 1"),
-    Option("seed", int, 42, _ORACLE, help="seed of the random densities, >= 0"),
+           help="cells of the grid minimizers, >= 1; below 10 the gap is reported only", least=1),
+    Option("draws", int, 20, _ORACLE, help="random densities per averaging check, >= 1", least=1),
+    Option("seed", int, 42, _ORACLE, help="seed of the random densities, >= 0", least=0),
 )
 
 
@@ -143,7 +144,8 @@ def _settings(args: argparse.Namespace) -> argparse.Namespace:
     """Fill every option in: the flag, else the config file's value, else the default.
 
     A file key that is an option of no subcommand is an error; a key that
-    only other subcommands take is ignored, so one file can serve them all.
+    only other subcommands take is ignored, so one file can serve them all.  A value
+    below its option's ``least`` is an error, from a flag or a file alike.
     """
     file_values: dict = {}
     if args.config:
@@ -157,6 +159,9 @@ def _settings(args: argparse.Namespace) -> argparse.Namespace:
         if getattr(args, opt.dest, None) is None:
             value = file_values.get(opt.dest) if args.command in opt.commands else None
             setattr(args, opt.dest, opt.default if value is None else opt.from_file(value))
+        value = getattr(args, opt.dest)
+        if opt.least is not None and value < opt.least:
+            raise ValueError(f"--{opt.flag} must be at least {opt.least}, got {value}")
     return args
 
 
@@ -301,8 +306,6 @@ def _cmd_solve(cfg) -> Report:
     """``annulus`` and ``cylinder``: one problem, its bound, optional density samples."""
     if cfg.p is None:
         raise ValueError("missing exponent expression, pass --p")
-    if cfg.density_samples < 0:
-        raise ValueError(f"--density-samples must be at least 0, got {cfg.density_samples}")
     if cfg.command == "annulus":
         if not 0.0 < cfg.r1 < cfg.r2 < math.inf:
             raise ValueError(f"radii must satisfy 0 < r1 < r2 < inf, got r1={cfg.r1} r2={cfg.r2}")
@@ -437,12 +440,6 @@ def _cmd_tables(cfg) -> Report:
 
 
 def _cmd_oracle_check(cfg) -> Report:
-    if cfg.grid < 1:
-        raise ValueError(f"--grid must be at least 1, got {cfg.grid}")
-    if cfg.draws < 1:
-        raise ValueError(f"--draws must be at least 1, got {cfg.draws}")
-    if cfg.seed < 0:
-        raise ValueError(f"--seed must be at least 0, got {cfg.seed}")
     quad, _ = _tolerances(cfg)
     checks: list[list] = []
 

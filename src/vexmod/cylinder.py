@@ -18,7 +18,7 @@ import numpy as np
 from .annulus import ExtremalSolution, _WeightedCore, _density_at
 from .exponent import ExponentFunction, _covers
 from .quadrature import NonFiniteIntegrand, QuadratureConfig, _checked_sum, simpson_nodes
-from .rootfind import BisectionConfig
+from .rootfind import BisectionConfig, positive_normal
 
 __all__ = [
     "CylinderProblem",
@@ -80,12 +80,13 @@ def constant_density_upper_bound(
     prob: CylinderProblem, quad: QuadratureConfig | None = None
 ) -> float:
     """Energy of the constant density 1/L, admissible for end-to-end curves; one that
-    exceeds the float range is NonFiniteIntegrand, as is the integral's own overflow."""
+    exceeds the float range is NonFiniteIntegrand, as is the integral's own overflow,
+    and one below the normal floats is BracketFailure, as the modulus is."""
     t, p = _axial_nodes(prob, quad)
     energy = _checked_sum(t, (1.0 / prob.length) ** p)
     bound = prob.area * energy
     if bound == math.inf:
         raise NonFiniteIntegrand(f"the area {prob.area} times the integral {energy}"
                                  " overflows a float")
-    return bound
+    return positive_normal("upper bound", bound)
 

@@ -41,6 +41,9 @@ __all__ = [
 
 _MIN_EXPONENT_MARGIN = 1e-6  # p_minus must exceed 1 by at least this much
 _SAMPLE_NODES = 4096
+# Past either limit a text is a ParseError: parsing recurses 4 frames a level of parentheses,
+# evaluating a frame an operator or call, so neither nears Python's default limit of 1,000.
+_MAX_NESTING, _MAX_OPERATORS = 100, 500
 
 
 class ParseError(ValueError):
@@ -72,6 +75,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if kind == "bad":
             raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
         tokens.append((kind, m[kind], m.start(kind)))
+    if len(tokens) > _MAX_NESTING:  # a shorter text is within both limits
+        depth = operators = 0
+        for _, tok, pos in tokens:
+            depth += (tok == "(") - (tok == ")")  # a ')' that closes nothing fails to parse first
+            operators += tok in _UFUNCS or tok == "^"
+            if depth > _MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {_MAX_NESTING} levels", pos)
+            if operators > _MAX_OPERATORS:
+                raise ParseError(f"more than {_MAX_OPERATORS} operators and calls", pos)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -178,10 +190,6 @@ _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
            "exp": np.exp, "log": np.log}
 
 
-def _flip(d: int | None) -> int | None:
-    return None if d is None else -d
-
-
 def _by_constant(d: int | None, constant: Callable) -> int | None:
     """The direction of a part of direction d times or over a constant: kept or flipped
     by the constant's sign if it is finite and nonzero, else unknown."""
@@ -207,7 +215,7 @@ def _unary(form: tuple[Callable, int | None]) -> tuple[Callable, int | None]:
     f, d = form
     if d == 0:  # a negation raises no floating-point error
         return _constant(-f(None))
-    return (lambda x: -f(x)), _flip(d)
+    return (lambda x: -f(x)), None if d is None else -d
 
 
 def _binary(op: str, left: tuple[Callable, int | None],
@@ -217,7 +225,7 @@ def _binary(op: str, left: tuple[Callable, int | None],
     if d == 0 and e == 0:
         return _folded(closure)
     if op in "+-":  # a shared direction; a constant shares any
-        e = e if op == "+" else _flip(e)
+        e = e if op == "+" or e is None else -e
         if d == 0 or e == 0:
             direction = e if d == 0 else d
         else:
@@ -346,10 +354,6 @@ def _extreme(evaluate: Callable, xs: np.ndarray, ys: np.ndarray, i: int, sign: f
     return sign * best
 
 
-def _samples(a: float, b: float) -> np.ndarray:
-    return _grid(a, b, _SAMPLE_NODES + 1)
-
-
 def _sampled_bounds(evaluate: Callable, a: float, b: float) -> tuple[float, float]:
     """(inf, sup) of evaluate on [a, b].  An evaluate of known direction (see ``_Parser``)
     whose two end values are finite gives them: the bounds of a monotone map, and the
@@ -362,7 +366,7 @@ def _sampled_bounds(evaluate: Callable, a: float, b: float) -> tuple[float, floa
         lo, hi = evaluate(np.array([a + 0.0, b])).tolist()[::direction or 1]
         if math.isfinite(lo) and math.isfinite(hi):
             return lo, hi
-    xs = _samples(a, b)
+    xs = _grid(a, b, _SAMPLE_NODES + 1)
     ys = evaluate(xs)
     lo, hi = int(ys.argmin()), int(ys.argmax())  # each the first NaN if there is one
     if not (math.isfinite(ys[lo]) and math.isfinite(ys[hi])):

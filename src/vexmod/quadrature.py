@@ -1,4 +1,5 @@
-"""Composite Simpson integration on closed intervals with a fixed step hint."""
+"""Composite Simpson integration on closed intervals with a fixed step hint, by the one
+statement of the rule, the integer rows of ``simpson_rows``, which every sum weighs by."""
 
 from __future__ import annotations
 
@@ -114,51 +115,46 @@ _PATTERN, _ENDS = _simpson_pattern(4096), np.array([[1.0], [2.0]])
 _PATTERN.flags.writeable = _ENDS.flags.writeable = False
 
 
+def _rows(n: int) -> np.ndarray:
+    """The integer Simpson rows on n + 1 nodes, n even, but for their end column: a view
+    of the read-only pattern, which a count past 4,096 builds for itself."""
+    return (_PATTERN if n <= _PATTERN.shape[1] else _simpson_pattern(n))[:, :n]
+
+
 def simpson_rows(*ns: int) -> np.ndarray:
     """Integer Simpson rows on n + 1 nodes, n a multiple of 4: [1, 4, 2, ..., 4, 1] and
     [2, 0, 8, 0, 4, ..., 8, 0, 2] at step 2h; (b - a) * (row . values) / (3 n) is the rule.
     Several counts give the rows of their grids joined end to end, in order, as one new
-    array: slices of a read-only pattern (a count past 4,096 builds its own), each
-    followed by its end column."""
-    top = max(ns)
-    pattern = _PATTERN if top <= _PATTERN.shape[1] else _simpson_pattern(top)
-    return np.concatenate([part for n in ns for part in (pattern[:, :n], _ENDS)], axis=1)
-
-
-def _simpson(nodes: np.ndarray, values: np.ndarray) -> float:
-    """Composite Simpson sum of values at ``simpson_nodes``, unchecked: for finite
-    values whose sums stay in the float range, such as the solver's terms in [0, 1]."""
-    # Python floats: the same IEEE sums as numpy scalars, with less overhead per operation.
-    total = (float(values[0]) + float(values[-1]) + 4.0 * float(values[1:-1:2].sum())
-             + 2.0 * float(values[2:-1:2].sum()))
-    # (b - a) * total / (3 n) instead of h * total / 3: keeps constants exact.
-    return (float(nodes[-1]) - float(nodes[0])) * total / (3.0 * (nodes.size - 1))
+    array: ``_rows`` of each, followed by its end column."""
+    return np.concatenate([part for n in ns for part in (_rows(n), _ENDS)], axis=1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def simpson_sum(nodes: np.ndarray, values: np.ndarray) -> float:
-    """Composite Simpson sum of integrand values at ``simpson_nodes``; a value
-    that is not finite raises NonFiniteIntegrand naming its node, and so does
-    an integral of finite values that exceeds the float range, naming the interval."""
+    """Composite Simpson sum of values at ``simpson_nodes`` by the h row of ``simpson_rows``;
+    a value that is not finite raises NonFiniteIntegrand naming its node, and so does an
+    integral of finite values that exceeds the float range, naming the interval."""
     return _checked_sum(nodes, values)
 
 
 def _checked_sum(nodes: np.ndarray, values: np.ndarray) -> float:
-    """``simpson_sum`` for a caller that already ignores numpy's floating-point errors."""
-    result = _simpson(nodes, values)
+    """``simpson_sum`` for a caller that already ignores numpy's floating-point errors.
+    numpy sums the products pairwise: a BLAS ``dot``'s rounding grows with the node count."""
+    n = nodes.size - 1
+    row, width = _rows(n)[0], float(nodes[-1]) - float(nodes[0])
+    # (b - a) * total / (3 n) instead of h * total / 3: keeps constants exact.
+    result = width * (float((row * values[:-1]).sum()) + float(values[-1])) / (3.0 * n)
     if math.isfinite(result):
         return result
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NonFiniteIntegrand(
             f"integrand is {float(values[bad[0]])} at node x={float(nodes[bad[0]])!r}")
-    # Finite values whose unweighted total overflowed: weigh each by h / 3 before summing.
-    s = values * ((nodes[-1] - nodes[0]) / (3.0 * (nodes.size - 1)))
-    result = float(s[0] + s[-1] + 4.0 * s[1:-1:2].sum() + 2.0 * s[2:-1:2].sum())
+    scale = width / (3.0 * n)  # finite values whose plain total overflows: the row times h / 3
+    result = float((row * scale * values[:-1]).sum()) + scale * float(values[-1])
     if not math.isfinite(result):
-        raise NonFiniteIntegrand(
-            f"integral over [{float(nodes[0])}, {float(nodes[-1])}] overflows a float"
-        )
+        raise NonFiniteIntegrand(f"integral over [{float(nodes[0])}, {float(nodes[-1])}]"
+                                 " overflows a float")
     return result
 
 

@@ -59,9 +59,9 @@ _INITIAL_BRACKET = (1e-8, 1.0)
 class BracketFailure(RuntimeError):
     """The solve has no answer in floating point.
 
-    Raised when the multiplier or the modulus is not a positive normal
-    float (it underflows or overflows at the given dimension and radii), and
-    by ``solve_increasing`` when its bracket expansion leaves [1e-30, 1e30].
+    Raised when the multiplier, the modulus or a test density's upper bound is not
+    a positive normal float (it underflows or overflows at the given dimension and
+    radii), and by ``solve_increasing`` when its bracket expansion leaves [1e-30, 1e30].
     """
 
 

@@ -272,6 +272,19 @@ def test_upper_bound_is_sharp_at_dimension_exponent():
         assert bound == pytest.approx(sol.modulus, rel=1e-5)
 
 
+def test_upper_bound_below_the_normal_floats_is_a_bracket_failure():
+    # Its integrand underflows at every node, as the multiplier and the modulus do, which
+    # the solve and the closed form report as BracketFailure; the bound once came back 0.0.
+    prob = AnnulusProblem(200, 1e-5, 1e-4, parse_exponent("2", "r", (1e-5, 1e-4)))
+    with pytest.raises(BracketFailure, match="^the multiplier is"):
+        solve_annulus(prob)
+    with pytest.raises(BracketFailure, match="^the modulus is"):
+        constant_exponent_modulus(200, 2.0, 1e-5, 1e-4)
+    with pytest.raises(BracketFailure,
+                       match=r"^the upper bound is 0\.0, not a positive normal float$"):
+        log_density_upper_bound(prob)
+
+
 def test_sweep_is_strictly_decreasing():
     p = parse_exponent("2", "r", (1.0, 16.0))
     template = AnnulusProblem(2, 1.0, 16.0, p)

@@ -337,6 +337,19 @@ def test_bad_config_values_are_validation_errors(tmp_path, values, key):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("oracle-check", "grid", 0), ("oracle-check", "draws", 0), ("oracle-check", "seed", -1),
+    ("annulus", "density_samples", -3), ("cylinder", "density_samples", -1)])
+def test_config_counts_below_their_least_are_rejected_as_their_flags_are(
+        tmp_path, capsys, command, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"p": "2", key: value}))
+    assert cli.main([command, "--config", str(config)]) == 2
+    least = 1 if key in ("grid", "draws") else 0
+    flag = key.replace("_", "-")
+    assert capsys.readouterr().err == f"error: --{flag} must be at least {least}, got {value}\n"
+
+
 def test_unreadable_config_is_a_validation_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -382,6 +395,15 @@ def test_missing_exponent_is_a_validation_error():
 def test_non_finite_tolerances_and_negative_counts_are_validation_errors(args, named):
     proc = run_cli(*args, expect=2)
     assert proc.stderr.startswith("error: ") and named in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("text", ["2" + "+r" * 1200, "(" * 250 + "r+1" + ")" * 250],
+                         ids=["1200 terms", "250 parentheses"])
+def test_too_deep_an_exponent_is_a_validation_error(text):
+    proc = run_cli("annulus", "--r2", "1.001", "--p", text, expect=2)
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "(position " in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from vexmod import (
     BisectionConfig,
+    BracketFailure,
     CylinderProblem,
     ExponentRangeError,
     IntervalTooFine,
@@ -152,6 +153,18 @@ def test_upper_bound_past_the_float_range_is_non_finite_integrand():
     # An integrand past the float range raises the same error, as on the ring.
     with pytest.raises(NonFiniteIntegrand, match="^integrand is inf at node x="):
         constant_density_upper_bound(_cylinder("2+4000*t", length=0.1))
+
+
+def test_upper_bound_below_the_normal_floats_is_a_bracket_failure():
+    # (1/100)^155 is the subnormal 1e-310, a hundred of them lose the modulus's digits;
+    # the solve reports that as BracketFailure, and so does the bound.
+    prob = _cylinder("155", length=100.0)
+    with pytest.raises(BracketFailure, match="^the modulus is"):
+        solve_cylinder(prob)
+    with pytest.raises(BracketFailure, match=r"^the upper bound is 9\.99999999999\d*e-309, "
+                       "not a positive normal float$"):
+        constant_density_upper_bound(prob)
+
 
 def test_upper_bound_constant_exponent_closed_form():
     assert constant_density_upper_bound(_cylinder("2", length=2.0)) == 0.5

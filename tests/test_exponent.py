@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -203,6 +204,57 @@ def test_handwritten_text_reads_as_python_reads_it():
         for r in (0.5, 1.25, 3.0):
             want = eval(text.replace("^", "**"), names, {"r": r})
             assert evaluate(r) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+def _recursion_headroom(call, frames):
+    """call() with no more than frames Python frames allowed above this one."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        return call()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+NESTING, OPERATORS = exponent._MAX_NESTING, exponent._MAX_OPERATORS
+# The deepest texts accepted: parentheses and calls at the nesting limit, and as many
+# operators and calls as allowed chained into one closure.
+DEEPEST = [
+    "(" * NESTING + "r+1" + ")" * NESTING,
+    "2+r" + "-r+r" * ((OPERATORS - 2) // 2) + "+0",
+    "log(exp(" * (NESTING // 2) + "3+r" + "-r+r" * ((OPERATORS - NESTING - 2) // 2) + "+0"
+    + ")" * NESTING,
+]
+
+
+@pytest.mark.parametrize("text", DEEPEST, ids=["parentheses", "chain", "calls"])
+def test_deepest_accepted_text_parses_and_evaluates_with_300_frames_to_spare(text):
+    # Python's default recursion limit is 1,000 frames.
+    p = _recursion_headroom(lambda: parse_exponent(text, "r", (1.0, 2.0)), 700)
+    assert 1.0 < p.p_minus <= p.p_plus < math.inf
+    assert _recursion_headroom(lambda: p.eval(np.array([1.0, 1.5])), 700).shape == (2,)
+
+
+def test_parentheses_past_the_nesting_limit_are_a_parse_error():
+    for depth in (NESTING + 1, 250):
+        text = "(" * depth + "r+1" + ")" * depth
+        with pytest.raises(ParseError, match="nest deeper than") as info:
+            parse_exponent(text, "r", (1.0, 2.0))
+        assert info.value.position == NESTING  # the first '(' past the limit
+    with pytest.raises(ParseError) as info:  # a call's '(' nests as well
+        parse_exponent("exp(" * (NESTING + 1) + "r" + ")" * (NESTING + 1), "r", (1.0, 2.0))
+    assert info.value.position == 4 * NESTING + 3
+
+
+def test_operators_past_the_limit_are_a_parse_error():
+    for terms in (OPERATORS + 1, 1200):
+        text = "2" + "+r" * terms
+        with pytest.raises(ParseError, match="more than") as info:
+            parse_exponent(text, "r", (1.0, 1.001))
+        assert info.value.position == 1 + 2 * OPERATORS  # the first '+' past the limit
 
 
 def test_reserved_words_are_function_names_only():

@@ -151,11 +151,17 @@ def _rows_error(nodes, values):
     return abs(s_h - s_2h) / (15.0 * s_h)
 
 
+def _reference(nodes, values):
+    """scipy's composite Simpson sum of values at equispaced nodes: an independent rule."""
+    simpson = pytest.importorskip("scipy.integrate").simpson
+    return float(simpson(values, dx=(nodes[-1] - nodes[0]) / (nodes.size - 1)))
+
+
 def test_simpson_error_estimates_the_actual_error():
     nodes = simpson_nodes(0.0, 2.0, QuadratureConfig(step_hint=0.1))
     values = np.exp(nodes)
     exact = math.expm1(2.0)
-    actual = abs(simpson_sum(nodes, values) - exact) / exact
+    actual = abs(_reference(nodes, values) - exact) / exact
     estimate = _rows_error(nodes, values)
     assert 0.5 * actual <= estimate <= 2.0 * actual
     cubic = _rows_error(nodes, nodes**3 + 1.0)
@@ -167,9 +173,28 @@ def test_simpson_rows_at_steps_h_and_2h():
     assert rows.tolist() == [[1, 4, 2, 4, 2, 4, 2, 4, 1], [2, 0, 8, 0, 4, 0, 8, 0, 2]]
     nodes = simpson_nodes(0.0, 2.0, QuadratureConfig(step_hint=0.25))
     values = np.exp(nodes)
-    assert 2.0 * rows[0] @ values / 24.0 == pytest.approx(simpson_sum(nodes, values), rel=1e-15)
+    assert 2.0 * rows[0] @ values / 24.0 == pytest.approx(_reference(nodes, values), rel=1e-15)
     assert 2.0 * rows[1] @ values / 24.0 == pytest.approx(
-        simpson_sum(nodes[::2], values[::2]), rel=1e-15)
+        _reference(nodes[::2], values[::2]), rel=1e-15)
+
+
+@pytest.mark.parametrize("b, hint", [(2.0, 1e-2), (2.0, 1e-4)], ids=["101 nodes", "20001 nodes"])
+def test_simpson_sum_equals_scipy(b, hint):
+    # 20,001 nodes are past the 4,096 subintervals of the read-only pattern: the sum's
+    # row is built for the grid.
+    nodes = simpson_nodes(0.0, b, QuadratureConfig(step_hint=hint))
+    values = np.exp(nodes)
+    assert simpson_sum(nodes, values) == pytest.approx(_reference(nodes, values), rel=1e-15)
+
+
+def test_simpson_sum_of_finite_values_whose_unweighted_total_overflows():
+    # The weights 4 and 2 times 1e308 overflow a float; the same row pre-scaled by h / 3
+    # sums the values within the float range.
+    nodes = simpson_nodes(0.0, 1.0)
+    values = 1e308 * np.exp(-nodes)
+    want = 1e308 * _reference(nodes, np.exp(-nodes))
+    assert simpson_sum(nodes, values) == pytest.approx(want, rel=1e-15)
+    assert integrate(lambda x: 1e308 * np.exp(-x), 0.0, 1.0) == pytest.approx(want, rel=1e-15)
 
 
 def test_simpson_rows_of_several_grids_are_joined_in_order():
