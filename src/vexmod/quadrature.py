@@ -1,5 +1,5 @@
-"""Composite Simpson integration on closed intervals with a fixed step hint, by the one
-statement of the rule, the integer rows of ``simpson_rows``, which every sum weighs by."""
+"""Composite Simpson integration on closed intervals with a fixed step hint; the integer
+rows of ``simpson_rows`` are the rule's one statement, and every sum weighs by them."""
 
 from __future__ import annotations
 
