@@ -10,6 +10,14 @@ holds each node's terms in logs and solves a pass of rows, one per grid, for
 their log(lam) with ``rootfind.solve_multiplier``, all rows in lockstep; every
 solve also returns a Simpson error estimate of its normalization and modulus
 integrals.  A row that fails, at a bad exponent value or in its solve, fails alone.
+
+The values of p are taken once per problem: the last pass that evaluated p, a sweep's
+or a single solve's, is kept as a record of its grids, log r and p, keyed by the
+geometry, r1, the exponent's eval (by identity) and the quadrature config (by value).  A
+single solve, a normalization or a test-density bound of one of its rows reads them
+there; any other call evaluates p and replaces the record, so the record holds at most
+one pass, and none of more than _PASS_NODES nodes.  The exponent's eval must therefore
+be a function of its argument alone.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import numpy as np
 
 from .exponent import ExponentFunction, _covers
 from .quadrature import (
+    _DEFAULT_CONFIG,
     NonFiniteIntegrand,
     QuadratureConfig,
     _checked_sum,
@@ -251,6 +260,63 @@ def _ring_grid(prob: AnnulusProblem, quad: QuadratureConfig | None) -> np.ndarra
     return simpson_nodes(0.0, _log_ratio(prob.r1, prob.r2), quad)
 
 
+_PASS_NODES = 65_536  # nodes of a sweep's shared pass; a larger row has a pass of its own
+
+# The last pass whose exponent values were taken, shared by both geometries, as (key, rows,
+# log r, p).  The key is the geometry, r1 (0.0 on the cylinder), the exponent's eval,
+# compared by identity, and the quadrature config, None read as the default.  rows maps
+# each row's outer end (r2 or the length) to its grid and the row's first index in the
+# pass's joined log r (None on the cylinder) and p; all are read-only.  It is keyed by
+# value, not held by a problem, because a sweep's rows are new problems.  A pass of more
+# than _PASS_NODES nodes is not kept.
+_NO_PASS = ((None, None, None, None), {}, None, None)
+_last_pass: tuple = _NO_PASS
+
+
+def _pass_key(geometry: str, r1: float, p: ExponentFunction,
+              quad: QuadratureConfig | None) -> tuple:
+    return geometry, r1, p.eval, _DEFAULT_CONFIG if quad is None else quad
+
+
+def _read_only(x: np.ndarray | None) -> np.ndarray | None:
+    """A read-only view of x; None for None."""
+    if x is not None:
+        x = x.view()
+        x.setflags(write=False)
+    return x
+
+
+def _pass_values(key: tuple, grids: list, tops: list, values: Callable) -> tuple:
+    """``values(grids, tops)``: the joined log r (None on the cylinder) and p of the pass
+    of rows out to each end in tops, on their grids.  They become the record, which an
+    exception that evaluating p raises leaves empty; the grids become read-only."""
+    global _last_pass
+    _last_pass = _NO_PASS
+    log_r, p = values(grids, tops)
+    if p.size <= _PASS_NODES:
+        rows, start = {}, 0
+        for u, top in zip(grids, tops):
+            u.setflags(write=False)
+            rows[float(top)] = u, start
+            start += u.size
+        _last_pass = key, rows, _read_only(log_r), _read_only(p)
+    return log_r, p
+
+
+def _row_values(key: tuple, top: float, grid: Callable, values: Callable) -> tuple:
+    """(grid, log r, p) of the row out to top: read-only views of the record's when its
+    pass is keyed by key and holds the row, else ``grid()`` and its values, evaluated as
+    a pass of one row."""
+    (geometry, r1, evaluate, quad), rows, log_r, p = _last_pass
+    if (evaluate is key[2] and (geometry, r1, quad) == (key[0], key[1], key[3])
+            and float(top) in rows):
+        u, start = rows[float(top)]
+        stop = start + u.size
+        return u, log_r if log_r is None else log_r[start:stop], p[start:stop]
+    u = grid()
+    return (u, *_pass_values(key, [u], [top], values))
+
+
 def _ring_nodes(r1: float, p: ExponentFunction, grids: list, tops: list):
     """log r and p(r) at the joined s grids of rings from r1 to each radius in tops;
     a grid's end nodes are r1 and its outer radius exactly, so p is evaluated on its
@@ -266,17 +332,31 @@ def _ring_nodes(r1: float, p: ExponentFunction, grids: list, tops: list):
     return log_r, p.eval(r)
 
 
-def _ring_cores(prob: AnnulusProblem, grids: list, tops: list) -> _WeightedCore:
+def _ring_cores(prob: AnnulusProblem, grids: list, tops: list,
+                quad: QuadratureConfig | None) -> _WeightedCore:
     """``_WeightedCore.build``: the pass of the rings of prob's n, r1 and exponent out to
-    each radius in tops, on their s grids."""
-    log_r, p = _ring_nodes(prob.r1, prob.p, grids, tops)
+    each radius in tops, on their s grids at quad, whose values become the record."""
+    log_r, p = _pass_values(_pass_key("ring", prob.r1, prob.p, quad), grids, tops,
+                            partial(_ring_nodes, prob.r1, prob.p))
+    return _ring_build(prob, grids, log_r, p)
+
+
+def _ring_build(prob: AnnulusProblem, grids: list, log_r: np.ndarray,
+                p: np.ndarray) -> _WeightedCore:
     log_c, k = _log_unit_sphere_area(prob.n), prob.n - 1
     return _WeightedCore.build(grids, p, log_c + k * log_r, log_r,
                                partial(_density_at, prob.p.eval, log_c, k))
 
 
+def _ring_row(prob: AnnulusProblem, quad: QuadratureConfig | None) -> tuple:
+    """(s, log r, p) of prob's own ring, read from the record when it holds it."""
+    return _row_values(_pass_key("ring", prob.r1, prob.p, quad), prob.r2,
+                       partial(_ring_grid, prob, quad), partial(_ring_nodes, prob.r1, prob.p))
+
+
 def _ring_core(prob: AnnulusProblem, quad: QuadratureConfig | None) -> _WeightedCore:
-    return _ring_cores(prob, [_ring_grid(prob, quad)], [prob.r2])
+    s, log_r, p = _ring_row(prob, quad)
+    return _ring_build(prob, [s], log_r, p)
 
 
 def normalization_value(
@@ -330,8 +410,7 @@ def log_density_upper_bound(
     An upper bound for the modulus, attained exactly when p(r) is identically the
     dimension n; one that is not a positive normal float is BracketFailure, as the modulus is.
     """
-    s = _ring_grid(prob, quad)
-    log_r, p = _ring_nodes(prob.r1, prob.p, [s], [prob.r2])
+    s, log_r, p = _ring_row(prob, quad)
     # omega_n r^(n-1) (r L)^-p times the Jacobian r
     values = np.exp(_log_unit_sphere_area(prob.n) + (prob.n - p) * log_r
                     - p * math.log(_log_ratio(prob.r1, prob.r2)))
@@ -346,9 +425,6 @@ class SweepRow:
     residual: float | None = None
     quadrature_error: float | None = None
     error: str | None = None
-
-
-_PASS_NODES = 65_536  # nodes of a sweep's shared pass; a larger row has a pass of its own
 
 
 def modulus_sweep(
@@ -374,7 +450,7 @@ def modulus_sweep(
     for part in _sweep_passes(prob, r2_values, quad):
         tops, grids = [r2 for r2, _ in part], [grid for _, grid in part]
         results = (grids if isinstance(grids[0], tuple)  # a failed row, alone in its pass
-                   else _ring_cores(prob, grids, tops).solve(bis))
+                   else _ring_cores(prob, grids, tops, quad).solve(bis))
         rows.extend(SweepRow(r2, None, None, error=f"{sol[0].__name__}: {sol[1]}")
                     if len(sol) == 2 else SweepRow(r2, *sol[:4])
                     for r2, sol in zip(tops, results))

@@ -4,7 +4,10 @@ With an exponent depending only on the axial coordinate, the problem reduces
 to one dimension over [0, L]; the cross-section enters through its measure
 alone.  It runs on the annulus module's weighted 1-D core with weight 1 in
 the axial variable t, the cross-section measure scaling the energy but not
-the multiplier.
+the multiplier.  Its solves, normalization and constant-density bound take t
+and p(t) from the annulus module's record of the last pass when it holds this
+cylinder's length, exponent and quadrature config, so p is evaluated once per
+problem.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .annulus import ExtremalSolution, _WeightedCore, _density_at
+from .annulus import ExtremalSolution, _WeightedCore, _density_at, _pass_key, _row_values
 from .exponent import ExponentFunction, _covers
 from .quadrature import NonFiniteIntegrand, QuadratureConfig, _checked_sum, simpson_nodes
 from .rootfind import BisectionConfig, positive_normal
@@ -49,9 +52,18 @@ class CylinderProblem:
             )
 
 
-def _axial_nodes(prob: CylinderProblem, quad: QuadratureConfig | None):
-    t = simpson_nodes(0.0, prob.length, quad)
-    return t, prob.p.eval(t)
+def _axial_values(p: ExponentFunction, grids: list, tops: list) -> tuple:
+    """No log r, and p at the axial grid of a pass of one row."""
+    return None, p.eval(grids[0])
+
+
+def _axial_nodes(prob: CylinderProblem, quad: QuadratureConfig | None) -> tuple:
+    """t and p(t) of prob's axial grid, read from the annulus module's record of the last
+    pass when it holds them."""
+    t, _, p = _row_values(_pass_key("cylinder", 0.0, prob.p, quad), prob.length,
+                          partial(simpson_nodes, 0.0, prob.length, quad),
+                          partial(_axial_values, prob.p))
+    return t, p
 
 
 def _axial_core(prob: CylinderProblem, quad: QuadratureConfig | None) -> _WeightedCore:

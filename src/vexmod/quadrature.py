@@ -102,11 +102,14 @@ def simpson_nodes(a: float, b: float, cfg: QuadratureConfig | None = None) -> np
     return _grid(a, b, subinterval_count(a, b, cfg))
 
 
-def _simpson_pattern(size: int) -> np.ndarray:
-    """The first size columns of the integer Simpson rows of every longer grid."""
-    rows = np.zeros((2, size))
-    rows[0, 1::2], rows[0, 2::2], rows[1, ::4], rows[1, 2::4] = 4.0, 2.0, 4.0, 8.0
-    rows[:, 0] = 1.0, 2.0
+def _simpson_pattern(size: int, count: int = 2) -> np.ndarray:
+    """The first size columns of the first count (1 or 2) integer Simpson rows of every
+    longer grid."""
+    rows = np.zeros((count, size))
+    rows[0, 1::2], rows[0, 2::2] = 4.0, 2.0
+    if count == 2:
+        rows[1, ::4], rows[1, 2::4] = 4.0, 8.0
+    rows[:, 0] = (1.0, 2.0)[:count]
     return rows
 
 
@@ -115,10 +118,11 @@ _PATTERN, _ENDS = _simpson_pattern(4096), np.array([[1.0], [2.0]])
 _PATTERN.flags.writeable = _ENDS.flags.writeable = False
 
 
-def _rows(n: int) -> np.ndarray:
-    """The integer Simpson rows on n + 1 nodes, n even, but for their end column: a view
-    of the read-only pattern, which a count past 4,096 builds for itself."""
-    return (_PATTERN if n <= _PATTERN.shape[1] else _simpson_pattern(n))[:, :n]
+def _rows(n: int, count: int = 2) -> np.ndarray:
+    """The first count integer Simpson rows on n + 1 nodes, n even, but for their end
+    column: a view of the read-only pattern, which a count past 4,096 builds for itself,
+    writable."""
+    return (_PATTERN if n <= _PATTERN.shape[1] else _simpson_pattern(n, count))[:count, :n]
 
 
 def simpson_rows(*ns: int) -> np.ndarray:
@@ -141,9 +145,11 @@ def _checked_sum(nodes: np.ndarray, values: np.ndarray) -> float:
     """``simpson_sum`` for a caller that already ignores numpy's floating-point errors.
     numpy sums the products pairwise: a BLAS ``dot``'s rounding grows with the node count."""
     n = nodes.size - 1
-    row, width = _rows(n)[0], float(nodes[-1]) - float(nodes[0])
+    row, width = _rows(n, 1)[0], float(nodes[-1]) - float(nodes[0])
+    # Past 4,096 subintervals the row is the call's own and takes the products in place.
+    products = np.multiply(row, values[:-1], out=row if row.flags.writeable else None)
     # (b - a) * total / (3 n) instead of h * total / 3: keeps constants exact.
-    result = width * (float((row * values[:-1]).sum()) + float(values[-1])) / (3.0 * n)
+    result = width * (float(products.sum()) + float(values[-1])) / (3.0 * n)
     if math.isfinite(result):
         return result
     bad = np.flatnonzero(~np.isfinite(values))
@@ -151,7 +157,7 @@ def _checked_sum(nodes: np.ndarray, values: np.ndarray) -> float:
         raise NonFiniteIntegrand(
             f"integrand is {float(values[bad[0]])} at node x={float(nodes[bad[0]])!r}")
     scale = width / (3.0 * n)  # finite values whose plain total overflows: the row times h / 3
-    result = float((row * scale * values[:-1]).sum()) + scale * float(values[-1])
+    result = float((_rows(n, 1)[0] * scale * values[:-1]).sum()) + scale * float(values[-1])
     if not math.isfinite(result):
         raise NonFiniteIntegrand(f"integral over [{float(nodes[0])}, {float(nodes[-1])}]"
                                  " overflows a float")

@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import math
 import re
+import unittest.mock
 from functools import partial
 
 import numpy as np
@@ -136,15 +137,48 @@ def test_solve_reference_problem_tight(ring_problem, tight_bisection):
     assert sol.modulus == pytest.approx(REF_MODULUS, rel=1e-7)
 
 
-def test_exponent_is_evaluated_once_per_solve(counted_exponent, tight_bisection):
+def test_exponent_is_evaluated_once_per_problem(counted_exponent, tight_bisection):
+    # Two solves, a bound and a normalization of one ring read the values of the first.
     p, calls = counted_exponent((1.0, 2.0))
     prob = AnnulusProblem(3, 1.0, 2.0, p)
-    iters = set()
-    for bis in (None, tight_bisection):
-        calls[0] = 0
-        iters.add(solve_annulus(prob, None, bis).solver_iters)
-        assert calls[0] == 1
+    iters = {solve_annulus(prob, None, bis).solver_iters for bis in (None, tight_bisection)}
+    log_density_upper_bound(prob, QuadratureConfig())  # equal to the default config
+    normalization_value(prob, 3.0)
+    assert calls[0] == 1
     assert len(iters) == 2
+
+
+@pytest.mark.parametrize("other", ["r2", "r1", "quad", "eval", "cylinder"])
+def test_another_ring_is_evaluated_again(counted_exponent, other):
+    p, calls = counted_exponent((0.0, 2.5))
+    prob = AnnulusProblem(3, 1.0, 2.0, p)
+    solve_annulus(prob)
+    quad = QuadratureConfig(1e-2, 999_996) if other == "quad" else None  # the same grid
+    if other == "cylinder":  # the same eval, on a cylinder of length r2
+        constant_density_upper_bound(CylinderProblem(1.0, 2.0, p))
+    else:
+        swapped = dataclasses.replace(p, eval=partial(p.eval))
+        r1, r2, q = {"r2": (1.0, 2.5, p), "r1": (0.5, 2.0, p), "quad": (1.0, 2.0, p),
+                     "eval": (1.0, 2.0, swapped)}[other]
+        log_density_upper_bound(AnnulusProblem(3, r1, r2, q), quad)
+    assert calls[0] == 2
+    # That evaluation replaced the record: the first ring is evaluated again.
+    log_density_upper_bound(prob)
+    assert calls[0] == 3
+
+
+def test_a_sweep_and_the_bounds_of_its_rows_evaluate_once(counted_exponent):
+    p, calls = counted_exponent((1.0, 8.0))
+    radii = [2.0, 8.0, 4.0, 8.0]
+    rows = modulus_sweep(AnnulusProblem(3, 1.0, 8.0, p), radii, QuadratureConfig())
+    bounds = [log_density_upper_bound(AnnulusProblem(3, 1.0, r2, p)) for r2 in radii]
+    assert calls[0] == 1
+    assert all(row.modulus < bound for row, bound in zip(rows, bounds))
+    # A row's problem on the exponent restricted to it, as a caller builds it, shares eval.
+    narrowed = p.restricted(1.0, 4.0)
+    calls[0] = 0
+    assert log_density_upper_bound(AnnulusProblem(3, 1.0, 4.0, narrowed)) == bounds[2]
+    assert calls[0] == 0
 
 
 def test_normalization_holds_at_the_solution(ring_problem):
@@ -434,11 +468,13 @@ def test_solver_returns_a_positive_float_or_a_solver_error(n, p_const, log_r1, l
 
 
 def _single_solves(template, radii, quad=None, bis=None):
-    """The rows of a sweep solved one by one with ``solve_annulus``."""
+    """The rows of a sweep solved one by one with ``solve_annulus``, each on its own values
+    of p: an eval equal to the template's but not it reads nothing a sweep recorded."""
+    p = dataclasses.replace(template.p, eval=partial(template.p.eval))
     rows = []
     for r2 in radii:
         try:
-            sol = solve_annulus(AnnulusProblem(template.n, template.r1, r2, template.p), quad, bis)
+            sol = solve_annulus(AnnulusProblem(template.n, template.r1, r2, p), quad, bis)
         except Exception as exc:
             rows.append(SweepRow(r2, None, None, error=f"{type(exc).__name__}: {exc}"))
         else:
@@ -490,6 +526,120 @@ def test_sweep_rows_are_single_solves(n, r1, kind, a, b, c, ratios, equal_row, s
         np.asarray(r) > r1 + nan_from * (top - r1), np.nan, parsed.eval(r)))
     template = AnnulusProblem(n, r1, top, p)
     _assert_sweep_is_single_solves(template, radii, QuadratureConfig(step, cap))
+
+
+def _bound_or_error(bound, prob, quad):
+    """A bound's bits, or its error class and message."""
+    try:
+        return bound(prob, quad).hex()
+    except (ValueError, BracketFailure) as exc:
+        return type(exc), str(exc)
+
+
+def _grid_nodes(width, quad):
+    """The node count of a Simpson grid over width, 0 where it is too fine to build."""
+    try:
+        return subinterval_count(0.0, width, quad) + 1
+    except IntervalTooFine:
+        return 0
+
+
+# Equal-valued configs, as a solve and a bound are given them; a cap of 40 fails some rows.
+_EQUAL_CONFIGS = [(None, QuadratureConfig()), (QuadratureConfig(), None),
+                  (QuadratureConfig(5e-2), QuadratureConfig(5e-2, 1_000_000)),
+                  (QuadratureConfig(0.3, 40), QuadratureConfig(0.3, 40))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=st.sampled_from(["ring", "cylinder", "sweep"]),
+    n=st.integers(2, 200),
+    r1=st.floats(1e-3, 10.0),
+    kind=st.sampled_from(sorted(_SWEEP_TEMPLATES)),
+    a=st.floats(1.8, 4.0),
+    b=st.floats(0.0, 0.05),
+    c=st.floats(0.1, 2.0),
+    ratios=st.lists(st.floats(-4.9, 2.7).map(lambda x: math.exp(2.0 - x)), min_size=1,
+                    max_size=6),
+    configs=st.sampled_from(_EQUAL_CONFIGS),
+    pass_nodes=st.sampled_from([150, 700, annulus._PASS_NODES]),
+    nan_from=st.none() | st.floats(0.0, 1.0),
+    area=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+)
+def test_a_bound_read_from_the_record_is_the_bound_alone(geometry, n, r1, kind, a, b, c,
+                                                         ratios, configs, pass_nodes,
+                                                         nan_from, area):
+    # After a solve or a sweep, a bound of one of its rows reads the recorded values; after
+    # an unrelated solve has replaced the record it evaluates them alone.  Both give the
+    # same bits or the same error.  Small node caps give sweeps of several passes, of which
+    # only the last is kept, and single passes past the cap, which are not kept.
+    solve_quad, bound_quad = configs
+    text = _SWEEP_TEMPLATES[kind].format(a=repr(a), b=repr(b), c=repr(c))
+    if geometry == "cylinder":
+        length = ratios[0]
+        parsed = parse_exponent(text.replace("log(r)", "log(1+r)"), "r", (0.0, length))
+        top, problem, bound = length, partial(CylinderProblem, area), constant_density_upper_bound
+        solve, radii, width = solve_cylinder, [length], length
+    else:
+        radii = [r1 * q for q in ratios] if geometry == "sweep" else [r1 * (1.0 + ratios[0])]
+        top = max(radii + [2.0 * r1])
+        parsed = parse_exponent(text, "r", (r1, top))
+        problem, bound = partial(AnnulusProblem, n, r1), log_density_upper_bound
+        solve, width = solve_annulus, None
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        if nan_from is not None:  # NaN past a drawn cutoff, so bad rows share passes
+            return np.where(np.asarray(x) > nan_from * top, np.nan, parsed.eval(x))
+        return parsed.eval(x)
+
+    p = dataclasses.replace(parsed, eval=counted)
+    template = problem(top, p)
+    with unittest.mock.patch.object(annulus, "_PASS_NODES", pass_nodes):
+        if geometry == "sweep":  # the rows of the last pass that evaluates p, if it is kept
+            evaluated = [part for part in annulus._sweep_passes(template, radii, solve_quad)
+                         if not isinstance(part[0][1], tuple)]
+            last = evaluated[-1] if evaluated else []
+            kept_last = sum(grid.size for _, grid in last) <= pass_nodes
+            recorded = [r2 for r2, _ in last] if kept_last else []
+        for r2 in radii:
+            if geometry == "sweep" and r2 <= r1:
+                continue  # not a ring: its row fails in the sweep and has no bound
+            prob = problem(r2, p)
+            nodes = _grid_nodes(width or math.log(r2) - math.log(r1), solve_quad)
+            if geometry == "sweep":
+                modulus_sweep(template, radii, solve_quad)
+                kept = nodes == 0 or r2 in recorded
+            else:
+                try:
+                    solve(prob, solve_quad)
+                except (ValueError, BracketFailure, MaxItersExceeded):
+                    pass
+                kept = nodes <= pass_nodes
+            calls[0] = 0
+            read = _bound_or_error(bound, prob, bound_quad)
+            assert calls[0] == (0 if kept else 1)
+            solve_cylinder(CylinderProblem(1.0, 1.0, parse_exponent("2+t", "t", (0.0, 1.0))))
+            assert _bound_or_error(bound, prob, bound_quad) == read
+            assert calls[0] == (0 if kept else 1) + (nodes > 0)
+
+
+def test_a_pass_past_the_node_cap_is_not_kept(counted_exponent):
+    p, calls = counted_exponent((0.0, 1.0))
+    fine = QuadratureConfig(1.0 / 65_536)
+    small, large = CylinderProblem(1.0, 0.5, p), CylinderProblem(1.0, 1.0, p)
+    assert [subinterval_count(0.0, prob.length, fine) + 1 for prob in (small, large)] == [
+        32_769, annulus._PASS_NODES + 1]
+    counts = []
+    for prob in (small, small, large, large, small):
+        constant_density_upper_bound(prob, fine)
+        counts.append(calls[0])
+    # The large pass is not kept, and it dropped the small one, which is evaluated again.
+    assert counts == [1, 1, 2, 3, 4]
+    _, rows, log_r, p = annulus._last_pass
+    assert list(rows) == [0.5] and log_r is None
+    assert not (rows[0.5][0].flags.writeable or p.flags.writeable)
 
 
 def test_sweep_rows_are_single_solves_at_the_edges():
@@ -586,9 +736,9 @@ def test_sweep_passes_hold_at_most_65536_nodes(monkeypatch):
     passes = []
     ring_cores = annulus._ring_cores
 
-    def counted(prob, grids, tops):
+    def counted(prob, grids, *args):
         passes.append([g.size for g in grids])
-        return ring_cores(prob, grids, tops)
+        return ring_cores(prob, grids, *args)
 
     monkeypatch.setattr(annulus, "_ring_cores", counted)
     p = parse_exponent("2+0.1*log(r)", "r", (1.0, math.exp(8.0)))
@@ -606,9 +756,9 @@ def test_a_bad_row_fails_alone_in_its_pass_and_leaves_its_neighbours(monkeypatch
     passes = []
     ring_cores = annulus._ring_cores
 
-    def counted(prob, grids, tops):
+    def counted(prob, grids, *args):
         passes.append([g.size for g in grids])
-        return ring_cores(prob, grids, tops)
+        return ring_cores(prob, grids, *args)
 
     monkeypatch.setattr(annulus, "_ring_cores", counted)
     # NaN beyond r = e^3.2, which only the second pass's row e^3.4 reaches.

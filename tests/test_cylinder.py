@@ -3,7 +3,9 @@
 Frozen reference values come from an independent 40-digit mpmath run.
 """
 
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -103,15 +105,30 @@ def test_quadrature_error_covers_the_reference_error(cylinder_problem, tight_bis
     assert solve_cylinder(_cylinder("2")).quadrature_error == 0.0
 
 
-def test_exponent_is_evaluated_once_per_solve(counted_exponent, tight_bisection):
+def test_exponent_is_evaluated_once_per_problem(counted_exponent, tight_bisection):
+    # Two solves, a bound and a normalization of one cylinder read the values of the first.
     p, calls = counted_exponent((0.0, 1.0))
     prob = CylinderProblem(2.0, 1.0, p)
-    iters = set()
-    for bis in (None, tight_bisection):
-        calls[0] = 0
-        iters.add(solve_cylinder(prob, None, bis).solver_iters)
-        assert calls[0] == 1
+    iters = {solve_cylinder(prob, None, bis).solver_iters for bis in (None, tight_bisection)}
+    constant_density_upper_bound(CylinderProblem(3.0, 1.0, p), QuadratureConfig())
+    cylinder_normalization_value(prob, 2.0)
+    assert calls[0] == 1
     assert len(iters) == 2
+
+
+@pytest.mark.parametrize("other", ["length", "quad", "eval"])
+def test_another_cylinder_is_evaluated_again(counted_exponent, other):
+    p, calls = counted_exponent((0.0, 2.0))
+    prob = CylinderProblem(2.0, 1.0, p)
+    solve_cylinder(prob)
+    swapped = dataclasses.replace(p, eval=partial(p.eval))
+    length, q, quad = {"length": (2.0, p, None), "quad": (1.0, p, QuadratureConfig(1e-3)),
+                       "eval": (1.0, swapped, None)}[other]
+    constant_density_upper_bound(CylinderProblem(2.0, length, q), quad)
+    assert calls[0] == 2
+    # That evaluation replaced the record: the first cylinder is evaluated again.
+    constant_density_upper_bound(prob)
+    assert calls[0] == 3
 
 
 def test_constant_exponent_has_unit_density_and_modulus():
