@@ -11,13 +11,16 @@ their log(lam) with ``rootfind.solve_multiplier``, all rows in lockstep; every
 solve also returns a Simpson error estimate of its normalization and modulus
 integrals.  A row that fails, at a bad exponent value or in its solve, fails alone.
 
-The values of p are taken once per problem: the last pass that evaluated p, a sweep's
-or a single solve's, is kept as a record of its grids, log r and p, keyed by the
-geometry, r1, the exponent's eval (by identity) and the quadrature config (by value).  A
-single solve, a normalization or a test-density bound of one of its rows reads them
-there; any other call evaluates p and replaces the record, so the record holds at most
-one pass, and none of more than _PASS_NODES nodes.  The exponent's eval must therefore
-be a function of its argument alone.
+Both geometries take one row/pass path, by private hooks of their problem classes (the
+start of the exponent's variable, the swept end, the problem at another end, the Simpson
+grid, a pass's values and its core): ``modulus_sweep`` solves rings or cylinders in
+passes, and a single solve is a pass of one row.  The last pass that evaluated p is kept
+as a record of its joined grid, log r and p, keyed by the problem's class, the start of
+its variable, the exponent's eval (by identity) and the quadrature config (by value).  A
+single solve, a normalization or a test-density bound of one of its rows reads them there;
+any other call evaluates p and replaces the record, so the record holds at most one pass,
+and none of more than _PASS_NODES nodes.  The exponent's eval must therefore be a function
+of its argument alone.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +50,9 @@ from .rootfind import (
     positive_normal,
     solve_multiplier,
 )
+
+if TYPE_CHECKING:
+    from .cylinder import CylinderProblem
 
 __all__ = [
     "AnnulusProblem",
@@ -106,6 +112,40 @@ class AnnulusProblem:
                 f"the radial interval [{self.r1}, {self.r2}]"
             )
 
+    # The hooks of the row/pass path, as on CylinderProblem.
+    @property
+    def _start(self) -> float:
+        return self.r1
+
+    @property
+    def _end(self) -> float:
+        return self.r2
+
+    def _at(self, end: float) -> AnnulusProblem:
+        return AnnulusProblem(self.n, self.r1, end, self.p)
+
+    def _grid(self, quad: QuadratureConfig | None) -> np.ndarray:
+        """Simpson nodes s on [0, log(r2/r1)]."""
+        return simpson_nodes(0.0, _log_ratio(self.r1, self.r2), quad)
+
+    def _values(self, s: np.ndarray, grids: list, tops: list) -> tuple:
+        """log r and p(r) at s, the joined grids of the rings from r1 out to each radius in
+        tops; a grid's end nodes are r1 and its outer radius exactly, so p is evaluated
+        on its interval."""
+        log_r = s + math.log(self.r1)
+        r = np.exp(log_r)
+        stop = 0
+        for u, r2 in zip(grids, tops):
+            r[stop] = self.r1
+            stop += u.size
+            r[stop - 1] = r2
+        return log_r, self.p.eval(r)
+
+    def _core(self, grids: list, log_r: np.ndarray, p: np.ndarray) -> _WeightedCore:
+        log_c, k = _log_unit_sphere_area(self.n), self.n - 1
+        return _WeightedCore.build(grids, p, log_c + k * log_r, log_r,
+                                   partial(_density_at, self.p.eval, log_c, k))
+
 
 @dataclass(frozen=True)
 class ExtremalSolution:
@@ -155,20 +195,22 @@ class _WeightedCore:
     multiplier kernel steps all rows in lockstep on (h, h inv), and then one
     ``dot`` of a row's five weight rows with its last terms gives it both
     integrals at both steps, so its modulus and error estimate.  ``solve``
-    gives each row as plain numbers, and a row that fails as its exception class
-    and message, leaving the others as they are; a single solve is the pass of
-    one row, whose ExtremalSolution ``solution`` builds or whose failure it raises.
+    gives each row as plain numbers, its modulus times ``area`` (the cylinder's
+    cross-section), and a row that fails as its exception class and message,
+    leaving the others as they are; a single solve is the pass of one row, whose
+    ExtremalSolution ``solution`` builds or whose failure it raises.
     ``density(l, x)`` gives the density at lam = e^l in the problem's variable.
     """
 
     def __init__(self, starts: np.ndarray, spans: list, inv: np.ndarray, base: np.ndarray,
-                 weights: np.ndarray, failures: list, density: Callable) -> None:
+                 weights: np.ndarray, failures: list, density: Callable, area: float) -> None:
         self.starts, self.spans, self.inv, self.base = starts, spans, inv, base
-        self.weights, self.failures, self.density = weights, failures, density
+        self.weights, self.failures, self.density, self.area = weights, failures, density, area
 
     @classmethod
     @np.errstate(all="ignore")
-    def build(cls, grids: list, p: np.ndarray, log_w, log_j, density: Callable) -> _WeightedCore:
+    def build(cls, grids: list, p: np.ndarray, log_w, log_j, density: Callable,
+              area: float = 1.0) -> _WeightedCore:
         """The pass over the Simpson grids in ``grids``, given p, log w and log J at their
         joined nodes (log w and log J may be scalars), checked once.  A row with a node
         where p is not a finite value above 1 fails alone, with NonFiniteIntegrand naming
@@ -198,7 +240,7 @@ class _WeightedCore:
         weights = simpson_rows(*counts).take((0, 0, 1, 0, 1), axis=0)
         weights[1] *= inv
         weights[3:] /= p
-        return cls(starts, spans, inv, base, weights, failures, density)
+        return cls(starts, spans, inv, base, weights, failures, density, area)
 
     def normalization(self, lam: float) -> float:
         """The normalization integral of a one-row pass at multiplier lam, or its failure."""
@@ -215,8 +257,8 @@ class _WeightedCore:
         return value
 
     def solve(self, bis: BisectionConfig | None) -> list:
-        """Per row, the tuple (lam, modulus, residual, quadrature_error, iters, log lam),
-        or its failure as the pair (exception class, message)."""
+        """Per row, the tuple (lam, modulus, residual, quadrature_error, iters, log lam,
+        quadrature step), or its failure as the pair (exception class, message)."""
         sol = solve_multiplier(self.inv, self.base, self.weights[:2], self.starts, self.spans,
                                bis)
         out = []
@@ -231,132 +273,78 @@ class _WeightedCore:
             ell = sol.log_lam[r]
             try:
                 lam = positive_normal("multiplier", exp_or_inf(ell))
-                modulus = positive_normal("modulus", lam * exp_or_inf(sol.scale[r])
-                                          * (width * e_h / div))
+                modulus = positive_normal("modulus", self.area * positive_normal(
+                    "modulus", lam * exp_or_inf(sol.scale[r]) * (width * e_h / div)))
             except BracketFailure as exc:
                 out.append((BracketFailure, str(exc)))
                 continue
             error = max(abs(n_h - n_2h) / (15.0 * n_h), abs(e_h - e_2h) / (15.0 * e_h))
-            out.append((lam, modulus, sol.residual[r], error, sol.iters[r], ell))
+            # The step is width / n for div = 3n.
+            out.append((lam, modulus, sol.residual[r], error, sol.iters[r], ell,
+                        width / (div / 3.0)))
         return out
 
-    def solution(self, bis: BisectionConfig | None, area: float = 1.0) -> ExtremalSolution:
-        """The solution of a one-row pass, its modulus times ``area`` (the cylinder's
-        cross-section); its failure is raised as the error it names."""
+    def solution(self, bis: BisectionConfig | None) -> ExtremalSolution:
+        """The solution of a one-row pass; its failure is raised as the error it names."""
         (row,) = self.solve(bis)
         if len(row) == 2:
             kind, message = row
             raise kind(message)
-        lam, modulus, residual, error, iters, ell = row
-        modulus = positive_normal("modulus", area * modulus)
-        width, div = self.spans[0]
-        # The density holds none of the node arrays; the step is width / n for div = 3n.
+        lam, modulus, residual, error, iters, ell, step = row
+        # The density holds none of the node arrays.
         return ExtremalSolution(lam, modulus, partial(self.density, ell), residual, iters,
-                                error, width / (div / 3.0))
-
-
-def _ring_grid(prob: AnnulusProblem, quad: QuadratureConfig | None) -> np.ndarray:
-    """Simpson nodes s on [0, log(r2/r1)]."""
-    return simpson_nodes(0.0, _log_ratio(prob.r1, prob.r2), quad)
+                                error, step)
 
 
 _PASS_NODES = 65_536  # nodes of a sweep's shared pass; a larger row has a pass of its own
 
 # The last pass whose exponent values were taken, shared by both geometries, as (key, rows,
-# log r, p).  The key is the geometry, r1 (0.0 on the cylinder), the exponent's eval,
-# compared by identity, and the quadrature config, None read as the default.  rows maps
-# each row's outer end (r2 or the length) to its grid and the row's first index in the
-# pass's joined log r (None on the cylinder) and p; all are read-only.  It is keyed by
-# value, not held by a problem, because a sweep's rows are new problems.  A pass of more
-# than _PASS_NODES nodes is not kept.
-_NO_PASS = ((None, None, None, None), {}, None, None)
+# grid, log r, p).  The key is the problem's class, the start of its variable (r1 on the
+# ring), the exponent's eval, compared by identity, and the quadrature config, None read
+# as the default.  rows maps each row's end (r2 or the length) to its slice (start, stop)
+# of the pass's joined grid, log r (None on the cylinder) and p, which are read-only.  It
+# is keyed by value, not held by a problem, because a sweep's rows are new problems.  A
+# pass of more than _PASS_NODES nodes is not kept.
+_NO_PASS = ((None, None, None, None), {}, None, None, None)
 _last_pass: tuple = _NO_PASS
 
 
-def _pass_key(geometry: str, r1: float, p: ExponentFunction,
-              quad: QuadratureConfig | None) -> tuple:
-    return geometry, r1, p.eval, _DEFAULT_CONFIG if quad is None else quad
-
-
-def _read_only(x: np.ndarray | None) -> np.ndarray | None:
-    """A read-only view of x; None for None."""
-    if x is not None:
-        x = x.view()
-        x.setflags(write=False)
-    return x
-
-
-def _pass_values(key: tuple, grids: list, tops: list, values: Callable) -> tuple:
-    """``values(grids, tops)``: the joined log r (None on the cylinder) and p of the pass
-    of rows out to each end in tops, on their grids.  They become the record, which an
-    exception that evaluating p raises leaves empty; the grids become read-only."""
+def _pass_values(prob: AnnulusProblem | CylinderProblem, quad: QuadratureConfig | None,
+                 grids: list, tops: list) -> tuple:
+    """The joined log r (None on the cylinder) and p of the pass of rows of prob's kind out
+    to each end in tops, on their grids at quad, from ``prob._values``.  With the joined
+    grid they become the record, read-only, which an exception that evaluating p raises
+    leaves empty."""
     global _last_pass
     _last_pass = _NO_PASS
-    log_r, p = values(grids, tops)
-    if p.size <= _PASS_NODES:
-        rows, start = {}, 0
-        for u, top in zip(grids, tops):
-            u.setflags(write=False)
-            rows[float(top)] = u, start
-            start += u.size
-        _last_pass = key, rows, _read_only(log_r), _read_only(p)
+    u = grids[0] if len(grids) == 1 else np.concatenate(grids)
+    log_r, p = prob._values(u, grids, tops)
+    if u.size <= _PASS_NODES:
+        rows, stop = {}, 0
+        for g, top in zip(grids, tops):
+            rows[float(top)] = stop, stop + g.size
+            stop += g.size
+        p = p.view()  # eval's own array keeps its flags
+        for x in (u, log_r, p):
+            if x is not None:
+                x.setflags(write=False)
+        _last_pass = ((type(prob), prob._start, prob.p.eval, quad or _DEFAULT_CONFIG), rows,
+                      u, log_r, p)
     return log_r, p
 
 
-def _row_values(key: tuple, top: float, grid: Callable, values: Callable) -> tuple:
-    """(grid, log r, p) of the row out to top: read-only views of the record's when its
-    pass is keyed by key and holds the row, else ``grid()`` and its values, evaluated as
-    a pass of one row."""
-    (geometry, r1, evaluate, quad), rows, log_r, p = _last_pass
-    if (evaluate is key[2] and (geometry, r1, quad) == (key[0], key[1], key[3])
-            and float(top) in rows):
-        u, start = rows[float(top)]
-        stop = start + u.size
-        return u, log_r if log_r is None else log_r[start:stop], p[start:stop]
-    u = grid()
-    return (u, *_pass_values(key, [u], [top], values))
-
-
-def _ring_nodes(r1: float, p: ExponentFunction, grids: list, tops: list):
-    """log r and p(r) at the joined s grids of rings from r1 to each radius in tops;
-    a grid's end nodes are r1 and its outer radius exactly, so p is evaluated on its
-    interval.  A single grid is used as it is, not copied."""
-    s = grids[0] if len(grids) == 1 else np.concatenate(grids)
-    log_r = s + math.log(r1)
-    r = np.exp(log_r)
-    stop = 0
-    for u, r2 in zip(grids, tops):
-        r[stop] = r1
-        stop += u.size
-        r[stop - 1] = r2
-    return log_r, p.eval(r)
-
-
-def _ring_cores(prob: AnnulusProblem, grids: list, tops: list,
-                quad: QuadratureConfig | None) -> _WeightedCore:
-    """``_WeightedCore.build``: the pass of the rings of prob's n, r1 and exponent out to
-    each radius in tops, on their s grids at quad, whose values become the record."""
-    log_r, p = _pass_values(_pass_key("ring", prob.r1, prob.p, quad), grids, tops,
-                            partial(_ring_nodes, prob.r1, prob.p))
-    return _ring_build(prob, grids, log_r, p)
-
-
-def _ring_build(prob: AnnulusProblem, grids: list, log_r: np.ndarray,
-                p: np.ndarray) -> _WeightedCore:
-    log_c, k = _log_unit_sphere_area(prob.n), prob.n - 1
-    return _WeightedCore.build(grids, p, log_c + k * log_r, log_r,
-                               partial(_density_at, prob.p.eval, log_c, k))
-
-
-def _ring_row(prob: AnnulusProblem, quad: QuadratureConfig | None) -> tuple:
-    """(s, log r, p) of prob's own ring, read from the record when it holds it."""
-    return _row_values(_pass_key("ring", prob.r1, prob.p, quad), prob.r2,
-                       partial(_ring_grid, prob, quad), partial(_ring_nodes, prob.r1, prob.p))
-
-
-def _ring_core(prob: AnnulusProblem, quad: QuadratureConfig | None) -> _WeightedCore:
-    s, log_r, p = _ring_row(prob, quad)
-    return _ring_build(prob, [s], log_r, p)
+def _row_values(prob: AnnulusProblem | CylinderProblem, quad: QuadratureConfig | None) -> tuple:
+    """([grid], log r, p) of prob's own row, the arguments of its ``_core``: read-only views
+    of the record's when its pass has prob's key and holds the row, else prob's grid and
+    its values, evaluated as a pass of one row."""
+    (kind, start, evaluate, config), rows, u, log_r, p = _last_pass
+    row = rows.get(float(prob._end))
+    if (row and evaluate is prob.p.eval
+            and (kind, start, config) == (type(prob), prob._start, quad or _DEFAULT_CONFIG)):
+        a, b = row
+        return [u[a:b]], log_r if log_r is None else log_r[a:b], p[a:b]
+    grids = [prob._grid(quad)]
+    return (grids, *_pass_values(prob, quad, grids, [prob._end]))
 
 
 def normalization_value(
@@ -367,7 +355,7 @@ def normalization_value(
     Strictly increasing in lam, from 0 to infinity; the multiplier is its
     unique preimage of 1.
     """
-    return _ring_core(prob, quad).normalization(lam)
+    return prob._core(*_row_values(prob, quad)).normalization(lam)
 
 
 def solve_annulus(
@@ -376,7 +364,7 @@ def solve_annulus(
     bis: BisectionConfig | None = None,
 ) -> ExtremalSolution:
     """Extremal density and modulus for the spherical-ring curve family."""
-    return _ring_core(prob, quad).solution(bis)
+    return prob._core(*_row_values(prob, quad)).solution(bis)
 
 
 def constant_exponent_modulus(n: int, p: float, r1: float, r2: float) -> float:
@@ -410,7 +398,7 @@ def log_density_upper_bound(
     An upper bound for the modulus, attained exactly when p(r) is identically the
     dimension n; one that is not a positive normal float is BracketFailure, as the modulus is.
     """
-    s, log_r, p = _ring_row(prob, quad)
+    (s,), log_r, p = _row_values(prob, quad)
     # omega_n r^(n-1) (r L)^-p times the Jacobian r
     values = np.exp(_log_unit_sphere_area(prob.n) + (prob.n - p) * log_r
                     - p * math.log(_log_ratio(prob.r1, prob.r2)))
@@ -419,61 +407,68 @@ def log_density_upper_bound(
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One row of ``modulus_sweep``: its swept end r2, the outer radius of a ring or the
+    length of a cylinder, and its solve's numbers, or None and its error; the quadrature
+    step is that of its Simpson grid, as in ``ExtremalSolution``."""
+
     r2: float
     lam: float | None
     modulus: float | None
     residual: float | None = None
     quadrature_error: float | None = None
     error: str | None = None
+    quadrature_step: float | None = None
 
 
 def modulus_sweep(
-    prob: AnnulusProblem,
-    r2_values: Sequence[float],
+    prob: AnnulusProblem | CylinderProblem,
+    values: Sequence[float],
     quad: QuadratureConfig | None = None,
     bis: BisectionConfig | None = None,
 ) -> list[SweepRow]:
-    """Re-solve for each outer radius, keeping n, r1, and the exponent map.
+    """Re-solve prob, an ``AnnulusProblem`` or a ``CylinderProblem``, for each outer
+    radius or length in values, keeping the rest of it: n, r1 and the exponent map of a
+    ring, the area and the exponent map of a cylinder.
 
     Every row shares the template's exponent, which must be evaluable up to
-    the largest requested radius; the solve reads p only at its own nodes.
+    the largest requested end; the solve reads p only at its own nodes.
     Consecutive rows share one pass over their joined nodes, at most 65,536
     of them, that evaluates p and checks it once and then solves all of its
     rows in lockstep, one multiplier kernel over the rows.  A row sums only
-    its own nodes, so its numbers and error are those of ``solve_annulus`` on
-    that row; a row whose problem, grid, exponent values or solve fails
-    reports its error on that row without stopping the sweep or changing its
+    its own nodes, so its numbers, error and step are those of ``solve_annulus`` or
+    ``solve_cylinder`` on that row; a row whose problem, grid, exponent values or solve
+    fails reports its error on that row without stopping the sweep or changing its
     neighbours.  An exception that the exponent's ``eval`` itself raises is
-    not a row's error: it propagates, as it does from ``solve_annulus``.
+    not a row's error: it propagates, as it does from a single solve.
     """
     rows = []
-    for part in _sweep_passes(prob, r2_values, quad):
-        tops, grids = [r2 for r2, _ in part], [grid for _, grid in part]
+    for part in _sweep_passes(prob, values, quad):
+        tops, grids = [end for end, _ in part], [grid for _, grid in part]
         results = (grids if isinstance(grids[0], tuple)  # a failed row, alone in its pass
-                   else _ring_cores(prob, grids, tops, quad).solve(bis))
-        rows.extend(SweepRow(r2, None, None, error=f"{sol[0].__name__}: {sol[1]}")
-                    if len(sol) == 2 else SweepRow(r2, *sol[:4])
-                    for r2, sol in zip(tops, results))
+                   else prob._core(grids, *_pass_values(prob, quad, grids, tops)).solve(bis))
+        rows.extend(SweepRow(end, None, None, error=f"{sol[0].__name__}: {sol[1]}")
+                    if len(sol) == 2 else SweepRow(end, *sol[:4], quadrature_step=sol[6])
+                    for end, sol in zip(tops, results))
     return rows
 
 
-def _sweep_passes(prob: AnnulusProblem, r2_values: Sequence[float],
+def _sweep_passes(prob: AnnulusProblem | CylinderProblem, values: Sequence[float],
                   quad: QuadratureConfig | None) -> Iterator[list]:
-    """The sweep's rows in order as (r2, s grid), in passes of at most _PASS_NODES joined
+    """The sweep's rows in order as (end, grid), in passes of at most _PASS_NODES joined
     nodes.  A larger row has a pass of its own, and so has a row whose problem or grid
     raises ValueError (IntervalTooFine included), with its failure, the pair (exception
     class, message), in place of the grid."""
     part, nodes = [], 0
-    for r2 in map(float, r2_values):
+    for end in map(float, values):
         try:
-            grid = _ring_grid(AnnulusProblem(prob.n, prob.r1, r2, prob.p), quad)
+            grid = prob._at(end)._grid(quad)
         except ValueError as exc:
             grid = type(exc), str(exc)
         size = _PASS_NODES + 1 if isinstance(grid, tuple) else grid.size
         if part and nodes + size > _PASS_NODES:
             yield part
             part, nodes = [], 0
-        part.append((r2, grid))
+        part.append((end, grid))
         nodes += size
     if part:
         yield part

@@ -30,6 +30,7 @@ import numpy as np
 from .annulus import (
     AnnulusProblem,
     log_density_upper_bound,
+    modulus_sweep,
     normalization_value,
     solve_annulus,
 )
@@ -374,17 +375,18 @@ def _cmd_sweep(cfg) -> Report:
         what = f"radii must exceed r1={cfg.r1}" if ring else "lengths must be positive"
         raise ValueError(f"all sweep {what}")
     p = parse_exponent(cfg.p, var, (a, top))
-    problem_at(top, p)  # settings every row shares: a bad one fails the sweep, not each row
+    template = problem_at(top, p)  # settings every row shares: a bad one fails the sweep
+    bound = log_density_upper_bound if cfg.geometry == "annulus" else constant_density_upper_bound
     rows = []
-    for value in params:
-        row = [value, None, None, None, None, None, None, None]
-        try:
-            sol, results = _solve(problem_at(value, p), quad, bis)
-            row[1:7] = (sol.lam, sol.modulus, results["upper_bound"], sol.residual,
-                        sol.quadrature_error, sol.quadrature_step)
-        except (ValueError, BracketFailure, MaxItersExceeded) as exc:  # report, keep sweeping
-            row[7] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+    for row in modulus_sweep(template, params, quad, bis):
+        values = [row.lam, row.modulus, None, row.residual, row.quadrature_error,
+                  row.quadrature_step, row.error]
+        if row.error is None:
+            try:
+                values[2] = bound(problem_at(row.r2, p), quad)
+            except (ValueError, BracketFailure) as exc:  # report, keep sweeping
+                values = [None] * 6 + [f"{type(exc).__name__}: {exc}"]
+        rows.append([row.r2, *values])
 
     columns = ("param", "lambda", "modulus", "upper_bound", "residual", "quadrature_error",
                "quadrature_step", "error")

@@ -4,10 +4,9 @@ With an exponent depending only on the axial coordinate, the problem reduces
 to one dimension over [0, L]; the cross-section enters through its measure
 alone.  It runs on the annulus module's weighted 1-D core with weight 1 in
 the axial variable t, the cross-section measure scaling the energy but not
-the multiplier.  Its solves, normalization and constant-density bound take t
-and p(t) from the annulus module's record of the last pass when it holds this
-cylinder's length, exponent and quadrature config, so p is evaluated once per
-problem.
+the multiplier.  Its problem's hooks plug it into that module's row/pass path:
+``annulus.modulus_sweep`` sweeps its length, and its solves, normalization and bound
+read t and p(t) from the record of the last pass, so p is evaluated once per problem.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .annulus import ExtremalSolution, _WeightedCore, _density_at, _pass_key, _row_values
+from .annulus import ExtremalSolution, _WeightedCore, _density_at, _row_values
 from .exponent import ExponentFunction, _covers
 from .quadrature import NonFiniteIntegrand, QuadratureConfig, _checked_sum, simpson_nodes
 from .rootfind import BisectionConfig, positive_normal
@@ -51,31 +50,33 @@ class CylinderProblem:
                 f"exponent is defined on [{lo}, {hi}], which does not cover [0, {self.length}]"
             )
 
+    # The hooks of the annulus module's row/pass path, as on AnnulusProblem.
+    _start = 0.0
 
-def _axial_values(p: ExponentFunction, grids: list, tops: list) -> tuple:
-    """No log r, and p at the axial grid of a pass of one row."""
-    return None, p.eval(grids[0])
+    @property
+    def _end(self) -> float:
+        return self.length
 
+    def _at(self, end: float) -> CylinderProblem:
+        return CylinderProblem(self.area, end, self.p)
 
-def _axial_nodes(prob: CylinderProblem, quad: QuadratureConfig | None) -> tuple:
-    """t and p(t) of prob's axial grid, read from the annulus module's record of the last
-    pass when it holds them."""
-    t, _, p = _row_values(_pass_key("cylinder", 0.0, prob.p, quad), prob.length,
-                          partial(simpson_nodes, 0.0, prob.length, quad),
-                          partial(_axial_values, prob.p))
-    return t, p
+    def _grid(self, quad: QuadratureConfig | None) -> np.ndarray:
+        return simpson_nodes(0.0, self.length, quad)
 
+    def _values(self, t: np.ndarray, grids: list, tops: list) -> tuple:
+        """No log r, and p at t, the joined axial grids of a pass."""
+        return None, self.p.eval(t)
 
-def _axial_core(prob: CylinderProblem, quad: QuadratureConfig | None) -> _WeightedCore:
-    t, p = _axial_nodes(prob, quad)
-    return _WeightedCore.build([t], p, 0.0, 0.0, partial(_density_at, prob.p.eval, 0.0, 0))
+    def _core(self, grids: list, log_r: None, p: np.ndarray) -> _WeightedCore:
+        return _WeightedCore.build(grids, p, 0.0, 0.0, partial(_density_at, self.p.eval, 0.0, 0),
+                                   self.area)
 
 
 def cylinder_normalization_value(
     prob: CylinderProblem, lam: float, quad: QuadratureConfig | None = None
 ) -> float:
     """Integral over [0, L] of the candidate density (lam / p(t))^(1/(p(t)-1))."""
-    return _axial_core(prob, quad).normalization(lam)
+    return prob._core(*_row_values(prob, quad)).normalization(lam)
 
 
 def solve_cylinder(
@@ -84,7 +85,7 @@ def solve_cylinder(
     bis: BisectionConfig | None = None,
 ) -> ExtremalSolution:
     """Extremal density and modulus for curves joining the two ends."""
-    return _axial_core(prob, quad).solution(bis, prob.area)
+    return prob._core(*_row_values(prob, quad)).solution(bis)
 
 
 @np.errstate(all="ignore")  # one context for the values and their sum
@@ -94,7 +95,7 @@ def constant_density_upper_bound(
     """Energy of the constant density 1/L, admissible for end-to-end curves; one that
     exceeds the float range is NonFiniteIntegrand, as is the integral's own overflow,
     and one below the normal floats is BracketFailure, as the modulus is."""
-    t, p = _axial_nodes(prob, quad)
+    (t,), _, p = _row_values(prob, quad)
     energy = _checked_sum(t, (1.0 / prob.length) ** p)
     bound = prob.area * energy
     if bound == math.inf:

@@ -468,17 +468,22 @@ def test_solver_returns_a_positive_float_or_a_solver_error(n, p_const, log_r1, l
 
 
 def _single_solves(template, radii, quad=None, bis=None):
-    """The rows of a sweep solved one by one with ``solve_annulus``, each on its own values
-    of p: an eval equal to the template's but not it reads nothing a sweep recorded."""
+    """The rows of a sweep solved one by one with ``solve_annulus`` or ``solve_cylinder``,
+    each on its own values of p: an eval equal to the template's but not it reads nothing a
+    sweep recorded."""
     p = dataclasses.replace(template.p, eval=partial(template.p.eval))
+    ring = isinstance(template, AnnulusProblem)
     rows = []
     for r2 in radii:
         try:
-            sol = solve_annulus(AnnulusProblem(template.n, template.r1, r2, p), quad, bis)
+            prob = (AnnulusProblem(template.n, template.r1, r2, p) if ring
+                    else CylinderProblem(template.area, r2, p))
+            sol = (solve_annulus if ring else solve_cylinder)(prob, quad, bis)
         except Exception as exc:
             rows.append(SweepRow(r2, None, None, error=f"{type(exc).__name__}: {exc}"))
         else:
-            rows.append(SweepRow(r2, sol.lam, sol.modulus, sol.residual, sol.quadrature_error))
+            rows.append(SweepRow(r2, sol.lam, sol.modulus, sol.residual, sol.quadrature_error,
+                                 quadrature_step=sol.quadrature_step))
     return rows
 
 
@@ -528,6 +533,63 @@ def test_sweep_rows_are_single_solves(n, r1, kind, a, b, c, ratios, equal_row, s
     _assert_sweep_is_single_solves(template, radii, QuadratureConfig(step, cap))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_SWEEP_TEMPLATES)),
+    a=st.floats(1.8, 4.0),
+    b=st.floats(0.0, 0.05),
+    c=st.floats(0.1, 2.0),
+    # lengths from 0.05 to 400, log-uniform, and one that is no cylinder, put at index bad_at
+    lengths=st.lists(st.floats(-3.0, 6.0).map(math.exp), min_size=1, max_size=8),
+    bad=st.sampled_from([None, math.nan, -1.0, 0.0]),
+    bad_at=st.integers(0, 8),
+    area=st.floats(-323.0, 300.0).map(lambda e: 10.0**e) | st.sampled_from([5e-324, 1e300]),
+    step=st.sampled_from([1e-2, 5e-2, 0.3]),
+    cap=st.sampled_from([40, 400, 1_000_000]),
+    max_iters=st.sampled_from([1, 2, BisectionConfig.max_iters]),
+    nan_from=st.none() | st.floats(0.0, 1.0),
+)
+def test_cylinder_sweep_rows_are_single_solves(kind, a, b, c, lengths, bad, bad_at, area, step,
+                                               cap, max_iters, nan_from):
+    # As on the ring: rows that are no cylinder, too fine, out of iterations, scaled out of
+    # the normal floats by the area or past a NaN cutoff of p fail alone.
+    text = _SWEEP_TEMPLATES[kind].format(a=repr(a), b=repr(b), c=repr(c))
+    top = max(lengths)
+    if bad is not None:
+        lengths.insert(bad_at, bad)
+    parsed = parse_exponent(text.replace("log(r)", "log(1+r)"), "r", (0.0, top))
+    p = parsed if nan_from is None else dataclasses.replace(parsed, eval=lambda t: np.where(
+        np.asarray(t) > nan_from * top, np.nan, parsed.eval(t)))
+    _assert_sweep_is_single_solves(CylinderProblem(area, top, p), lengths,
+                                   QuadratureConfig(step, cap), BisectionConfig(max_iters=max_iters))
+
+
+def test_cylinder_sweep_rows_are_single_solves_at_the_edges():
+    p = parse_exponent("1.2+0.05*t", "t", (0.0, 100.0))
+    lengths = [math.nan, -1.0, 1e-3, 0.5, 2.0, 20.0, 100.0]
+    kinds, moduli = {}, {}
+    for area, quad, bis in [(1.0, None, None), (1e300, None, None), (5e-324, None, None),
+                            (2.0, QuadratureConfig(1e-2, 400), None),
+                            (1e-300, None, BisectionConfig(max_iters=2))]:
+        rows = _assert_sweep_is_single_solves(CylinderProblem(area, 100.0, p), lengths, quad, bis)
+        kinds[area] = [row.error and row.error.split(":")[0] for row in rows]
+        moduli[area] = [row.modulus for row in rows]
+    bad = ["ValueError"] * 2
+    assert kinds == {1.0: bad + [None] * 5, 1e300: bad + [None] * 5,
+                     5e-324: bad + ["BracketFailure"] * 5,
+                     2.0: bad + [None] * 3 + ["IntervalTooFine"] * 2,
+                     1e-300: bad + [None] * 3 + ["MaxItersExceeded"] * 2}
+    assert moduli[1e300][2:] == [1e300 * m for m in moduli[1.0][2:]]  # the area scales alone
+    # NaN beyond t = 5: each failing row names the first of its own nodes past 5.
+    nan_tail = ExponentFunction(lambda t: np.where(np.asarray(t) > 5.0, np.nan, 2.5),
+                                2.5, 2.5, "2.5, NaN beyond 5", (0.0, 20.0))
+    rows = _assert_sweep_is_single_solves(CylinderProblem(1.5, 20.0, nan_tail),
+                                          [8.0, 3.0, 7.777, 5.0])
+    assert [row.error is None for row in rows] == [False, True, False, True]
+    assert rows[0].error.startswith("NonFiniteIntegrand: the exponent is nan at quadrature node ")
+    assert rows[0].error != rows[2].error
+
+
 def _bound_or_error(bound, prob, quad):
     """A bound's bits, or its error class and message."""
     try:
@@ -552,7 +614,7 @@ _EQUAL_CONFIGS = [(None, QuadratureConfig()), (QuadratureConfig(), None),
 
 @settings(max_examples=40, deadline=None)
 @given(
-    geometry=st.sampled_from(["ring", "cylinder", "sweep"]),
+    geometry=st.sampled_from(["ring", "cylinder", "sweep", "cylinder sweep"]),
     n=st.integers(2, 200),
     r1=st.floats(1e-3, 10.0),
     kind=st.sampled_from(sorted(_SWEEP_TEMPLATES)),
@@ -575,17 +637,19 @@ def test_a_bound_read_from_the_record_is_the_bound_alone(geometry, n, r1, kind, 
     # only the last is kept, and single passes past the cap, which are not kept.
     solve_quad, bound_quad = configs
     text = _SWEEP_TEMPLATES[kind].format(a=repr(a), b=repr(b), c=repr(c))
-    if geometry == "cylinder":
-        length = ratios[0]
-        parsed = parse_exponent(text.replace("log(r)", "log(1+r)"), "r", (0.0, length))
-        top, problem, bound = length, partial(CylinderProblem, area), constant_density_upper_bound
-        solve, radii, width = solve_cylinder, [length], length
+    sweep = geometry.endswith("sweep")
+    if geometry.startswith("cylinder"):
+        radii = ratios if sweep else ratios[:1]  # the lengths
+        top = max(radii)
+        parsed = parse_exponent(text.replace("log(r)", "log(1+r)"), "r", (0.0, top))
+        problem, bound = partial(CylinderProblem, area), constant_density_upper_bound
+        solve, start, width = solve_cylinder, 0.0, lambda length: length
     else:
-        radii = [r1 * q for q in ratios] if geometry == "sweep" else [r1 * (1.0 + ratios[0])]
+        radii = [r1 * q for q in ratios] if sweep else [r1 * (1.0 + ratios[0])]
         top = max(radii + [2.0 * r1])
         parsed = parse_exponent(text, "r", (r1, top))
         problem, bound = partial(AnnulusProblem, n, r1), log_density_upper_bound
-        solve, width = solve_annulus, None
+        solve, start, width = solve_annulus, r1, lambda r2: math.log(r2) - math.log(r1)
     calls = [0]
 
     def counted(x):
@@ -597,18 +661,18 @@ def test_a_bound_read_from_the_record_is_the_bound_alone(geometry, n, r1, kind, 
     p = dataclasses.replace(parsed, eval=counted)
     template = problem(top, p)
     with unittest.mock.patch.object(annulus, "_PASS_NODES", pass_nodes):
-        if geometry == "sweep":  # the rows of the last pass that evaluates p, if it is kept
+        if sweep:  # the rows of the last pass that evaluates p, if it is kept
             evaluated = [part for part in annulus._sweep_passes(template, radii, solve_quad)
                          if not isinstance(part[0][1], tuple)]
             last = evaluated[-1] if evaluated else []
             kept_last = sum(grid.size for _, grid in last) <= pass_nodes
             recorded = [r2 for r2, _ in last] if kept_last else []
         for r2 in radii:
-            if geometry == "sweep" and r2 <= r1:
-                continue  # not a ring: its row fails in the sweep and has no bound
+            if r2 <= start:
+                continue  # no problem: its row fails in the sweep and has no bound
             prob = problem(r2, p)
-            nodes = _grid_nodes(width or math.log(r2) - math.log(r1), solve_quad)
-            if geometry == "sweep":
+            nodes = _grid_nodes(width(r2), solve_quad)
+            if sweep:
                 modulus_sweep(template, radii, solve_quad)
                 kept = nodes == 0 or r2 in recorded
             else:
@@ -637,9 +701,9 @@ def test_a_pass_past_the_node_cap_is_not_kept(counted_exponent):
         counts.append(calls[0])
     # The large pass is not kept, and it dropped the small one, which is evaluated again.
     assert counts == [1, 1, 2, 3, 4]
-    _, rows, log_r, p = annulus._last_pass
+    _, rows, u, log_r, p = annulus._last_pass
     assert list(rows) == [0.5] and log_r is None
-    assert not (rows[0.5][0].flags.writeable or p.flags.writeable)
+    assert not (u.flags.writeable or p.flags.writeable)
 
 
 def test_sweep_rows_are_single_solves_at_the_edges():
@@ -678,6 +742,7 @@ def test_sweep_failures_leave_no_reference_cycles():
     # holds the pass's node arrays in a cycle that only the garbage collector frees.
     p = parse_exponent("1+r", "r", (1.0, 1024.0))
     template = AnnulusProblem(2, 1.0, 1024.0, p)
+    cylinder = CylinderProblem(5e-324, 100.0, parse_exponent("1.2+0.05*t", "t", (0.0, 100.0)))
     gc.collect()
     gc.disable()
     try:
@@ -685,10 +750,20 @@ def test_sweep_failures_leave_no_reference_cycles():
         assert gc.collect() == 0
         capped = modulus_sweep(template, [2.0, 4.0, 8.0], bis=BisectionConfig(max_iters=1))
         assert gc.collect() == 0
+        # Lengths that are no cylinder, and moduli that the area scales below the floats.
+        scaled = modulus_sweep(cylinder, [math.nan, -1.0, 0.5, 2.0, 100.0])
+        assert gc.collect() == 0
+        fine = modulus_sweep(dataclasses.replace(cylinder, area=1.0), [2.0, 20.0, 100.0],
+                             QuadratureConfig(1e-2, 400), BisectionConfig(max_iters=1))
+        assert gc.collect() == 0
     finally:
         gc.enable()
     assert sum(row.error is not None for row in edges) == 5
     assert all(row.error.startswith("MaxItersExceeded") for row in capped)
+    assert [row.error.split(":")[0] for row in scaled] == ["ValueError"] * 2 + [
+        "BracketFailure"] * 3
+    assert [row.error.split(":")[0] for row in fine] == ["MaxItersExceeded"] + [
+        "IntervalTooFine"] * 2
 
 
 def test_a_ring_whose_length_rounds_to_zero_fails_alone_in_a_sweep():
@@ -734,13 +809,13 @@ def test_an_exponent_eval_that_raises_propagates_from_a_sweep():
 
 def test_sweep_passes_hold_at_most_65536_nodes(monkeypatch):
     passes = []
-    ring_cores = annulus._ring_cores
+    pass_values = annulus._pass_values
 
-    def counted(prob, grids, *args):
+    def counted(prob, quad, grids, *args):
         passes.append([g.size for g in grids])
-        return ring_cores(prob, grids, *args)
+        return pass_values(prob, quad, grids, *args)
 
-    monkeypatch.setattr(annulus, "_ring_cores", counted)
+    monkeypatch.setattr(annulus, "_pass_values", counted)
     p = parse_exponent("2+0.1*log(r)", "r", (1.0, math.exp(8.0)))
     template = AnnulusProblem(3, 1.0, math.exp(8.0), p)
     radii = [math.exp(3.0)] * 3 + [math.exp(8.0), 2.0]
@@ -754,13 +829,13 @@ def test_sweep_passes_hold_at_most_65536_nodes(monkeypatch):
 
 def test_a_bad_row_fails_alone_in_its_pass_and_leaves_its_neighbours(monkeypatch):
     passes = []
-    ring_cores = annulus._ring_cores
+    pass_values = annulus._pass_values
 
-    def counted(prob, grids, *args):
+    def counted(prob, quad, grids, *args):
         passes.append([g.size for g in grids])
-        return ring_cores(prob, grids, *args)
+        return pass_values(prob, quad, grids, *args)
 
-    monkeypatch.setattr(annulus, "_ring_cores", counted)
+    monkeypatch.setattr(annulus, "_pass_values", counted)
     # NaN beyond r = e^3.2, which only the second pass's row e^3.4 reaches.
     nan_tail = ExponentFunction(lambda r: np.where(np.asarray(r) > math.exp(3.2), np.nan, 2.5),
                                 2.5, 2.5, "2.5, NaN beyond e^3.2", (1.0, math.exp(4.0)))
@@ -928,7 +1003,7 @@ def _reference_solve(inv, base, weights, span, bracket, cfg):
     lam = math.exp(ell)
     modulus = lam * math.exp(m) * (width * e_h / div)
     error = max(abs(n_h - n_2h) / (15.0 * n_h), abs(e_h - e_2h) / (15.0 * e_h))
-    return lam, modulus, residual, error, iters, ell
+    return lam, modulus, residual, error, iters, ell, width / (inv.size - 1)
 
 
 def _axial_pass(p, counts):
@@ -941,7 +1016,7 @@ def _axial_pass(p, counts):
 def _ring_pass(p, r1, tops):
     """The core inputs of rings from r1 out to each radius in tops, as a sweep joins them."""
     grids = [simpson_nodes(0.0, math.log(r2) - math.log(r1)) for r2 in tops]
-    log_r, pr = annulus._ring_nodes(r1, p, grids, tops)
+    log_r, pr = AnnulusProblem(3, r1, max(tops), p)._values(np.concatenate(grids), grids, tops)
     return grids, pr, annulus._log_unit_sphere_area(3) + 2.0 * log_r, log_r
 
 

@@ -2,6 +2,7 @@
 library calls in-process."""
 
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -218,14 +219,14 @@ def test_non_finite_sweep_values_are_row_errors_wherever_they_sit(geometry, modu
 def test_an_unexpected_error_in_a_sweep_row_fails_the_sweep(monkeypatch, capsys):
     # Only the documented validation and solver errors are row errors; any other exception
     # is a fault, and it is raised, not printed as a row with exit 0.
-    solve = cli._solve
+    bound = cli.log_density_upper_bound
 
-    def fail_at_four(prob, quad, bis):
+    def fail_at_four(prob, quad):
         if prob.r2 == 4.0:
             raise TypeError("not a row error")
-        return solve(prob, quad, bis)
+        return bound(prob, quad)
 
-    monkeypatch.setattr(cli, "_solve", fail_at_four)
+    monkeypatch.setattr(cli, "log_density_upper_bound", fail_at_four)
     with pytest.raises(TypeError, match="not a row error"):
         cli.main(["sweep", "--p", "2", "--values", "2,4,8"])
     assert capsys.readouterr().out == ""
@@ -270,6 +271,21 @@ def test_sweep_parses_the_exponent_once(monkeypatch):
                         lambda *args: calls.append(args) or parse_exponent(*args))
     assert cli.main(["sweep", "--geometry", "cylinder", "--p", "2+t", "--values", "1,2"]) == 0
     assert calls == [("2+t", "t", (0.0, 2.0))]
+
+
+@pytest.mark.parametrize("geometry, var", [("annulus", "r"), ("cylinder", "t")])
+def test_sweep_evaluates_the_exponent_once_per_pass(geometry, var, monkeypatch):
+    # The rows are solved in one pass, and their bounds read its values.
+    calls = []
+
+    def counted(*args):
+        p = parse_exponent(*args)
+        return dataclasses.replace(p, eval=lambda x: calls.append(x.size) or p.eval(x))
+
+    monkeypatch.setattr(cli, "parse_exponent", counted)
+    argv = ["sweep", "--geometry", geometry, "--p", f"2+0.1*{var}", "--values", "1.5,2,4,3"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_sweep_geometric_range():
