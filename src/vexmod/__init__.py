@@ -11,15 +11,13 @@ analytic number with a discrete variational oracle.
 
 from .annulus import (
     AnnulusProblem,
-    ExtremalSolution,
-    SweepRow,
     constant_exponent_modulus,
     log_density_upper_bound,
-    modulus_sweep,
     normalization_value,
     solve_annulus,
     unit_sphere_area,
 )
+from .core import ExtremalSolution, SweepRow, modulus_sweep
 from .cylinder import (
     CylinderProblem,
     constant_density_upper_bound,

@@ -29,11 +29,12 @@ import numpy as np
 
 from .annulus import (
     AnnulusProblem,
+    _check_ring,
     log_density_upper_bound,
-    modulus_sweep,
     normalization_value,
     solve_annulus,
 )
+from .core import modulus_sweep
 from .cylinder import (
     CylinderProblem,
     constant_density_upper_bound,
@@ -308,8 +309,7 @@ def _cmd_solve(cfg) -> Report:
     if cfg.p is None:
         raise ValueError("missing exponent expression, pass --p")
     if cfg.command == "annulus":
-        if not 0.0 < cfg.r1 < cfg.r2 < math.inf:
-            raise ValueError(f"radii must satisfy 0 < r1 < r2 < inf, got r1={cfg.r1} r2={cfg.r2}")
+        _check_ring(cfg.n, cfg.r1, cfg.r2)
         b, problem = cfg.r2, {"n": cfg.n, "r1": cfg.r1, "r2": cfg.r2, "p": cfg.p}
         title = "ring modulus: n={problem[n]} r1={problem[r1]} r2={problem[r2]} p={problem[p]}"
         density, compared = "log", "  bound/modulus ratio  {ratio}"
@@ -370,10 +370,10 @@ def _cmd_sweep(cfg) -> Report:
     if not finite:
         raise ValueError(f"--values needs at least one finite value, got {cfg.values!r}")
     top = max(finite)
-    if top <= a:
-        ring = cfg.geometry == "annulus"
-        what = f"radii must exceed r1={cfg.r1}" if ring else "lengths must be positive"
-        raise ValueError(f"all sweep {what}")
+    if cfg.geometry == "annulus":  # the ring's own check, before the exponent's
+        _check_ring(cfg.n, cfg.r1, top)
+    elif top <= 0.0:
+        raise ValueError("all sweep lengths must be positive")
     p = parse_exponent(cfg.p, var, (a, top))
     template = problem_at(top, p)  # settings every row shares: a bad one fails the sweep
     bound = log_density_upper_bound if cfg.geometry == "annulus" else constant_density_upper_bound

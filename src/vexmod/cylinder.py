@@ -2,11 +2,11 @@
 
 With an exponent depending only on the axial coordinate, the problem reduces
 to one dimension over [0, L]; the cross-section enters through its measure
-alone.  It runs on the annulus module's weighted 1-D core with weight 1 in
-the axial variable t, the cross-section measure scaling the energy but not
-the multiplier.  Its problem's hooks plug it into that module's row/pass path:
-``annulus.modulus_sweep`` sweeps its length, and its solves, normalization and bound
-read t and p(t) from the record of the last pass, so p is evaluated once per problem.
+alone.  It runs on the weighted 1-D core of ``core`` with weight 1 in the axial
+variable t, the cross-section measure scaling the energy but not the multiplier.
+Its problem's hooks plug it into the core's row/pass path: ``modulus_sweep``
+sweeps its length, and its solves, normalization and bound read t and p(t) from
+the record of the last pass, so p is evaluated once per problem.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .annulus import ExtremalSolution, _WeightedCore, _density_at, _row_values
+from .core import ExtremalSolution, _WeightedCore, _density_at, _row_values
 from .exponent import ExponentFunction, _covers
 from .quadrature import NonFiniteIntegrand, QuadratureConfig, _checked_sum, simpson_nodes
 from .rootfind import BisectionConfig, positive_normal
@@ -50,7 +50,7 @@ class CylinderProblem:
                 f"exponent is defined on [{lo}, {hi}], which does not cover [0, {self.length}]"
             )
 
-    # The hooks of the annulus module's row/pass path, as on AnnulusProblem.
+    # The hooks of the core's row/pass path, as on AnnulusProblem.
     _start = 0.0
 
     @property

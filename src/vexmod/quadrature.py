@@ -16,7 +16,6 @@ __all__ = [
     "subinterval_count",
     "simpson_nodes",
     "simpson_rows",
-    "simpson_sum",
     "integrate",
 ]
 
@@ -133,17 +132,12 @@ def simpson_rows(*ns: int) -> np.ndarray:
     return np.concatenate([part for n in ns for part in (_rows(n), _ENDS)], axis=1)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def simpson_sum(nodes: np.ndarray, values: np.ndarray) -> float:
-    """Composite Simpson sum of values at ``simpson_nodes`` by the h row of ``simpson_rows``;
-    a value that is not finite raises NonFiniteIntegrand naming its node, and so does an
-    integral of finite values that exceeds the float range, naming the interval."""
-    return _checked_sum(nodes, values)
-
-
 def _checked_sum(nodes: np.ndarray, values: np.ndarray) -> float:
-    """``simpson_sum`` for a caller that already ignores numpy's floating-point errors.
-    numpy sums the products pairwise: a BLAS ``dot``'s rounding grows with the node count."""
+    """Composite Simpson sum of values at ``simpson_nodes`` by the h row of ``simpson_rows``,
+    for a caller that already ignores numpy's floating-point errors; a value that is not
+    finite raises NonFiniteIntegrand naming its node, and so does an integral of finite
+    values that exceeds the float range, naming the interval.  numpy sums the products
+    pairwise: a BLAS ``dot``'s rounding grows with the node count."""
     n = nodes.size - 1
     row, width = _rows(n, 1)[0], float(nodes[-1]) - float(nodes[0])
     # Past 4,096 subintervals the row is the call's own and takes the products in place.

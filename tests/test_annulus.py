@@ -7,6 +7,7 @@ quadrature of the extremal energy); they are frozen here as constants.
 
 import dataclasses
 import gc
+import itertools
 import math
 import re
 import unittest.mock
@@ -38,8 +39,8 @@ from vexmod import (
     subinterval_count,
     unit_sphere_area,
 )
-from vexmod import annulus, oracle
-from vexmod.annulus import SweepRow
+from vexmod import annulus, core, oracle
+from vexmod.core import SweepRow
 from vexmod.quadrature import simpson_nodes
 
 REF_LAMBDA = 20.778872988263774
@@ -413,6 +414,42 @@ def test_steep_rings_are_within_their_error_estimate(n, p):
     assert abs(sol.modulus - exact) <= 4.0 * sol.quadrature_error * exact
 
 
+_JUDGE_BISECTION = BisectionConfig(residual_tol=1e-13, lambda_tol=1e-15)
+
+
+def _inner_end_gap(n, r1, r2, text):
+    """The reference-free judge of the ring with exponent text: the relative gap between
+    dM/dr1, a central difference of tight solves at r1 (1 +- 1e-6), and the first variation
+    lam rho(r1) (p(r1) - 1) / p(r1) that the envelope theorem gives, read off the tight
+    solve at r1.  The exponent is parsed once, on [r1 (1 - 1e-6), r2]."""
+    h = 1e-6
+    p = parse_exponent(text, "r", (r1 * (1.0 - h), r2))
+    below, at, above = (solve_annulus(AnnulusProblem(n, r, r2, p), bis=_JUDGE_BISECTION)
+                        for r in (r1 * (1.0 - h), r1, r1 * (1.0 + h)))
+    slope = (above.modulus - below.modulus) / (2.0 * h * r1)
+    p1 = float(p.eval(r1))
+    variation = at.lam * float(at.density(r1)) * (p1 - 1.0) / p1
+    return abs(slope - variation) / variation
+
+
+def test_the_inner_end_judge_flags_the_constant_rings_that_miss_the_closed_form():
+    # Two one-sided facts on a grid of constant rings at default settings: each ring more
+    # than 1e-4 off the closed form has a gap above 1e-4, and each ring within 1e-6 has a
+    # gap below 1e-5.  Between the two the verdicts need not agree: the n=2, p=1.01 rings
+    # are 2e-5 to 5e-5 off, with gaps of 3e-3 to 5e-3.
+    missed, close = {}, {}
+    for n, r2, p_const in itertools.product([2, 3, 10, 50, 200], [1.1, 2.0, 10.0, 1000.0],
+                                            [1.01, 1.5, 2.0, 5.0]):
+        exact = constant_exponent_modulus(n, p_const, 1.0, r2)
+        error = abs(solve_annulus(_constant_ring(n, p_const, 1.0, r2)).modulus - exact) / exact
+        if error > 1e-4 or error <= 1e-6:
+            gap = _inner_end_gap(n, 1.0, r2, repr(p_const))
+            (missed if error > 1e-4 else close)[n, r2, p_const] = error, gap
+    assert close, "no ring of the grid is within 1e-6"
+    assert {ring: v for ring, v in missed.items() if not v[1] > 1e-4} == {}
+    assert {ring: v for ring, v in close.items() if not v[1] < 1e-5} == {}
+
+
 @pytest.mark.parametrize("n, r1, r2",
                          [(2, 1.0, 2.0), (2, 1.0, 4.0), (3, 1e-6, 1.0), (7, 0.1, 30.0)])
 def test_modulus_never_exceeds_the_log_bound_at_dimension_exponent(n, r1, r2):
@@ -624,7 +661,7 @@ _EQUAL_CONFIGS = [(None, QuadratureConfig()), (QuadratureConfig(), None),
     ratios=st.lists(st.floats(-4.9, 2.7).map(lambda x: math.exp(2.0 - x)), min_size=1,
                     max_size=6),
     configs=st.sampled_from(_EQUAL_CONFIGS),
-    pass_nodes=st.sampled_from([150, 700, annulus._PASS_NODES]),
+    pass_nodes=st.sampled_from([150, 700, core._PASS_NODES]),
     nan_from=st.none() | st.floats(0.0, 1.0),
     area=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
 )
@@ -660,9 +697,9 @@ def test_a_bound_read_from_the_record_is_the_bound_alone(geometry, n, r1, kind, 
 
     p = dataclasses.replace(parsed, eval=counted)
     template = problem(top, p)
-    with unittest.mock.patch.object(annulus, "_PASS_NODES", pass_nodes):
+    with unittest.mock.patch.object(core, "_PASS_NODES", pass_nodes):
         if sweep:  # the rows of the last pass that evaluates p, if it is kept
-            evaluated = [part for part in annulus._sweep_passes(template, radii, solve_quad)
+            evaluated = [part for part in core._sweep_passes(template, radii, solve_quad)
                          if not isinstance(part[0][1], tuple)]
             last = evaluated[-1] if evaluated else []
             kept_last = sum(grid.size for _, grid in last) <= pass_nodes
@@ -694,14 +731,14 @@ def test_a_pass_past_the_node_cap_is_not_kept(counted_exponent):
     fine = QuadratureConfig(1.0 / 65_536)
     small, large = CylinderProblem(1.0, 0.5, p), CylinderProblem(1.0, 1.0, p)
     assert [subinterval_count(0.0, prob.length, fine) + 1 for prob in (small, large)] == [
-        32_769, annulus._PASS_NODES + 1]
+        32_769, core._PASS_NODES + 1]
     counts = []
     for prob in (small, small, large, large, small):
         constant_density_upper_bound(prob, fine)
         counts.append(calls[0])
     # The large pass is not kept, and it dropped the small one, which is evaluated again.
     assert counts == [1, 1, 2, 3, 4]
-    _, rows, u, log_r, p = annulus._last_pass
+    _, rows, u, log_r, p = core._last_pass
     assert list(rows) == [0.5] and log_r is None
     assert not (u.flags.writeable or p.flags.writeable)
 
@@ -809,13 +846,13 @@ def test_an_exponent_eval_that_raises_propagates_from_a_sweep():
 
 def test_sweep_passes_hold_at_most_65536_nodes(monkeypatch):
     passes = []
-    pass_values = annulus._pass_values
+    pass_values = core._pass_values
 
     def counted(prob, quad, grids, *args):
         passes.append([g.size for g in grids])
         return pass_values(prob, quad, grids, *args)
 
-    monkeypatch.setattr(annulus, "_pass_values", counted)
+    monkeypatch.setattr(core, "_pass_values", counted)
     p = parse_exponent("2+0.1*log(r)", "r", (1.0, math.exp(8.0)))
     template = AnnulusProblem(3, 1.0, math.exp(8.0), p)
     radii = [math.exp(3.0)] * 3 + [math.exp(8.0), 2.0]
@@ -829,13 +866,13 @@ def test_sweep_passes_hold_at_most_65536_nodes(monkeypatch):
 
 def test_a_bad_row_fails_alone_in_its_pass_and_leaves_its_neighbours(monkeypatch):
     passes = []
-    pass_values = annulus._pass_values
+    pass_values = core._pass_values
 
     def counted(prob, quad, grids, *args):
         passes.append([g.size for g in grids])
         return pass_values(prob, quad, grids, *args)
 
-    monkeypatch.setattr(annulus, "_pass_values", counted)
+    monkeypatch.setattr(core, "_pass_values", counted)
     # NaN beyond r = e^3.2, which only the second pass's row e^3.4 reaches.
     nan_tail = ExponentFunction(lambda r: np.where(np.asarray(r) > math.exp(3.2), np.nan, 2.5),
                                 2.5, 2.5, "2.5, NaN beyond e^3.2", (1.0, math.exp(4.0)))
@@ -1036,20 +1073,20 @@ def test_core_equals_the_plain_reference_construction_bit_for_bit(case):
                                             [4096, 4100, 8]),
     }[case]()
     inv, base, weights, starts, spans, brackets, rows = _reference_core(grids, p, log_w, log_j)
-    core = annulus._WeightedCore.build(grids, p, log_w, log_j, None)
-    for got, want in [(core.inv, inv), (core.base, base), (core.weights, weights),
-                      (core.starts, starts)]:
+    built = core._WeightedCore.build(grids, p, log_w, log_j, None)
+    for got, want in [(built.inv, inv), (built.base, base), (built.weights, weights),
+                      (built.starts, starts)]:
         assert got.tobytes() == want.tobytes()
-    assert core.spans == spans
+    assert built.spans == spans
     cfg = BisectionConfig()
-    for r, (row, solved) in enumerate(zip(rows, core.solve(cfg))):
+    for r, (row, solved) in enumerate(zip(rows, built.solve(cfg))):
         want = _reference_solve(inv[row], base[row], weights[:, row], spans[r], brackets[r], cfg)
-        if core.failures[r]:
-            assert solved == core.failures[r] and solved[0] is NonFiniteIntegrand
+        if built.failures[r]:
+            assert solved == built.failures[r] and solved[0] is NonFiniteIntegrand
         else:
             assert solved == want
         # A row alone, the single solve, gives the same numbers as in the pass.
         w, j = (x if np.isscalar(x) else x[row] for x in (log_w, log_j))
-        assert annulus._WeightedCore.build([grids[r]], p[row], w, j, None).solve(cfg) == [solved]
-    bad_rows = sum(failure is not None for failure in core.failures)
+        assert core._WeightedCore.build([grids[r]], p[row], w, j, None).solve(cfg) == [solved]
+    bad_rows = sum(failure is not None for failure in built.failures)
     assert bad_rows == (2 if case == "bad node" else 0)

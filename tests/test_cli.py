@@ -406,7 +406,11 @@ def test_missing_exponent_is_a_validation_error():
      (("sweep", "--p", "2", "--geometric", "1:2:x"), "--geometric"),
      (("sweep", "--p", "2", "--geometric", "1:2:2.5"), "--geometric"),
      (("annulus", "--p", "1+r", "--r2", "inf"), "r2=inf"),
-     (("cylinder", "--p", "2+t", "--length", "inf"), "length=inf")],
+     (("cylinder", "--p", "2+t", "--length", "inf"), "length=inf"),
+     # A bad inner radius is the ring's error, not the exponent's or its interval's.
+     (("sweep", "--r1", "-1", "--p", "log(r)+3", "--values", "2"), "r1="),
+     (("sweep", "--r1", "0", "--p", "log(r)+3", "--values", "2"), "r1="),
+     (("sweep", "--r1", "nan", "--p", "2", "--values", "2"), "r1=")],
 )
 def test_non_finite_tolerances_and_negative_counts_are_validation_errors(args, named):
     proc = run_cli(*args, expect=2)

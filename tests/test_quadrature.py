@@ -10,10 +10,10 @@ from vexmod.quadrature import (
     IntervalTooFine,
     NonFiniteIntegrand,
     QuadratureConfig,
+    _checked_sum,
     integrate,
     simpson_nodes,
     simpson_rows,
-    simpson_sum,
     subinterval_count,
 )
 
@@ -179,21 +179,25 @@ def test_simpson_rows_at_steps_h_and_2h():
 
 
 @pytest.mark.parametrize("b, hint", [(2.0, 1e-2), (2.0, 1e-4)], ids=["101 nodes", "20001 nodes"])
-def test_simpson_sum_equals_scipy(b, hint):
-    # 20,001 nodes are past the 4,096 subintervals of the read-only pattern: the sum's
-    # row is built for the grid.
+def test_checked_sum_equals_scipy(b, hint):
+    # The sum both bounds take, under the errstate they enter.  20,001 nodes are past the
+    # 4,096 subintervals of the read-only pattern: the sum's row is built for the grid.
     nodes = simpson_nodes(0.0, b, QuadratureConfig(step_hint=hint))
     values = np.exp(nodes)
-    assert simpson_sum(nodes, values) == pytest.approx(_reference(nodes, values), rel=1e-15)
+    with np.errstate(all="ignore"):
+        got = _checked_sum(nodes, values)
+    assert got == pytest.approx(_reference(nodes, values), rel=1e-15)
 
 
-def test_simpson_sum_of_finite_values_whose_unweighted_total_overflows():
+def test_checked_sum_of_finite_values_whose_unweighted_total_overflows():
     # The weights 4 and 2 times 1e308 overflow a float; the same row pre-scaled by h / 3
     # sums the values within the float range.
     nodes = simpson_nodes(0.0, 1.0)
     values = 1e308 * np.exp(-nodes)
     want = 1e308 * _reference(nodes, np.exp(-nodes))
-    assert simpson_sum(nodes, values) == pytest.approx(want, rel=1e-15)
+    with np.errstate(all="ignore"):
+        got = _checked_sum(nodes, values)
+    assert got == pytest.approx(want, rel=1e-15)
     assert integrate(lambda x: 1e308 * np.exp(-x), 0.0, 1.0) == pytest.approx(want, rel=1e-15)
 
 
