@@ -16,10 +16,10 @@ from functools import partial
 
 import numpy as np
 
-from .core import (ExtremalSolution, SweepRow, _WeightedCore, _density_at, _row_values,
-                   modulus_sweep)  # the core's public names, exported here too
+from .core import (ExtremalSolution, SweepRow, _WeightedCore, _density_at, _row_bound,
+                   _row_values, modulus_sweep)  # the core's public names, exported here too
 from .exponent import ExponentFunction, _covers
-from .quadrature import QuadratureConfig, _checked_sum, simpson_nodes
+from .quadrature import QuadratureConfig, _checked_sums, simpson_nodes
 from .rootfind import BisectionConfig, exp_or_inf, positive_normal
 
 __all__ = [
@@ -86,6 +86,10 @@ class AnnulusProblem:
         return self.r1
 
     @property
+    def _bound_key(self) -> int:
+        return self.n
+
+    @property
     def _end(self) -> float:
         return self.r2
 
@@ -113,6 +117,24 @@ class AnnulusProblem:
         log_c, k = _log_unit_sphere_area(self.n), self.n - 1
         return _WeightedCore.build(grids, p, log_c + k * log_r, log_r,
                                    partial(_density_at, self.p.eval, log_c, k))
+
+    @np.errstate(all="ignore")  # one context for the values and their sums
+    def _bounds(self, grids: list, tops: list, log_r: np.ndarray, p: np.ndarray) -> list:
+        """Per ring from r1 out to each radius in tops, the energy of the density
+        1/(r log(r2/r1)) on its grid, or its failure as the pair (exception class, message),
+        given log r and p at the joined grids: one evaluation for all of them."""
+        if len(grids) == 1:
+            log_l = math.log(_log_ratio(self.r1, tops[0]))
+        else:  # each ring's log log(r2/r1) over its own nodes
+            log_l = np.repeat([math.log(_log_ratio(self.r1, r2)) for r2 in tops],
+                              [u.size for u in grids])
+        # omega_n r^(n-1) (r L)^-p times the Jacobian r: the exponent log omega_n
+        # + (n - p) log r - p log L, its terms taken in that order, in place
+        values = self.n - p
+        values *= log_r
+        values += _log_unit_sphere_area(self.n)
+        values -= p * log_l
+        return _checked_sums(grids, np.exp(values, out=values))
 
 
 def normalization_value(
@@ -157,7 +179,6 @@ def constant_exponent_modulus(n: int, p: float, r1: float, r2: float) -> float:
     return positive_normal("modulus", exp_or_inf(_log_unit_sphere_area(n) + (1 - p) * log_inner))
 
 
-@np.errstate(all="ignore")  # one context for the values and their sum
 def log_density_upper_bound(
     prob: AnnulusProblem, quad: QuadratureConfig | None = None
 ) -> float:
@@ -166,8 +187,4 @@ def log_density_upper_bound(
     An upper bound for the modulus, attained exactly when p(r) is identically the
     dimension n; one that is not a positive normal float is BracketFailure, as the modulus is.
     """
-    (s,), log_r, p = _row_values(prob, quad)
-    # omega_n r^(n-1) (r L)^-p times the Jacobian r
-    values = np.exp(_log_unit_sphere_area(prob.n) + (prob.n - p) * log_r
-                    - p * math.log(_log_ratio(prob.r1, prob.r2)))
-    return positive_normal("upper bound", _checked_sum(s, values))
+    return _row_bound(prob, quad)

@@ -7,14 +7,19 @@ fails, at a bad exponent value or in its solve, fails alone.
 
 Both geometries take one row/pass path, by private hooks of their problem classes (the
 start of the exponent's variable, the swept end, the problem at another end, the Simpson
-grid, a pass's values and its core), so this module imports neither: ``modulus_sweep``
-solves rings or cylinders in passes, and a single solve is a pass of one row.  The last
-pass that evaluated p is kept as a record of its joined grid, log r and p, keyed by the
-problem's class, the start of its variable, the exponent's eval (by identity) and the
-quadrature config (by value).  A single solve, a normalization or a test-density bound of
-one of its rows reads them there; any other call evaluates p and replaces the record, so
-the record holds at most one pass, and none of more than _PASS_NODES nodes.  The
-exponent's eval must therefore be a function of its argument alone.
+grid, a pass's values, its core, and its test-density bounds with the parameter they
+depend on besides the values: n on the ring, the area on the cylinder), so this module
+imports neither: ``modulus_sweep`` solves rings or cylinders in passes, and a single
+solve is a pass of one row.  The last pass that evaluated p is kept as a record of its
+grids, log r and p, keyed by the problem's class, the start of its variable, the
+exponent's eval (by identity) and the quadrature config (by value).  A single solve, a
+normalization or a test-density bound of one of its rows reads them there.  The first
+bound read computes the bounds of all of the pass's rows in one evaluation, and the
+record keeps them with their parameter, so a later read at the same n or area is a
+lookup; a pass whose bounds nobody reads does no bound work.  Any other call evaluates p
+and replaces the record, so the record holds at most one pass, and none of more than
+_PASS_NODES nodes.  The exponent's eval must therefore be a function of its argument
+alone.
 """
 
 from __future__ import annotations
@@ -192,51 +197,80 @@ class _WeightedCore:
 _PASS_NODES = 65_536  # nodes of a sweep's shared pass; a larger row has a pass of its own
 
 # The last pass whose exponent values were taken, shared by both geometries, as (key, rows,
-# grid, log r, p).  The key is the problem's class, the start of its variable (r1 on the
-# ring), the exponent's eval, compared by identity, and the quadrature config, None read
-# as the default.  rows maps each row's end (r2 or the length) to its slice (start, stop)
-# of the pass's joined grid, log r (None on the cylinder) and p, which are read-only.  It
-# is keyed by value, not held by a problem, because a sweep's rows are new problems.  A
-# pass of more than _PASS_NODES nodes is not kept.
-_NO_PASS = ((None, None, None, None), {}, None, None, None)
+# grids, tops, log r, p, bounds).  The key is the problem's class, the start of its
+# variable (r1 on the ring), the exponent's eval, compared by identity, and the quadrature
+# config, None read as the default.  grids and tops are the pass's row grids and ends in
+# order; rows maps each row's end (r2 or the length) to its grid, its slice (start, stop)
+# of the joined log r (None on the cylinder) and p, all read-only, and its index in the
+# pass; a repeated end keeps its last row.  bounds maps a reader's ``_bound_key`` to the
+# list of each row's bound or failure at that key, filled at the first bound read at it.
+# The record is keyed by value, not held by a problem, because a sweep's rows are new
+# problems.  A pass of more than _PASS_NODES nodes is not kept.
+_NO_PASS = ((None, None, None, None), {}, None, None, None, None, None)
 _last_pass: tuple = _NO_PASS
 
 
 def _pass_values(prob, quad: QuadratureConfig | None, grids: list, tops: list) -> tuple:
     """The joined log r (None on the cylinder) and p of the pass of rows of prob's kind out
-    to each end in tops, on their grids at quad, from ``prob._values``.  With the joined
-    grid they become the record, read-only, which an exception that evaluating p raises
-    leaves empty."""
+    to each end in tops, on their grids at quad, from ``prob._values``.  With the grids
+    they become the record, read-only, which an exception that evaluating p raises leaves
+    empty."""
     global _last_pass
     _last_pass = _NO_PASS
     u = grids[0] if len(grids) == 1 else np.concatenate(grids)
     log_r, p = prob._values(u, grids, tops)
     if u.size <= _PASS_NODES:
         rows, stop = {}, 0
-        for g, top in zip(grids, tops):
-            rows[float(top)] = stop, stop + g.size
+        for i, (g, top) in enumerate(zip(grids, tops)):
+            rows[float(top)] = g, stop, stop + g.size, i
             stop += g.size
+            g.setflags(write=False)
         p = p.view()  # eval's own array keeps its flags
-        for x in (u, log_r, p):
+        for x in (log_r, p):
             if x is not None:
                 x.setflags(write=False)
         _last_pass = ((type(prob), prob._start, prob.p.eval, quad or _DEFAULT_CONFIG), rows,
-                      u, log_r, p)
+                      grids, tops, log_r, p, {})
     return log_r, p
 
 
 def _row_values(prob, quad: QuadratureConfig | None) -> tuple:
-    """([grid], log r, p) of prob's own row, the arguments of its ``_core``: read-only views
-    of the record's when its pass has prob's key and holds the row, else prob's grid and
-    its values, evaluated as a pass of one row."""
-    (kind, start, evaluate, config), rows, u, log_r, p = _last_pass
+    """([grid], log r, p) of prob's own row, the arguments of its ``_core``: the record's
+    grid and read-only views of its values when its pass has prob's key and holds the row,
+    else prob's grid and its values, evaluated as a pass of one row."""
+    (kind, start, evaluate, config), rows, _, _, log_r, p, _ = _last_pass
     row = rows.get(float(prob._end))
     if (row and evaluate is prob.p.eval
             and (kind, start, config) == (type(prob), prob._start, quad or _DEFAULT_CONFIG)):
-        a, b = row
-        return [u[a:b]], log_r if log_r is None else log_r[a:b], p[a:b]
+        grid, a, b, _ = row
+        return [grid], log_r if log_r is None else log_r[a:b], p[a:b]
     grids = [prob._grid(quad)]
     return (grids, *_pass_values(prob, quad, grids, [prob._end]))
+
+
+def _row_bound(prob, quad: QuadratureConfig | None) -> float:
+    """prob's test-density bound, from its ``_bounds`` hook.  When the record's pass has
+    prob's key and holds the row, as in ``_row_values``, the first read at prob's
+    ``_bound_key`` computes the bounds of all of the pass's rows in one evaluation and keeps
+    them in the record under that key, and every later read at the key looks its row up;
+    else it is the bound of prob's own pass of one row.  A row's failure is raised as the
+    error it names, and a bound that is not a positive normal float is BracketFailure, as
+    the modulus is."""
+    (kind, start, evaluate, config), rows, grids, tops, log_r, p, bounds = _last_pass
+    row = rows.get(float(prob._end))
+    if (row and evaluate is prob.p.eval
+            and (kind, start, config) == (type(prob), prob._start, quad or _DEFAULT_CONFIG)):
+        at = prob._bound_key
+        if at not in bounds:
+            bounds[at] = prob._bounds(grids, tops, log_r, p)
+        bound = bounds[at][row[3]]
+    else:
+        grids, tops = [prob._grid(quad)], [prob._end]
+        (bound,) = prob._bounds(grids, tops, *_pass_values(prob, quad, grids, tops))
+    if isinstance(bound, tuple):
+        kind, message = bound
+        raise kind(message)
+    return positive_normal("upper bound", bound)
 
 
 @dataclass(frozen=True)

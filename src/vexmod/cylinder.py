@@ -17,10 +17,10 @@ from functools import partial
 
 import numpy as np
 
-from .core import ExtremalSolution, _WeightedCore, _density_at, _row_values
+from .core import ExtremalSolution, _WeightedCore, _density_at, _row_bound, _row_values
 from .exponent import ExponentFunction, _covers
-from .quadrature import NonFiniteIntegrand, QuadratureConfig, _checked_sum, simpson_nodes
-from .rootfind import BisectionConfig, positive_normal
+from .quadrature import NonFiniteIntegrand, QuadratureConfig, _checked_sums, simpson_nodes
+from .rootfind import BisectionConfig
 
 __all__ = [
     "CylinderProblem",
@@ -54,6 +54,10 @@ class CylinderProblem:
     _start = 0.0
 
     @property
+    def _bound_key(self) -> float:
+        return self.area
+
+    @property
     def _end(self) -> float:
         return self.length
 
@@ -70,6 +74,24 @@ class CylinderProblem:
     def _core(self, grids: list, log_r: None, p: np.ndarray) -> _WeightedCore:
         return _WeightedCore.build(grids, p, 0.0, 0.0, partial(_density_at, self.p.eval, 0.0, 0),
                                    self.area)
+
+    @np.errstate(all="ignore")  # one context for the values and their sums
+    def _bounds(self, grids: list, tops: list, log_r: None, p: np.ndarray) -> list:
+        """Per cylinder of each length in tops, the energy of the constant density 1/L on its
+        grid, or its failure as the pair (exception class, message), given p at the joined
+        grids: one evaluation for all of them."""
+        if len(grids) == 1:
+            inv = 1.0 / tops[0]
+        else:  # each cylinder's 1/L over its own nodes
+            inv = np.repeat([1.0 / length for length in tops], [t.size for t in grids])
+        bounds = _checked_sums(grids, inv ** p)
+        for i, energy in enumerate(bounds):
+            if not isinstance(energy, tuple):  # a failure of the integral stays as it is
+                bound = self.area * energy
+                bounds[i] = bound if bound < math.inf else (
+                    NonFiniteIntegrand, f"the area {self.area} times the integral {energy}"
+                    " overflows a float")
+        return bounds
 
 
 def cylinder_normalization_value(
@@ -88,18 +110,10 @@ def solve_cylinder(
     return prob._core(*_row_values(prob, quad)).solution(bis)
 
 
-@np.errstate(all="ignore")  # one context for the values and their sum
 def constant_density_upper_bound(
     prob: CylinderProblem, quad: QuadratureConfig | None = None
 ) -> float:
     """Energy of the constant density 1/L, admissible for end-to-end curves; one that
     exceeds the float range is NonFiniteIntegrand, as is the integral's own overflow,
     and one below the normal floats is BracketFailure, as the modulus is."""
-    (t,), _, p = _row_values(prob, quad)
-    energy = _checked_sum(t, (1.0 / prob.length) ** p)
-    bound = prob.area * energy
-    if bound == math.inf:
-        raise NonFiniteIntegrand(f"the area {prob.area} times the integral {energy}"
-                                 " overflows a float")
-    return positive_normal("upper bound", bound)
-
+    return _row_bound(prob, quad)

@@ -287,7 +287,7 @@ class ExponentFunction:
     shape, a float for a float: the solvers and oracles call it once on their
     array of nodes.  It must give the same values at the same points, since a
     solve or bound reads the values of the last pass of the same eval (see
-    ``annulus``).  Instances are immutable and are safe to share.  The bounds
+    ``core``).  Instances are immutable and are safe to share.  The bounds
     of an exponent monotone by the grammar's rules are its end values; any
     other exponent's come from dense sampling refined around the sampled
     extremes, so they carry a small sampling slack.

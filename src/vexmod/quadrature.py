@@ -139,11 +139,14 @@ def _checked_sum(nodes: np.ndarray, values: np.ndarray) -> float:
     values that exceeds the float range, naming the interval.  numpy sums the products
     pairwise: a BLAS ``dot``'s rounding grows with the node count."""
     n = nodes.size - 1
-    row, width = _rows(n, 1)[0], float(nodes[-1]) - float(nodes[0])
-    # Past 4,096 subintervals the row is the call's own and takes the products in place.
-    products = np.multiply(row, values[:-1], out=row if row.flags.writeable else None)
+    width = float(nodes[-1]) - float(nodes[0])
+    if n <= _PATTERN.shape[1]:
+        products = _PATTERN[0, :n] * values[:-1]
+    else:  # the h row is the call's own and takes the products in place
+        row = _simpson_pattern(n, 1)[0]
+        products = np.multiply(row, values[:-1], out=row)
     # (b - a) * total / (3 n) instead of h * total / 3: keeps constants exact.
-    result = width * (float(products.sum()) + float(values[-1])) / (3.0 * n)
+    result = width * (float(np.add.reduce(products)) + float(values[-1])) / (3.0 * n)
     if math.isfinite(result):
         return result
     bad = np.flatnonzero(~np.isfinite(values))
@@ -156,6 +159,26 @@ def _checked_sum(nodes: np.ndarray, values: np.ndarray) -> float:
         raise NonFiniteIntegrand(f"integral over [{float(nodes[0])}, {float(nodes[-1])}]"
                                  " overflows a float")
     return result
+
+
+def _checked_sums(grids: list, values: np.ndarray) -> list:
+    """Per grid, ``_checked_sum`` of its own values, given values at the grids joined end to
+    end in order, or its NonFiniteIntegrand as the pair (exception class, message): so a
+    grid's sum has the bits of its sum alone, and a bad grid fails alone."""
+    if len(grids) == 1:  # a pass of one row slices nothing
+        try:
+            return [_checked_sum(grids[0], values)]
+        except NonFiniteIntegrand as exc:
+            return [(NonFiniteIntegrand, str(exc))]
+    sums, a = [], 0
+    for u in grids:
+        b = a + u.size
+        try:
+            sums.append(_checked_sum(u, values[a:b]))
+        except NonFiniteIntegrand as exc:
+            sums.append((NonFiniteIntegrand, str(exc)))
+        a = b
+    return sums
 
 
 def integrate(

@@ -168,18 +168,83 @@ def test_another_ring_is_evaluated_again(counted_exponent, other):
     assert calls[0] == 3
 
 
-def test_a_sweep_and_the_bounds_of_its_rows_evaluate_once(counted_exponent):
+def _count_bound_passes(monkeypatch, cls) -> list:
+    """Wraps cls._bounds, the hook that computes the bounds of a pass's rows, with a
+    counter of its runs, which it returns as [count]."""
+    runs, hook = [0], cls._bounds
+
+    def counted(self, *args):
+        runs[0] += 1
+        return hook(self, *args)
+
+    monkeypatch.setattr(cls, "_bounds", counted)
+    return runs
+
+
+def _assert_a_sweep_reads_its_bounds_from_one_pass(monkeypatch, template, problem, other,
+                                                   bound, radii, calls, runs):
+    # Read in every order, the repeated end included, the bounds of a sweep's rows cost one
+    # evaluation of p and one run of the hook, and each has the bits of the bound computed
+    # alone.  A bound at another n or area reads the same values and computes the bounds
+    # of the pass for that n or area, once.
+    probs = [problem(r2, template.p) for r2 in radii]
+    alone = []
+    for prob in probs + [other(radii[0], template.p)]:
+        monkeypatch.setattr(core, "_last_pass", core._NO_PASS)
+        alone.append(bound(prob).hex())
+    for order in itertools.permutations(range(len(radii))):
+        calls[0] = runs[0] = 0
+        rows = modulus_sweep(template, radii, QuadratureConfig())
+        read = {i: bound(probs[i]) for i in order}
+        assert (calls[0], runs[0]) == (1, 1), order
+        assert [read[i].hex() for i in range(len(radii))] == alone[:-1], order
+        assert all(row.modulus < read[i] for i, row in enumerate(rows))
+    for _ in range(2):
+        assert bound(other(radii[0], template.p)).hex() == alone[-1]
+        assert bound(probs[0]).hex() == alone[0]
+    assert (calls[0], runs[0]) == (1, 2)
+
+
+def test_a_sweep_and_the_bounds_of_its_rows_evaluate_once(counted_exponent, monkeypatch):
     p, calls = counted_exponent((1.0, 8.0))
+    runs = _count_bound_passes(monkeypatch, AnnulusProblem)
     radii = [2.0, 8.0, 4.0, 8.0]
-    rows = modulus_sweep(AnnulusProblem(3, 1.0, 8.0, p), radii, QuadratureConfig())
-    bounds = [log_density_upper_bound(AnnulusProblem(3, 1.0, r2, p)) for r2 in radii]
-    assert calls[0] == 1
-    assert all(row.modulus < bound for row, bound in zip(rows, bounds))
+    ring = partial(AnnulusProblem, 3, 1.0)
+    _assert_a_sweep_reads_its_bounds_from_one_pass(
+        monkeypatch, ring(8.0, p), ring, partial(AnnulusProblem, 5, 1.0),
+        log_density_upper_bound, radii, calls, runs)
     # A row's problem on the exponent restricted to it, as a caller builds it, shares eval.
+    bounds = [log_density_upper_bound(ring(r2, p)) for r2 in radii]
     narrowed = p.restricted(1.0, 4.0)
     calls[0] = 0
     assert log_density_upper_bound(AnnulusProblem(3, 1.0, 4.0, narrowed)) == bounds[2]
     assert calls[0] == 0
+
+
+def test_a_cylinder_sweep_and_the_bounds_of_its_rows_evaluate_once(counted_exponent,
+                                                                   monkeypatch):
+    p, calls = counted_exponent((0.0, 8.0))
+    runs = _count_bound_passes(monkeypatch, CylinderProblem)
+    cylinder = partial(CylinderProblem, 2.0)
+    _assert_a_sweep_reads_its_bounds_from_one_pass(
+        monkeypatch, cylinder(8.0, p), cylinder, partial(CylinderProblem, 3.0),
+        constant_density_upper_bound, [2.0, 8.0, 4.0, 8.0], calls, runs)
+
+
+def test_a_pass_whose_bounds_nobody_reads_does_no_bound_work(monkeypatch):
+    ring = AnnulusProblem(3, 1.0, 8.0, parse_exponent("1.5+r/8", "r", (1.0, 8.0)))
+    cyl = CylinderProblem(2.0, 1.0, parse_exponent("2+t", "t", (0.0, 1.0)))
+    runs = [_count_bound_passes(monkeypatch, cls) for cls in (AnnulusProblem, CylinderProblem)]
+    modulus_sweep(ring, [2.0, 4.0, 8.0])
+    modulus_sweep(cyl, [0.5, 1.0])
+    solve_annulus(ring)
+    solve_cylinder(cyl)
+    normalization_value(ring, 2.0)
+    cylinder_normalization_value(cyl, 2.0)
+    assert runs == [[0], [0]]
+    log_density_upper_bound(ring)  # the counters count
+    constant_density_upper_bound(cyl)
+    assert runs == [[1], [1]]
 
 
 def test_normalization_holds_at_the_solution(ring_problem):
@@ -417,37 +482,51 @@ def test_steep_rings_are_within_their_error_estimate(n, p):
 _JUDGE_BISECTION = BisectionConfig(residual_tol=1e-13, lambda_tol=1e-15)
 
 
-def _inner_end_gap(n, r1, r2, text):
-    """The reference-free judge of the ring with exponent text: the relative gap between
-    dM/dr1, a central difference of tight solves at r1 (1 +- 1e-6), and the first variation
-    lam rho(r1) (p(r1) - 1) / p(r1) that the envelope theorem gives, read off the tight
-    solve at r1.  The exponent is parsed once, on [r1 (1 - 1e-6), r2]."""
+def _inner_end_gap(n, r1, r2, text, below=True):
+    """The reference-free judge of the ring with exponent text: the relative gaps between
+    dM/dr1 and the first variation lam rho(r1) (p(r1) - 1) / p(r1) that the envelope theorem
+    gives, read off the tight solve at r1, as the pair (central, one-sided).  The central
+    difference takes tight solves at r1 (1 +- h), h = 1e-6; the one-sided second-order
+    difference (-3 M(r1) + 4 M(r1 (1 + h)) - M(r1 (1 + 2h))) / (2 h r1) needs none below r1.
+    The exponent is parsed once, on [r1 (1 - h), r2]; with below False, for an exponent not
+    defined below r1, on [r1, r2], and the central gap is None."""
     h = 1e-6
-    p = parse_exponent(text, "r", (r1 * (1.0 - h), r2))
-    below, at, above = (solve_annulus(AnnulusProblem(n, r, r2, p), bis=_JUDGE_BISECTION)
-                        for r in (r1 * (1.0 - h), r1, r1 * (1.0 + h)))
-    slope = (above.modulus - below.modulus) / (2.0 * h * r1)
+    p = parse_exponent(text, "r", (r1 * (1.0 - h) if below else r1, r2))
+    at, above, twice = (solve_annulus(AnnulusProblem(n, r, r2, p), bis=_JUDGE_BISECTION)
+                        for r in (r1, r1 * (1.0 + h), r1 * (1.0 + 2.0 * h)))
     p1 = float(p.eval(r1))
     variation = at.lam * float(at.density(r1)) * (p1 - 1.0) / p1
-    return abs(slope - variation) / variation
+
+    def gap(slope):
+        return abs(slope - variation) / variation
+
+    one_sided = gap((-3.0 * at.modulus + 4.0 * above.modulus - twice.modulus) / (2.0 * h * r1))
+    if not below:
+        return None, one_sided
+    lower = solve_annulus(AnnulusProblem(n, r1 * (1.0 - h), r2, p), bis=_JUDGE_BISECTION)
+    return gap((above.modulus - lower.modulus) / (2.0 * h * r1)), one_sided
 
 
 def test_the_inner_end_judge_flags_the_constant_rings_that_miss_the_closed_form():
-    # Two one-sided facts on a grid of constant rings at default settings: each ring more
-    # than 1e-4 off the closed form has a gap above 1e-4, and each ring within 1e-6 has a
-    # gap below 1e-5.  Between the two the verdicts need not agree: the n=2, p=1.01 rings
-    # are 2e-5 to 5e-5 off, with gaps of 3e-3 to 5e-3.
+    # Two one-sided facts on a grid of constant rings at default settings, for the central
+    # and the one-sided difference alike: each ring more than 1e-4 off the closed form has
+    # a gap above 1e-4, and each ring within 1e-6 has a gap below 1e-5.  Between the two
+    # the verdicts need not agree: the n=2, p=1.01 rings are 2e-5 to 5e-5 off, with gaps of
+    # 3e-3 to 5e-3.
     missed, close = {}, {}
     for n, r2, p_const in itertools.product([2, 3, 10, 50, 200], [1.1, 2.0, 10.0, 1000.0],
                                             [1.01, 1.5, 2.0, 5.0]):
         exact = constant_exponent_modulus(n, p_const, 1.0, r2)
         error = abs(solve_annulus(_constant_ring(n, p_const, 1.0, r2)).modulus - exact) / exact
         if error > 1e-4 or error <= 1e-6:
-            gap = _inner_end_gap(n, 1.0, r2, repr(p_const))
-            (missed if error > 1e-4 else close)[n, r2, p_const] = error, gap
+            gaps = _inner_end_gap(n, 1.0, r2, repr(p_const))
+            (missed if error > 1e-4 else close)[n, r2, p_const] = error, *gaps
     assert close, "no ring of the grid is within 1e-6"
-    assert {ring: v for ring, v in missed.items() if not v[1] > 1e-4} == {}
-    assert {ring: v for ring, v in close.items() if not v[1] < 1e-5} == {}
+    assert {ring: v for ring, v in missed.items() if not min(v[1:]) > 1e-4} == {}
+    assert {ring: v for ring, v in close.items() if not max(v[1:]) < 1e-5} == {}
+    # Parsed on [r1, r2] alone, the constant exponent gives the one-sided gap's bits.
+    n, r2, p_const = ring = next(iter(close))
+    assert _inner_end_gap(n, 1.0, r2, repr(p_const), below=False) == (None, close[ring][2])
 
 
 @pytest.mark.parametrize("n, r1, r2",
@@ -738,7 +817,7 @@ def test_a_pass_past_the_node_cap_is_not_kept(counted_exponent):
         counts.append(calls[0])
     # The large pass is not kept, and it dropped the small one, which is evaluated again.
     assert counts == [1, 1, 2, 3, 4]
-    _, rows, u, log_r, p = core._last_pass
+    _, rows, (u,), _, log_r, p, _ = core._last_pass
     assert list(rows) == [0.5] and log_r is None
     assert not (u.flags.writeable or p.flags.writeable)
 
