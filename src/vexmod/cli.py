@@ -296,11 +296,18 @@ def _solve(prob, quad: QuadratureConfig, bis: BisectionConfig):
     return sol, {"lambda": sol.lam, "modulus": sol.modulus, "upper_bound": bound, **extra}
 
 
-def _geometry(cfg, geometry: str) -> tuple[float, str, Callable]:
+def _geometry(cfg, geometry: str, b: float) -> tuple[float, str, Callable]:
     """Start and variable of the exponent's interval, and the problem as a function of
-    its free end b and exponent p: the ring r1 < r < b in R^n, or the cylinder of length b."""
+    its free end and exponent p: the ring in R^n from r1 out to that radius, or the
+    cylinder of that length.  The ring's n and radii or the cylinder's area and length are
+    checked first, with b as the free end, so that a bad one is named before the exponent
+    is parsed."""
     if geometry == "annulus":
+        _check_ring(cfg.n, cfg.r1, b)
         return cfg.r1, "r", partial(AnnulusProblem, cfg.n, cfg.r1)
+    for name, value in (("area", cfg.area), ("length", b)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {name}={value}")
     return 0.0, "t", partial(CylinderProblem, cfg.area)
 
 
@@ -309,17 +316,14 @@ def _cmd_solve(cfg) -> Report:
     if cfg.p is None:
         raise ValueError("missing exponent expression, pass --p")
     if cfg.command == "annulus":
-        _check_ring(cfg.n, cfg.r1, cfg.r2)
         b, problem = cfg.r2, {"n": cfg.n, "r1": cfg.r1, "r2": cfg.r2, "p": cfg.p}
         title = "ring modulus: n={problem[n]} r1={problem[r1]} r2={problem[r2]} p={problem[p]}"
         density, compared = "log", "  bound/modulus ratio  {ratio}"
     else:
-        if not 0.0 < cfg.length < math.inf:
-            raise ValueError(f"length must be positive and finite, got length={cfg.length}")
         b, problem = cfg.length, {"area": cfg.area, "length": cfg.length, "p": cfg.p}
         title = "cylinder modulus: area={problem[area]} length={problem[length]} p={problem[p]}"
         density, compared = "constant", "  extremality gap  {gap}"
-    a, var, problem_at = _geometry(cfg, cfg.command)
+    a, var, problem_at = _geometry(cfg, cfg.command, b)
     prob = problem_at(b, parse_exponent(cfg.p, var, (a, b)))
     quad, bis = _tolerances(cfg)
     sol, results = _solve(prob, quad, bis)
@@ -364,16 +368,12 @@ def _cmd_sweep(cfg) -> Report:
     if not params:
         raise ValueError("the sweep needs --values or --geometric")
     quad, bis = _tolerances(cfg)
-    a, var, problem_at = _geometry(cfg, cfg.geometry)
     # A NaN or infinite value is a row error wherever it sits, not the range's end.
     finite = [value for value in params if math.isfinite(value)]
     if not finite:
         raise ValueError(f"--values needs at least one finite value, got {cfg.values!r}")
     top = max(finite)
-    if cfg.geometry == "annulus":  # the ring's own check, before the exponent's
-        _check_ring(cfg.n, cfg.r1, top)
-    elif top <= 0.0:
-        raise ValueError("all sweep lengths must be positive")
+    a, var, problem_at = _geometry(cfg, cfg.geometry, top)
     p = parse_exponent(cfg.p, var, (a, top))
     template = problem_at(top, p)  # settings every row shares: a bad one fails the sweep
     bound = log_density_upper_bound if cfg.geometry == "annulus" else constant_density_upper_bound
@@ -543,6 +543,9 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except (OSError, ValueError) as exc:  # parse, domain, range and --output errors included
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # a count too large to allocate, such as --density-samples
+        print(f"error: the request does not fit in memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     if not cfg.output:

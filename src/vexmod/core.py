@@ -12,14 +12,15 @@ depend on besides the values: n on the ring, the area on the cylinder), so this 
 imports neither: ``modulus_sweep`` solves rings or cylinders in passes, and a single
 solve is a pass of one row.  The last pass that evaluated p is kept as a record of its
 grids, log r and p, keyed by the problem's class, the start of its variable, the
-exponent's eval (by identity) and the quadrature config (by value).  A single solve, a
-normalization or a test-density bound of one of its rows reads them there.  The first
-bound read computes the bounds of all of the pass's rows in one evaluation, and the
-record keeps them with their parameter, so a later read at the same n or area is a
-lookup; a pass whose bounds nobody reads does no bound work.  Any other call evaluates p
-and replaces the record, so the record holds at most one pass, and none of more than
-_PASS_NODES nodes.  The exponent's eval must therefore be a function of its argument
-alone.
+exponent's eval (by identity) and the quadrature config (by value).  ``_pass_values``
+evaluates every pass and returns it in the record's shape; the record's one reader,
+``_row_pass``, gives a single solve, a normalization or a test-density bound its row's
+pass from there, or else its own pass of one row, read the same way.  The first bound
+read of a pass computes the bounds of all of its rows in one evaluation, and the pass
+keeps them with their parameter, so a later read at the same n or area is a lookup; a
+pass whose bounds nobody reads does no bound work.  Every evaluated pass replaces the
+record, so it holds at most one pass, and none of more than _PASS_NODES nodes.  The
+exponent's eval must therefore be a function of its argument alone.
 """
 
 from __future__ import annotations
@@ -204,69 +205,69 @@ _PASS_NODES = 65_536  # nodes of a sweep's shared pass; a larger row has a pass 
 # of the joined log r (None on the cylinder) and p, all read-only, and its index in the
 # pass; a repeated end keeps its last row.  bounds maps a reader's ``_bound_key`` to the
 # list of each row's bound or failure at that key, filled at the first bound read at it.
-# The record is keyed by value, not held by a problem, because a sweep's rows are new
-# problems.  A pass of more than _PASS_NODES nodes is not kept.
+# ``_pass_values`` returns every pass in this shape and keeps it here unless it has more
+# than _PASS_NODES nodes; ``_row_pass`` is the record's one reader.  The record is keyed
+# by value, not held by a problem, because a sweep's rows are new problems.
 _NO_PASS = ((None, None, None, None), {}, None, None, None, None, None)
 _last_pass: tuple = _NO_PASS
 
 
 def _pass_values(prob, quad: QuadratureConfig | None, grids: list, tops: list) -> tuple:
-    """The joined log r (None on the cylinder) and p of the pass of rows of prob's kind out
-    to each end in tops, on their grids at quad, from ``prob._values``.  With the grids
-    they become the record, read-only, which an exception that evaluating p raises leaves
-    empty."""
+    """The pass of rows of prob's kind out to each end in tops, on their grids at quad, in
+    the record's shape, its log r (None on the cylinder) and p joined from ``prob._values``
+    and all read-only.  It becomes the record unless it has more than _PASS_NODES nodes;
+    an exception that evaluating p raises leaves the record empty."""
     global _last_pass
     _last_pass = _NO_PASS
     u = grids[0] if len(grids) == 1 else np.concatenate(grids)
     log_r, p = prob._values(u, grids, tops)
+    rows, stop = {}, 0
+    for i, (g, top) in enumerate(zip(grids, tops)):
+        rows[float(top)] = g, stop, stop + g.size, i
+        stop += g.size
+        g.setflags(write=False)
+    p = p.view()  # eval's own array keeps its flags
+    for x in (log_r, p):
+        if x is not None:
+            x.setflags(write=False)
+    record = ((type(prob), prob._start, prob.p.eval, quad or _DEFAULT_CONFIG), rows, grids,
+              tops, log_r, p, {})
     if u.size <= _PASS_NODES:
-        rows, stop = {}, 0
-        for i, (g, top) in enumerate(zip(grids, tops)):
-            rows[float(top)] = g, stop, stop + g.size, i
-            stop += g.size
-            g.setflags(write=False)
-        p = p.view()  # eval's own array keeps its flags
-        for x in (log_r, p):
-            if x is not None:
-                x.setflags(write=False)
-        _last_pass = ((type(prob), prob._start, prob.p.eval, quad or _DEFAULT_CONFIG), rows,
-                      grids, tops, log_r, p, {})
-    return log_r, p
+        _last_pass = record
+    return record
+
+
+def _row_pass(prob, quad: QuadratureConfig | None) -> tuple:
+    """The pass that holds prob's row, and the row (grid, start, stop, index) in it: the
+    record when it has prob's key and holds prob's end, else prob's own pass of one row."""
+    record = _last_pass
+    (kind, start, evaluate, config), rows, _, _, _, _, _ = record
+    row = rows.get(float(prob._end))
+    if not (row and evaluate is prob.p.eval
+            and (kind, start, config) == (type(prob), prob._start, quad or _DEFAULT_CONFIG)):
+        record = _pass_values(prob, quad, [prob._grid(quad)], [prob._end])
+        (row,) = record[1].values()
+    return record, row
 
 
 def _row_values(prob, quad: QuadratureConfig | None) -> tuple:
-    """([grid], log r, p) of prob's own row, the arguments of its ``_core``: the record's
-    grid and read-only views of its values when its pass has prob's key and holds the row,
-    else prob's grid and its values, evaluated as a pass of one row."""
-    (kind, start, evaluate, config), rows, _, _, log_r, p, _ = _last_pass
-    row = rows.get(float(prob._end))
-    if (row and evaluate is prob.p.eval
-            and (kind, start, config) == (type(prob), prob._start, quad or _DEFAULT_CONFIG)):
-        grid, a, b, _ = row
-        return [grid], log_r if log_r is None else log_r[a:b], p[a:b]
-    grids = [prob._grid(quad)]
-    return (grids, *_pass_values(prob, quad, grids, [prob._end]))
+    """([grid], log r, p) of prob's own row, the arguments of its ``_core``: its grid and
+    read-only views of its pass's values."""
+    (_, _, _, _, log_r, p, _), (grid, a, b, _) = _row_pass(prob, quad)
+    return [grid], log_r if log_r is None else log_r[a:b], p[a:b]
 
 
 def _row_bound(prob, quad: QuadratureConfig | None) -> float:
-    """prob's test-density bound, from its ``_bounds`` hook.  When the record's pass has
-    prob's key and holds the row, as in ``_row_values``, the first read at prob's
-    ``_bound_key`` computes the bounds of all of the pass's rows in one evaluation and keeps
-    them in the record under that key, and every later read at the key looks its row up;
-    else it is the bound of prob's own pass of one row.  A row's failure is raised as the
-    error it names, and a bound that is not a positive normal float is BracketFailure, as
-    the modulus is."""
-    (kind, start, evaluate, config), rows, grids, tops, log_r, p, bounds = _last_pass
-    row = rows.get(float(prob._end))
-    if (row and evaluate is prob.p.eval
-            and (kind, start, config) == (type(prob), prob._start, quad or _DEFAULT_CONFIG)):
-        at = prob._bound_key
-        if at not in bounds:
-            bounds[at] = prob._bounds(grids, tops, log_r, p)
-        bound = bounds[at][row[3]]
-    else:
-        grids, tops = [prob._grid(quad)], [prob._end]
-        (bound,) = prob._bounds(grids, tops, *_pass_values(prob, quad, grids, tops))
+    """prob's test-density bound, from its ``_bounds`` hook.  The first read of a pass at
+    prob's ``_bound_key`` computes the bounds of all of its rows in one evaluation and keeps
+    them with the pass under that key; every later read at the key looks its row up.  A
+    row's failure is raised as the error it names, and a bound that is not a positive
+    normal float is BracketFailure, as the modulus is."""
+    (_, _, grids, tops, log_r, p, bounds), row = _row_pass(prob, quad)
+    at = prob._bound_key
+    if at not in bounds:
+        bounds[at] = prob._bounds(grids, tops, log_r, p)
+    bound = bounds[at][row[3]]
     if isinstance(bound, tuple):
         kind, message = bound
         raise kind(message)
@@ -313,7 +314,8 @@ def modulus_sweep(
     for part in _sweep_passes(prob, values, quad):
         tops, grids = [end for end, _ in part], [grid for _, grid in part]
         results = (grids if isinstance(grids[0], tuple)  # a failed row, alone in its pass
-                   else prob._core(grids, *_pass_values(prob, quad, grids, tops)).solve(bis))
+                   else prob._core(grids, *_pass_values(prob, quad, grids, tops)[4:6])  # log r, p
+                   .solve(bis))
         rows.extend(SweepRow(end, None, None, error=f"{sol[0].__name__}: {sol[1]}")
                     if len(sol) == 2 else SweepRow(end, *sol[:4], quadrature_step=sol[6])
                     for end, sol in zip(tops, results))

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vexmod import (
     AnnulusProblem,
@@ -480,6 +480,38 @@ def test_steep_rings_are_within_their_error_estimate(n, p):
 
 
 _JUDGE_BISECTION = BisectionConfig(residual_tol=1e-13, lambda_tol=1e-15)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 5, 10, 50]),
+    family=st.sampled_from(["{a}", "{a}+{b}*r", "{a}+{b}*exp(-r)", "{a}+{b}*log(r)"]),
+    a=st.floats(1.2, 4.0),
+    b=st.floats(0.0, 1.0),
+    r1=st.floats(1.0, 2.0),
+    ratio=st.floats(1.5, 4.0),
+    c=st.floats(0.25, 4.0),
+)
+@example(n=2, family="{a}+{b}*r", a=1.0, b=1.0, r1=1.0, ratio=2.0, c=3.0)  # 5.37433
+@example(n=3, family="{a}", a=3.0, b=0.0, r1=1.0, ratio=2.0, c=7.0)  # p = n: both sides agree
+def test_a_dilated_ring_scales_the_modulus_between_the_ends_of_c_to_the_n_minus_p(
+        n, family, a, b, r1, ratio, c):
+    # The dilation x -> c x takes the ring (r1, r2) onto (c r1, c r2), and a density rho
+    # with p onto rho(x / c) / c with p~(r) = p(r / c), multiplying the energy density by
+    # c^(n - p(r)).  So the modulus M~ of the dilated ring lies between the least and the
+    # largest of c^(n - p) times M, taken at p_minus and p_plus, which are exact for these
+    # monotone families.  Each side is widened by both tight solves' residual and quadrature
+    # error, plus 1e-12.
+    text, r2 = family.format(a=a, b=b), r1 * ratio
+    p = parse_exponent(text, "r", (r1, r2))
+    dilated = parse_exponent(re.sub(r"\br\b", f"(r/{c!r})", text), "r", (c * r1, c * r2))
+    sol = solve_annulus(AnnulusProblem(n, r1, r2, p), bis=_JUDGE_BISECTION)
+    scaled = solve_annulus(AnnulusProblem(n, c * r1, c * r2, dilated), bis=_JUDGE_BISECTION)
+    factors = [c ** (n - p.p_minus), c ** (n - p.p_plus)]
+    slack = (sol.residual + sol.quadrature_error + scaled.residual + scaled.quadrature_error
+             + 1e-12)
+    assert (min(factors) * sol.modulus * (1.0 - slack) <= scaled.modulus
+            <= max(factors) * sol.modulus * (1.0 + slack))
 
 
 def _inner_end_gap(n, r1, r2, text, below=True):

@@ -410,7 +410,11 @@ def test_missing_exponent_is_a_validation_error():
      # A bad inner radius is the ring's error, not the exponent's or its interval's.
      (("sweep", "--r1", "-1", "--p", "log(r)+3", "--values", "2"), "r1="),
      (("sweep", "--r1", "0", "--p", "log(r)+3", "--values", "2"), "r1="),
-     (("sweep", "--r1", "nan", "--p", "2", "--values", "2"), "r1=")],
+     (("sweep", "--r1", "nan", "--p", "2", "--values", "2"), "r1="),
+     # So is a bad area the cylinder's, named before the bad exponent.
+     (("cylinder", "--area", "0", "--p", "2+"), "area="),
+     (("sweep", "--geometry", "cylinder", "--area", "-1", "--values", "1,2", "--p", "2+"),
+      "area=")],
 )
 def test_non_finite_tolerances_and_negative_counts_are_validation_errors(args, named):
     proc = run_cli(*args, expect=2)
@@ -425,6 +429,25 @@ def test_too_deep_an_exponent_is_a_validation_error(text):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "(position " in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sweep", "--p", "2", "--geometric", "1.5:2:1000000000000000"], "_geometric_range"),
+    (["oracle-check", "--grid", "1000000000000000"], "oracle.annulus_grid"),
+])
+def test_a_request_too_large_for_memory_is_a_validation_error(argv, name, monkeypatch,
+                                                              capsys):
+    # numpy raises MemoryError for an array it cannot allocate; the function that would
+    # allocate it raises it here, so nothing is allocated.
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array with shape"
+                          " (1000000000000000,) and data type float64")
+
+    monkeypatch.setattr(f"vexmod.cli.{name}", too_large)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "7.11 PiB" in err
+    assert out == ""
 
 
 def test_too_fine_a_step_is_a_solver_error():

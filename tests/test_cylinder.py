@@ -5,10 +5,12 @@ Frozen reference values come from an independent 40-digit mpmath run.
 
 import dataclasses
 import math
+import re
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vexmod import (
     BisectionConfig,
@@ -42,6 +44,41 @@ SHALLOW_GAP = 0.00019375052032264421
 
 def _cylinder(p_text: str, area: float = 1.0, length: float = 1.0) -> CylinderProblem:
     return CylinderProblem(area, length, parse_exponent(p_text, "t", (0.0, length)))
+
+
+_TIGHT = BisectionConfig(residual_tol=1e-13, lambda_tol=1e-15)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    family=st.sampled_from(["{a}", "{a}+{b}*t", "{a}+{b}*exp(-t)", "{a}+{b}*log(1+t)"]),
+    a=st.floats(1.2, 4.0),
+    b=st.floats(0.0, 1.0),
+    area=st.floats(0.5, 2.0),
+    length=st.floats(0.5, 2.0),
+    c=st.floats(0.25, 4.0),
+)
+@example(family="{a}+{b}*t", a=2.0, b=1.0, area=1.0, length=1.0, c=3.0)  # 0.195612
+def test_a_scaled_cylinder_scales_the_modulus_between_the_ends_of_c_to_the_one_minus_p(
+        family, a, b, area, length, c):
+    # The scaling t -> c t takes the cylinder of length L onto that of length c L, and a
+    # density rho with p onto rho(t / c) / c with p~(t) = p(t / c), multiplying the energy
+    # density by c^(1 - p(t)).  So the modulus M~ of the scaled cylinder lies between the
+    # least and the largest of c^(1 - p) times M, taken at p_minus and p_plus, which are
+    # exact for these monotone families.  The scaled cylinder is solved at c times the step
+    # hint, so that the two Simpson grids correspond.  Each side is widened by both tight
+    # solves' residual and quadrature error, plus 1e-12.
+    text = family.format(a=a, b=b)
+    p = parse_exponent(text, "t", (0.0, length))
+    scaled_p = parse_exponent(re.sub(r"\bt\b", f"(t/{c!r})", text), "t", (0.0, c * length))
+    sol = solve_cylinder(CylinderProblem(area, length, p), bis=_TIGHT)
+    quad = QuadratureConfig(QuadratureConfig.step_hint * c)
+    scaled = solve_cylinder(CylinderProblem(area, c * length, scaled_p), quad, _TIGHT)
+    factors = [c ** (1.0 - p.p_minus), c ** (1.0 - p.p_plus)]
+    slack = (sol.residual + sol.quadrature_error + scaled.residual + scaled.quadrature_error
+             + 1e-12)
+    assert (min(factors) * sol.modulus * (1.0 - slack) <= scaled.modulus
+            <= max(factors) * sol.modulus * (1.0 + slack))
 
 
 def test_normalization_reference_values(cylinder_problem):
