@@ -2,7 +2,7 @@
 
 For a radial exponent p(|x|) the extremal density is an explicit radial
 formula with one free scalar, the Lagrange multiplier of the unit-integral
-normalization.  The ring is the weighted 1-D problem of ``core._WeightedCore``
+normalization.  The ring is the weighted 1-D problem of the core (``core.py``)
 with weight omega_n r^(n-1), integrated in s = log(r/r1) with Jacobian r, so
 that the density times r is exactly constant when p is identically n.  Its
 problem's hooks plug it into the core's row/pass path, as the cylinder's do.
@@ -16,8 +16,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (ExtremalSolution, SweepRow, _WeightedCore, _density_at, _row_bound,
-                   _row_values, modulus_sweep)  # the core's public names, exported here too
+from .core import (ExtremalSolution, SweepRow, _density_at, _normalization, _row_bound, _solve,
+                   modulus_sweep)  # the core's public names, exported here too
 from .exponent import ExponentFunction, _covers
 from .quadrature import QuadratureConfig, _checked_sums, simpson_nodes
 from .rootfind import BisectionConfig, exp_or_inf, positive_normal
@@ -113,10 +113,12 @@ class AnnulusProblem:
             r[stop - 1] = r2
         return log_r, self.p.eval(r)
 
-    def _core(self, grids: list, log_r: np.ndarray, p: np.ndarray) -> _WeightedCore:
+    def _integrand(self, log_r: np.ndarray) -> tuple:
+        """log w = log(omega_n r^(n-1)) and log J = log r at log r, the area 1 and the
+        density at (log lam, r), defined on [r1, r2]."""
         log_c, k = _log_unit_sphere_area(self.n), self.n - 1
-        return _WeightedCore.build(grids, p, log_c + k * log_r, log_r,
-                                   partial(_density_at, self.p.eval, log_c, k))
+        return (log_c + k * log_r, log_r, 1.0,
+                partial(_density_at, self.p.eval, log_c, k, (self.r1, self.r2)))
 
     @np.errstate(all="ignore")  # one context for the values and their sums
     def _bounds(self, grids: list, tops: list, log_r: np.ndarray, p: np.ndarray) -> list:
@@ -145,7 +147,7 @@ def normalization_value(
     Strictly increasing in lam, from 0 to infinity; the multiplier is its
     unique preimage of 1.
     """
-    return prob._core(*_row_values(prob, quad)).normalization(lam)
+    return _normalization(prob, lam, quad)
 
 
 def solve_annulus(
@@ -154,7 +156,7 @@ def solve_annulus(
     bis: BisectionConfig | None = None,
 ) -> ExtremalSolution:
     """Extremal density and modulus for the spherical-ring curve family."""
-    return prob._core(*_row_values(prob, quad)).solution(bis)
+    return _solve(prob, quad, bis)
 
 
 def constant_exponent_modulus(n: int, p: float, r1: float, r2: float) -> float:

@@ -34,7 +34,7 @@ from .annulus import (
     normalization_value,
     solve_annulus,
 )
-from .core import modulus_sweep
+from .core import _sweep
 from .cylinder import (
     CylinderProblem,
     constant_density_upper_bound,
@@ -378,7 +378,9 @@ def _cmd_sweep(cfg) -> Report:
     template = problem_at(top, p)  # settings every row shares: a bad one fails the sweep
     bound = log_density_upper_bound if cfg.geometry == "annulus" else constant_density_upper_bound
     rows = []
-    for row in modulus_sweep(template, params, quad, bis):
+    # Each row comes while the last-pass record holds its pass, so its bound reads the
+    # pass's values: p is evaluated once per pass.
+    for row in _sweep(template, params, quad, bis):
         values = [row.lam, row.modulus, None, row.residual, row.quadrature_error,
                   row.quadrature_step, row.error]
         if row.error is None:

@@ -1,16 +1,22 @@
 """The weighted 1-D core that the ring and the cylinder share, its passes and the sweep.
 
-The core holds each node's terms in logs and solves a pass of rows, one per grid, for
-their log(lam) with ``rootfind.solve_multiplier``, all rows in lockstep; every solve also
-returns a Simpson error estimate of its normalization and modulus integrals.  A row that
-fails, at a bad exponent value or in its solve, fails alone.
+The core holds each node's terms in logs and solves rows for their log(lam), by two loops
+over one update rule (``rootfind._update``).  A single solve and a normalization are one
+row, which ``_build_row`` builds once (its inv, base and five Simpson weight rows) and
+``rootfind._solve_row`` solves on Python floats, as it solves the grid oracle.  A sweep is solved in passes of
+several rows, which ``_WeightedCore`` builds over their joined nodes and the lockstep
+kernel ``rootfind.solve_multiplier`` solves together; a row that fails, at a bad exponent
+value or in its solve, fails alone.  The row count the caller holds selects the loop, and
+both take a row's numbers (``_row_numbers``, with a Simpson error estimate of its
+normalization and modulus integrals) by the same operations, so a row's numbers are the
+same alone as in any pass.
 
 Both geometries take one row/pass path, by private hooks of their problem classes (the
 start of the exponent's variable, the swept end, the problem at another end, the Simpson
-grid, a pass's values, its core, and its test-density bounds with the parameter they
+grid, a pass's values, its weighting, and its test-density bounds with the parameter they
 depend on besides the values: n on the ring, the area on the cylinder), so this module
-imports neither: ``modulus_sweep`` solves rings or cylinders in passes, and a single
-solve is a pass of one row.  The last pass that evaluated p is kept as a record of its
+imports neither: ``modulus_sweep`` solves rings or cylinders in passes, one at a time by
+the generator ``_sweep``.  The last pass that evaluated p is kept as a record of its
 grids, log r and p, keyed by the problem's class, the start of its variable, the
 exponent's eval (by identity) and the quadrature config (by value).  ``_pass_values``
 evaluates every pass and returns it in the record's shape; the record's one reader,
@@ -18,9 +24,11 @@ evaluates every pass and returns it in the record's shape; the record's one read
 pass from there, or else its own pass of one row, read the same way.  The first bound
 read of a pass computes the bounds of all of its rows in one evaluation, and the pass
 keeps them with their parameter, so a later read at the same n or area is a lookup; a
-pass whose bounds nobody reads does no bound work.  Every evaluated pass replaces the
-record, so it holds at most one pass, and none of more than _PASS_NODES nodes.  The
-exponent's eval must therefore be a function of its argument alone.
+pass whose bounds nobody reads does no bound work.  ``_sweep`` yields a pass's rows while
+the record still holds it, so a caller that reads their bounds as they come evaluates p
+once per pass.  Every evaluated pass replaces the record, so it holds at most one pass,
+and none of more than _PASS_NODES nodes.  The exponent's eval must therefore be a
+function of its argument alone.
 """
 
 from __future__ import annotations
@@ -37,8 +45,9 @@ from .rootfind import (
     BisectionConfig,
     BracketFailure,
     _row_parts,
+    _row_total,
+    _solve_row,
     exp_or_inf,
-    log_total,
     positive_normal,
     solve_multiplier,
 )
@@ -51,7 +60,9 @@ class ExtremalSolution:
     """Solved variational problem.
 
     lam is the Lagrange multiplier of the unit-integral constraint, density
-    the pointwise minimizer (accepts scalars or arrays), residual the
+    the pointwise minimizer (accepts scalars or arrays of points of the solved
+    interval, [r1, r2] in r on the ring and [0, L] on the cylinder, up to a slack
+    of 1e-12 relative to the point; any other point is a ValueError), residual the
     normalization defect at the accepted multiplier, solver_iters the
     Newton or bisection steps after the first evaluation, and
     quadrature_error the Simpson estimate |S_h - S_2h| / (15 S_h), the
@@ -71,13 +82,66 @@ class ExtremalSolution:
 
 
 @np.errstate(all="ignore")
-def _density_at(peval: Callable, log_c: float, k: int, ell: float, x) -> np.ndarray:
-    """(lam / (p c x^k))^(1/(p-1)) at x for lam = e^ell, in logs: no power overflows."""
+def _density_at(peval: Callable, log_c: float, k: int, interval: tuple, ell: float, x
+                ) -> np.ndarray:
+    """(lam / (p c x^k))^(1/(p-1)) at x for lam = e^ell, in logs: no power overflows.  A
+    point outside interval, the solve's, beyond the slack of ``exponent._covers``, or a
+    NaN point, is a ValueError naming the first such point."""
+    lo, hi = interval
+    at = np.asarray(x)
+    slack = 1e-12 * np.abs(at)
+    inside = (lo <= at + slack) & (hi >= at - slack)
+    if not inside.all():
+        bad = float(at.flat[int(np.argmin(inside))])
+        raise ValueError(f"the density is defined on [{lo}, {hi}], not at {bad!r}")
     p = peval(x)
     t = ell - np.log(p) - log_c
     if k:
         t = t - k * np.log(x)
     return np.exp(t / (p - 1.0))
+
+
+def _log_terms(p: np.ndarray, log_w, log_j) -> tuple[np.ndarray, np.ndarray]:
+    """inv = 1/(p - 1) and base = log J - inv log(p w) at nodes, for a caller that ignores
+    numpy's floating-point errors; log w and log J may be arrays, scalars or None for a
+    zero, which costs no array operation."""
+    inv = 1.0 / (p - 1.0)
+    base = np.log(p)
+    if log_w is not None:
+        base += log_w
+    base *= inv
+    if log_j is None:
+        return inv, np.negative(base, out=base)
+    return inv, np.subtract(log_j, base, out=base)
+
+
+def _weight_rows(counts: list, inv: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The five Simpson weight rows of grids of counts subintervals joined end to end, for
+    terms in [0, 1]: (h, h inv) for N and N', then 2h for the normalization and
+    (h, 2h) / p for the modulus."""
+    weights = simpson_rows(*counts).take((0, 0, 1, 0, 1), axis=0)
+    weights[1] *= inv
+    weights[3:] /= p
+    return weights
+
+
+def _bad_node(p: float, u: float) -> str:
+    return f"the exponent is {p!r} at quadrature node {u!r}, not a finite value above 1"
+
+
+def _row_numbers(sums: list, ell: float, m: float, residual: float, iters: int, width: float,
+                 div: float, area: float) -> tuple:
+    """A solved row as (lam, modulus, residual, quadrature_error, iters, log lam, quadrature
+    step), from the five sums of its weight rows with its last terms at scale m: its
+    normalization and modulus integrals at steps h and 2h.  The modulus is scaled by
+    area; BracketFailure where lam or the modulus is not a positive normal float."""
+    n_h, _, n_2h, e_h, e_2h = sums
+    lam = positive_normal("multiplier", exp_or_inf(ell))
+    modulus = positive_normal("modulus", area * positive_normal(
+        "modulus", lam * exp_or_inf(m) * (width * e_h / div)))
+    error = max(abs(n_h - n_2h) / (15.0 * n_h), abs(e_h - e_2h) / (15.0 * e_h))
+    # The step is width / n for div = 3n.
+    return lam, modulus, residual, error, iters, ell, width / (div / 3.0)
 
 
 class _WeightedCore:
@@ -89,35 +153,33 @@ class _WeightedCore:
     stationarity condition w rho^p = lam rho / p, the modulus is lam times the
     integral of rho J / p.  ``build`` makes the pass from the joined nodes of
     several grids, one row each, checked once: a row with a bad node fails, and
-    only that row.  Per node it also keeps the Simpson weights at steps h and 2h,
-    joined over the rows, and their products with inv and with 1/p: the
-    multiplier kernel steps all rows in lockstep on (h, h inv), and then one
-    ``dot`` of a row's five weight rows with its last terms gives it both
-    integrals at both steps, so its modulus and error estimate.  ``solve``
-    gives each row as plain numbers, its modulus times ``area`` (the cylinder's
-    cross-section), and a row that fails as its exception class and message,
-    leaving the others as they are; a single solve is the pass of one row, whose
-    ExtremalSolution ``solution`` builds or whose failure it raises.
-    ``density(l, x)`` gives the density at lam = e^l in the problem's variable.
+    only that row.  Per node it also keeps the five Simpson weight rows, joined
+    over the rows: the lockstep kernel ``rootfind.solve_multiplier`` steps all rows
+    on (h, h inv), and then one ``dot`` of a row's five weight rows with its last
+    terms gives it both integrals at both steps, so its modulus and error estimate.
+    ``solve`` gives each row as plain numbers, its modulus times ``area`` (the
+    cylinder's cross-section), and a row that fails as its exception class and
+    message, leaving the others as they are.  A single solve does not build a pass:
+    ``_solve`` takes its one row straight through ``_solve_row``, by the same
+    operations, so a row's numbers are the same in a pass as alone.
     """
 
     def __init__(self, starts: np.ndarray, spans: list, inv: np.ndarray, base: np.ndarray,
-                 weights: np.ndarray, failures: list, density: Callable, area: float) -> None:
+                 weights: np.ndarray, failures: list, area: float) -> None:
         self.starts, self.spans, self.inv, self.base = starts, spans, inv, base
-        self.weights, self.failures, self.density, self.area = weights, failures, density, area
+        self.weights, self.failures, self.area = weights, failures, area
 
     @classmethod
     @np.errstate(all="ignore")
-    def build(cls, grids: list, p: np.ndarray, log_w, log_j, density: Callable,
-              area: float = 1.0) -> _WeightedCore:
+    def build(cls, grids: list, p: np.ndarray, log_w, log_j, area: float = 1.0
+              ) -> _WeightedCore:
         """The pass over the Simpson grids in ``grids``, given p, log w and log J at their
-        joined nodes (log w and log J may be scalars), checked once.  A row with a node
+        joined nodes (as ``_log_terms`` takes them), checked once.  A row with a node
         where p is not a finite value above 1 fails alone, with NonFiniteIntegrand naming
         its own first such node; its nodes get the stand-in inv = 1 and base = 0, so the
         kernel solves it on finite numbers, and its result is discarded.  One loop over
         the grids gives the rows' starts, spans and subinterval counts."""
-        inv = 1.0 / (p - 1.0)
-        base = log_j - inv * (np.log(p) + log_w)
+        inv, base = _log_terms(p, log_w, log_j)
         counts, starts, spans, end = [], [], [], 0
         for u in grids:
             counts.append(u.size - 1)
@@ -131,33 +193,13 @@ class _WeightedCore:
             rows, first = np.unique(starts.searchsorted(bad, "right") - 1, return_index=True)
             for r, i in zip(rows.tolist(), bad[first].tolist()):
                 a, u = int(starts[r]), grids[r]
-                failures[r] = (NonFiniteIntegrand, f"the exponent is {float(p[i])!r} at quadrature"
-                               f" node {float(u[i - a])!r}, not a finite value above 1")
+                failures[r] = NonFiniteIntegrand, _bad_node(float(p[i]), float(u[i - a]))
                 inv[a:a + u.size], base[a:a + u.size] = 1.0, 0.0
-        # Simpson weights, of terms in [0, 1]: (h, h inv) for N and N', then 2h for the
-        # normalization and (h, 2h) / p for the modulus.
-        weights = simpson_rows(*counts).take((0, 0, 1, 0, 1), axis=0)
-        weights[1] *= inv
-        weights[3:] /= p
-        return cls(starts, spans, inv, base, weights, failures, density, area)
-
-    def normalization(self, lam: float) -> float:
-        """The normalization integral of a one-row pass at multiplier lam, or its failure."""
-        if self.failures[0]:
-            kind, message = self.failures[0]
-            raise kind(message)
-        if not (lam > 0 and math.isfinite(lam)):
-            raise ValueError(f"lam must be positive and finite, got {lam}")
-        f = log_total(self.inv, self.base, self.weights[:2], self.starts, None, self.spans,
-                      [math.log(lam)])[0][0]
-        value = exp_or_inf(f)
-        if value == math.inf:
-            raise NonFiniteIntegrand(f"the normalization at lam={lam} exceeds the float range")
-        return value
+        return cls(starts, spans, inv, base, _weight_rows(counts, inv, p), failures, area)
 
     def solve(self, bis: BisectionConfig | None) -> list:
-        """Per row, the tuple (lam, modulus, residual, quadrature_error, iters, log lam,
-        quadrature step), or its failure as the pair (exception class, message)."""
+        """Per row, the tuple of ``_row_numbers``, or its failure as the pair (exception
+        class, message)."""
         sol = solve_multiplier(self.inv, self.base, self.weights[:2], self.starts, self.spans,
                                bis)
         out = []
@@ -167,32 +209,62 @@ class _WeightedCore:
             if failure:
                 out.append(failure)
                 continue
-            # The normalization and modulus integrals at steps h and 2h, from its last terms.
-            n_h, _, n_2h, e_h, e_2h = w.dot(t).tolist()
-            ell = sol.log_lam[r]
             try:
-                lam = positive_normal("multiplier", exp_or_inf(ell))
-                modulus = positive_normal("modulus", self.area * positive_normal(
-                    "modulus", lam * exp_or_inf(sol.scale[r]) * (width * e_h / div)))
+                out.append(_row_numbers(w.dot(t).tolist(), sol.log_lam[r], sol.scale[r],
+                                        sol.residual[r], sol.iters[r], width, div, self.area))
             except BracketFailure as exc:
                 out.append((BracketFailure, str(exc)))
-                continue
-            error = max(abs(n_h - n_2h) / (15.0 * n_h), abs(e_h - e_2h) / (15.0 * e_h))
-            # The step is width / n for div = 3n.
-            out.append((lam, modulus, sol.residual[r], error, sol.iters[r], ell,
-                        width / (div / 3.0)))
         return out
 
-    def solution(self, bis: BisectionConfig | None) -> ExtremalSolution:
-        """The solution of a one-row pass; its failure is raised as the error it names."""
-        (row,) = self.solve(bis)
-        if len(row) == 2:
-            kind, message = row
-            raise kind(message)
-        lam, modulus, residual, error, iters, ell, step = row
-        # The density holds none of the node arrays.
-        return ExtremalSolution(lam, modulus, partial(self.density, ell), residual, iters,
-                                error, step)
+
+@np.errstate(all="ignore")
+def _build_row(grid: np.ndarray, p: np.ndarray, log_w, log_j) -> tuple:
+    """One row's (inv, base, five weight rows, (width, div)), as ``_WeightedCore.build``
+    builds a row of a pass, or NonFiniteIntegrand naming its first bad node."""
+    inv, base = _log_terms(p, log_w, log_j)
+    if not (math.isfinite(base.sum()) and inv.min() > 0.0):
+        i = int(np.flatnonzero(~(np.isfinite(base) & (inv > 0.0)))[0])
+        raise NonFiniteIntegrand(_bad_node(float(p[i]), float(grid[i])))
+    n = grid.size - 1
+    return inv, base, _weight_rows([n], inv, p), (float(grid[-1]) - float(grid[0]), 3.0 * n)
+
+
+def _solve_built(row: tuple, area: float, bis: BisectionConfig | None) -> tuple:
+    """The tuple of ``_row_numbers`` of a row from ``_build_row``, solved by the one-row
+    loop; its failure is raised."""
+    inv, base, weights, (width, div) = row
+    ell, residual, iters, m, terms = _solve_row(inv, base, weights[:2], width, div, bis)
+    return _row_numbers(weights.dot(terms).tolist(), ell, m, residual, iters, width, div, area)
+
+
+def _own_row(prob, quad: QuadratureConfig | None) -> tuple:
+    """prob's own row from ``_build_row``, on read-only views of its pass's values, with
+    its area and its density at (log lam, x)."""
+    (_, _, _, _, log_r, p, _), (grid, a, b, _) = _row_pass(prob, quad)
+    log_w, log_j, area, density = prob._integrand(log_r if log_r is None else log_r[a:b])
+    return _build_row(grid, p[a:b], log_w, log_j), area, density
+
+
+def _solve(prob, quad: QuadratureConfig | None, bis: BisectionConfig | None
+           ) -> ExtremalSolution:
+    """The ExtremalSolution of prob, a ring or a cylinder, by the one-row loop."""
+    row, area, density = _own_row(prob, quad)
+    lam, modulus, residual, error, iters, ell, step = _solve_built(row, area, bis)
+    # The density holds none of the node arrays.
+    return ExtremalSolution(lam, modulus, partial(density, ell), residual, iters, error, step)
+
+
+def _normalization(prob, lam: float, quad: QuadratureConfig | None) -> float:
+    """The normalization integral of prob's row at multiplier lam; a bad node is raised
+    first."""
+    (inv, base, weights, (width, div)), _, _ = _own_row(prob, quad)
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    f = _row_total(inv, base, weights[:2], width, div, math.log(lam), np.empty_like(inv))[0]
+    value = exp_or_inf(f)
+    if value == math.inf:
+        raise NonFiniteIntegrand(f"the normalization at lam={lam} exceeds the float range")
+    return value
 
 
 _PASS_NODES = 65_536  # nodes of a sweep's shared pass; a larger row has a pass of its own
@@ -250,13 +322,6 @@ def _row_pass(prob, quad: QuadratureConfig | None) -> tuple:
     return record, row
 
 
-def _row_values(prob, quad: QuadratureConfig | None) -> tuple:
-    """([grid], log r, p) of prob's own row, the arguments of its ``_core``: its grid and
-    read-only views of its pass's values."""
-    (_, _, _, _, log_r, p, _), (grid, a, b, _) = _row_pass(prob, quad)
-    return [grid], log_r if log_r is None else log_r[a:b], p[a:b]
-
-
 def _row_bound(prob, quad: QuadratureConfig | None) -> float:
     """prob's test-density bound, from its ``_bounds`` hook.  The first read of a pass at
     prob's ``_bound_key`` computes the bounds of all of its rows in one evaluation and keeps
@@ -310,16 +375,25 @@ def modulus_sweep(
     neighbours.  An exception that the exponent's ``eval`` itself raises is
     not a row's error: it propagates, as it does from a single solve.
     """
-    rows = []
+    return list(_sweep(prob, values, quad, bis))
+
+
+def _sweep(prob, values: Sequence[float], quad: QuadratureConfig | None,
+           bis: BisectionConfig | None) -> Iterator[SweepRow]:
+    """The rows of ``modulus_sweep``, each pass's rows yielded as soon as that pass is
+    solved, while the record still holds it: a caller that reads each row's bound as it
+    comes evaluates p once per pass."""
     for part in _sweep_passes(prob, values, quad):
         tops, grids = [end for end, _ in part], [grid for _, grid in part]
-        results = (grids if isinstance(grids[0], tuple)  # a failed row, alone in its pass
-                   else prob._core(grids, *_pass_values(prob, quad, grids, tops)[4:6])  # log r, p
-                   .solve(bis))
-        rows.extend(SweepRow(end, None, None, error=f"{sol[0].__name__}: {sol[1]}")
-                    if len(sol) == 2 else SweepRow(end, *sol[:4], quadrature_step=sol[6])
-                    for end, sol in zip(tops, results))
-    return rows
+        if isinstance(grids[0], tuple):  # a failed row, alone in its pass
+            results = grids
+        else:
+            _, _, _, _, log_r, p, _ = _pass_values(prob, quad, grids, tops)
+            log_w, log_j, area, _ = prob._integrand(log_r)
+            results = _WeightedCore.build(grids, p, log_w, log_j, area).solve(bis)
+        for end, sol in zip(tops, results):
+            yield (SweepRow(end, None, None, error=f"{sol[0].__name__}: {sol[1]}")
+                   if len(sol) == 2 else SweepRow(end, *sol[:4], quadrature_step=sol[6]))
 
 
 def _sweep_passes(prob, values: Sequence[float], quad: QuadratureConfig | None

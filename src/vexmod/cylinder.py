@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ExtremalSolution, _WeightedCore, _density_at, _row_bound, _row_values
+from .core import ExtremalSolution, _density_at, _normalization, _row_bound, _solve
 from .exponent import ExponentFunction, _covers
 from .quadrature import NonFiniteIntegrand, QuadratureConfig, _checked_sums, simpson_nodes
 from .rootfind import BisectionConfig
@@ -71,9 +71,11 @@ class CylinderProblem:
         """No log r, and p at t, the joined axial grids of a pass."""
         return None, self.p.eval(t)
 
-    def _core(self, grids: list, log_r: None, p: np.ndarray) -> _WeightedCore:
-        return _WeightedCore.build(grids, p, 0.0, 0.0, partial(_density_at, self.p.eval, 0.0, 0),
-                                   self.area)
+    def _integrand(self, log_r: None) -> tuple:
+        """Weight and Jacobian 1, given as None so that they cost no array operation, the
+        area, and the density at (log lam, t), defined on [0, L]."""
+        return None, None, self.area, partial(_density_at, self.p.eval, 0.0, 0,
+                                              (0.0, self.length))
 
     @np.errstate(all="ignore")  # one context for the values and their sums
     def _bounds(self, grids: list, tops: list, log_r: None, p: np.ndarray) -> list:
@@ -98,7 +100,7 @@ def cylinder_normalization_value(
     prob: CylinderProblem, lam: float, quad: QuadratureConfig | None = None
 ) -> float:
     """Integral over [0, L] of the candidate density (lam / p(t))^(1/(p(t)-1))."""
-    return prob._core(*_row_values(prob, quad)).normalization(lam)
+    return _normalization(prob, lam, quad)
 
 
 def solve_cylinder(
@@ -107,7 +109,7 @@ def solve_cylinder(
     bis: BisectionConfig | None = None,
 ) -> ExtremalSolution:
     """Extremal density and modulus for curves joining the two ends."""
-    return prob._core(*_row_values(prob, quad)).solution(bis)
+    return _solve(prob, quad, bis)
 
 
 def constant_density_upper_bound(

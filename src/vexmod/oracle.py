@@ -26,7 +26,7 @@ from .annulus import AnnulusProblem, unit_sphere_area
 from .cylinder import CylinderProblem
 from .exponent import _MIN_EXPONENT_MARGIN
 from .quadrature import _check_count
-from .rootfind import BisectionConfig, solve_multiplier
+from .rootfind import BisectionConfig, _solve_row
 
 __all__ = [
     "NonConvergence",
@@ -158,12 +158,7 @@ def discrete_minimize(weights, exponents, cell_width: float) -> GridDensity:
     w, p = _validated_problem(weights, exponents, cell_width)
     inv = 1.0 / (p - 1.0)
     base = -inv * (np.log(p) + np.log(w))
-    sol = solve_multiplier(inv, base, np.array((np.ones(w.size), inv)), [0], [(cell_width, 1.0)],
-                           _TIGHT)
-    if sol.error[0] is not None:
-        kind, message = sol.error[0]
-        raise kind(message)
-    terms = sol.terms
+    terms = _solve_row(inv, base, np.array((np.ones(w.size), inv)), cell_width, 1.0, _TIGHT)[4]
     v = terms / (terms.sum() * cell_width)  # absorb the leftover residual
     return GridDensity(v, cell_width)
 

@@ -6,22 +6,23 @@ l = log lam, has unit total under a positive weighted sum.  With inv_i = 1/(p_i 
 log-total F(l) is convex and increasing, and its slope, the exp-weighted
 mean of inv_i, lies between the smallest and the largest inv_i.  One
 evaluation at l0 therefore brackets the root:
-l* in l0 - F(l0) * [p_min - 1, p_max - 1].  ``solve_multiplier`` takes Newton
-steps inside that bracket and falls back to bisection when a step would
-leave it or shrinks too slowly (Numerical Recipes ``rtsafe``, section 9.4).
-The sums run in log-sum-exp form, so no term overflows for any exponent,
-dimension or radius the problems accept.
+l* in l0 - F(l0) * [p_min - 1, p_max - 1].  Each step is Newton's inside that
+bracket, or bisection when Newton's would leave it or shrinks too slowly
+(Numerical Recipes ``rtsafe``, section 9.4).  The sums run in log-sum-exp form,
+so no term overflows for any exponent, dimension or radius the problems accept.
 
-The kernel solves a pass of rows at once, one multiplier per row: the rows'
-nodes are joined end to end, and each step computes the terms of all of them
-in one pass (``np.maximum.reduceat`` for each row's scale), then takes one
-pass in Python over the rows still stepping: N and N' of the row by one
-``dot`` of its weights with its own terms, its check, its bracket and its next
-step.  A row sums only its own nodes, in the same order whatever its
-neighbours, so it gets the same numbers alone as in any pass; a single solve
-is the pass of one row, which slices nothing, and its ``dot`` costs less than
-the ``einsum`` or ``reduceat`` sums would.  A row that fails records its
-exception class and message, not an exception, and its neighbours go on.
+There are two loops and one update rule, ``_update``, which takes every step of
+both.  ``_solve_row`` solves one row on Python floats: a single solve, a
+normalization's row and the grid oracle.  ``solve_multiplier`` solves a pass of
+rows at once, one multiplier per row: the rows' nodes are joined end to end, and
+each step computes the terms of all of them in one pass (``np.maximum.reduceat``
+for each row's scale), then takes one pass in Python over the rows still
+stepping: N and N' of the row by one ``dot`` of its weights with its own terms,
+its check, its bracket and its next step.  A row sums only its own nodes, in the
+same order whatever its neighbours, and takes the same operations in both loops,
+so it gets the same numbers alone, in any pass, or from ``_solve_row``.  A row of
+a pass that fails records its exception class and message, not an exception, and
+its neighbours go on; ``_solve_row`` raises its failure.
 
 ``solve_increasing`` is the bracketed bisection that the multiplier solve
 used before; nothing in the package calls it any more.
@@ -130,13 +131,14 @@ def log_total(inv: np.ndarray, base: np.ndarray, weights: np.ndarray, starts, si
               spans: list, ell: list):
     """The rows of a pass at log-multipliers ell, one per row.
 
-    Row r holds sizes[r] joined nodes from starts[r] (both integer arrays) and has
-    N_r = width_r * (c . exp(ell_r * inv + base)) / div_r over them, where weights
-    is the rows (c, c * inv) and spans[r] = (width_r, div_r).  Returns, as lists over
-    the rows, log N_r, its derivative in ell_r and the scale m_r, and the joined terms
-    exp(ell_r * inv + base - m_r), the largest of each row 1.  A pass of one row reads
-    no sizes."""
+    Row r holds sizes[r] joined nodes from starts[r] (both integer arrays; sizes None
+    reads them off starts) and has N_r = width_r * (c . exp(ell_r * inv + base)) / div_r
+    over them, where weights is the rows (c, c * inv) and spans[r] = (width_r, div_r).
+    Returns, as lists over the rows, log N_r, its derivative in ell_r and the scale m_r,
+    and the joined terms exp(ell_r * inv + base - m_r), the largest of each row 1."""
     starts = np.asarray(starts)
+    if sizes is None:
+        sizes = _sizes(starts, inv.size)
     terms = np.empty_like(inv)
     m = _scaled_terms(inv, base, starts, sizes, ell, terms)
     sums = [_log_sums(part, scale)
@@ -144,12 +146,14 @@ def log_total(inv: np.ndarray, base: np.ndarray, weights: np.ndarray, starts, si
     return [f for f, _ in sums], [df for _, df in sums], m, terms
 
 
+def _sizes(starts: np.ndarray, total: int) -> np.ndarray:
+    """The node counts of rows joined end to end from starts, total nodes in all."""
+    return np.append(starts[1:], total) - starts
+
+
 def _row_parts(weights: np.ndarray, terms: np.ndarray, starts: np.ndarray, spans: list) -> list:
     """Per row of a pass: its columns of weights and its part of the joined terms, as
-    views, and its span (width, div); a row ends where the next starts.  A pass of one
-    row slices nothing."""
-    if len(spans) == 1:
-        return [(weights, terms, *spans[0])]
+    views, and its span (width, div); a row ends where the next starts."""
     ends = starts.tolist() + [terms.size]
     return [(weights[:, a:b], terms[a:b], width, div)
             for a, b, (width, div) in zip(ends, ends[1:], spans)]
@@ -157,21 +161,13 @@ def _row_parts(weights: np.ndarray, terms: np.ndarray, starts: np.ndarray, spans
 
 def _scaled_terms(inv, base, starts, sizes, ell: list, terms: np.ndarray) -> list:
     """Write exp(ell_r * inv + base - m_r) over the joined nodes into terms, in one pass,
-    and return the scales m_r, each row's largest exponent.  One row broadcasts its
-    multiplier and scale where several repeat them per node."""
-    if len(ell) == 1:
-        np.multiply(inv, ell[0], out=terms)
-        terms += base
-        m = np.maximum.reduceat(terms, starts).tolist()
-        terms -= m[0]
-    else:
-        np.multiply(inv, np.array(ell).repeat(sizes), out=terms)
-        terms += base
-        m = np.maximum.reduceat(terms, starts)
-        terms -= m.repeat(sizes)
-        m = m.tolist()
+    and return the scales m_r, each row's largest exponent."""
+    np.multiply(inv, np.array(ell).repeat(sizes), out=terms)
+    terms += base
+    m = np.maximum.reduceat(terms, starts)
+    terms -= m.repeat(sizes)
     np.exp(terms, out=terms)
-    return m
+    return m.tolist()
 
 
 def _log_sums(part: tuple, m: float) -> tuple[float, float]:
@@ -183,9 +179,74 @@ def _log_sums(part: tuple, m: float) -> tuple[float, float]:
     return m + math.log(width * s / div), ds / s
 
 
+def _row_total(inv: np.ndarray, base: np.ndarray, weights: np.ndarray, width: float,
+               div: float, ell: float, terms: np.ndarray) -> tuple[float, float, float]:
+    """log N of one row at l = ell, its slope in l and its scale m, with the row's terms
+    exp(ell * inv + base - m) written into terms: the operations of ``_scaled_terms`` and
+    ``_log_sums`` on one row, so the same bits."""
+    np.multiply(inv, ell, out=terms)
+    terms += base
+    m = float(terms.max())
+    terms -= m
+    np.exp(terms, out=terms)
+    s, ds = weights.dot(terms).tolist()
+    return m + math.log(width * s / div), ds / s, m
+
+
 def _defect(f: float) -> float:
     """|N - 1| for N = e^f."""
     return abs(math.expm1(f)) if f < 709.0 else math.inf
+
+
+def _bracket(ell: float, f: float, bottom: float, top: float) -> tuple[float, float]:
+    """The bracket of the root that one evaluation at l = ell with log N = f gives, for
+    inv between bottom and top: l* lies in l - F(l) * [p_min - 1, p_max - 1]."""
+    a, b = ell - f / top, ell - f / bottom
+    return (a, b) if a <= b else (b, a)
+
+
+def _update(ell: float, f: float, df: float, lo: float, hi: float,
+            step_old: float) -> float:
+    """The next l from l = ell, where log N = f with slope df and the root lies in
+    [lo, hi]: Newton's step if it stays in the bracket and is at most half the step
+    before last, else the bracket's midpoint.  Both loops take every step here."""
+    newton = ell - f / df
+    if lo <= newton <= hi and abs(2.0 * f) <= abs(step_old * df):
+        return newton
+    return 0.5 * (lo + hi)
+
+
+def _no_convergence(budget: int, lo: float, hi: float) -> str:
+    return f"no convergence in {budget} iterations, log multiplier in [{lo}, {hi}]"
+
+
+def _solve_row(inv: np.ndarray, base: np.ndarray, weights: np.ndarray, width: float,
+               div: float, cfg: BisectionConfig | None = None) -> tuple:
+    """Solve log N(l) = 0 for one row, N = width * (c . exp(l * inv + base)) / div with
+    weights the rows (c, c * inv), as ``solve_multiplier`` solves each row of a pass, in
+    a loop on Python floats.  Returns (l, |N - 1| there, the steps after the first
+    evaluation, the scale m, the terms exp(l * inv + base - m)); MaxItersExceeded after
+    max_iters steps."""
+    if cfg is None:
+        cfg = _DEFAULT_CONFIG
+    tol, step_tol, budget = cfg.residual_tol, cfg.lambda_tol, cfg.max_iters
+    terms = np.empty_like(inv)
+    ell, step_old, step = 0.0, math.inf, math.inf
+    for it in range(budget + 1):
+        f, df, m = _row_total(inv, base, weights, width, div, ell, terms)
+        residual = _defect(f)
+        if residual <= tol or abs(step) <= step_tol:
+            return ell, residual, it, m, terms
+        if it == 0:
+            lo, hi = _bracket(ell, f, float(inv.min()), float(inv.max()))
+        elif f < 0.0:
+            lo = ell
+        else:
+            hi = ell
+        if it == budget:
+            raise MaxItersExceeded(_no_convergence(budget, lo, hi))
+        new = _update(ell, f, df, lo, hi, step_old)
+        step_old, step, ell = step, new - ell, new
 
 
 def solve_multiplier(
@@ -205,14 +266,14 @@ def solve_multiplier(
     bracket and its next step.  An accepted row's terms are evaluated again at its
     accepted l, unchanged, so the last evaluation holds the terms of every row, but its
     sums are not taken again.  A row that spends max_iters steps records
-    MaxItersExceeded as its failure; every row gets the numbers it would get alone.  A
-    single solve is the pass of one row, which slices nothing."""
+    MaxItersExceeded as its failure; every row gets the numbers it would get alone,
+    and those that ``_solve_row`` gives it."""
     if cfg is None:
         cfg = _DEFAULT_CONFIG
     tol, step_tol, budget = cfg.residual_tol, cfg.lambda_tol, cfg.max_iters
     starts = np.asarray(starts)
     rows = len(spans)
-    sizes = None if rows == 1 else np.append(starts[1:], inv.size) - starts
+    sizes = _sizes(starts, inv.size)
     terms = np.empty_like(inv)  # every evaluation writes its terms here
     parts = _row_parts(weights, terms, starts, spans)
     ell, residual, iters, error = [0.0] * rows, [0.0] * rows, [0] * rows, [None] * rows
@@ -229,25 +290,19 @@ def solve_multiplier(
             if x <= tol or abs(step[r]) <= step_tol:
                 continue
             was = ell[r]
-            if it == 0:  # l* lies in l - F(l) * [p_min - 1, p_max - 1]
+            if it == 0:
                 if top is None:
                     top = np.maximum.reduceat(inv, starts).tolist()
                     bottom = np.minimum.reduceat(inv, starts).tolist()
-                a, b = was - f / top[r], was - f / bottom[r]
-                lo[r], hi[r] = (a, b) if a <= b else (b, a)
+                lo[r], hi[r] = _bracket(was, f, bottom[r], top[r])
             elif f < 0.0:
                 lo[r] = was
             else:
                 hi[r] = was
             if it == budget:
-                error[r] = (MaxItersExceeded, f"no convergence in {budget} iterations,"
-                            f" log multiplier in [{lo[r]}, {hi[r]}]")
+                error[r] = (MaxItersExceeded, _no_convergence(budget, lo[r], hi[r]))
                 continue
-            newton = was - f / df
-            if lo[r] <= newton <= hi[r] and abs(2.0 * f) <= abs(step_old[r] * df):
-                new = newton
-            else:  # out of the bracket, or not half the step before last
-                new = 0.5 * (lo[r] + hi[r])
+            new = _update(was, f, df, lo[r], hi[r], step_old[r])
             step_old[r], step[r], ell[r] = step[r], new - was, new
             going.append(r)
         stepping, it = going, it + 1

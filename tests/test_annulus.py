@@ -91,6 +91,17 @@ def test_normalization_reference_values(ring_problem):
         assert normalization_value(ring_problem, lam) == pytest.approx(value, abs=1e-9)
 
 
+def test_normalizations_keep_their_bits(ring_problem):
+    # Frozen from the core that evaluated a normalization as a pass of one row; the
+    # one-row path takes the same operations.
+    other = AnnulusProblem(3, 0.5, 4.0, parse_exponent("1.5+0.3*log(r)", "r", (0.5, 4.0)))
+    got = [normalization_value(prob, lam) for prob, lam in [
+        (ring_problem, 0.5), (ring_problem, REF_LAMBDA), (ring_problem, 1e3), (other, 1e-3),
+        (other, 2.0)]]
+    assert got == [0.07690428557256629, 1.0000000011886006, 19.556338808998284,
+                   8.624726650596419e-07, 0.028517255145984334]
+
+
 def test_normalization_vanishes_at_small_multiplier(ring_problem):
     assert normalization_value(ring_problem, 1e-12) < 1e-3
 
@@ -281,6 +292,31 @@ def test_density_is_positive_and_bounded_by_endpoint_envelope(ring_problem):
     for r in np.linspace(ring_problem.r1, ring_problem.r2, 1000):
         value = sol.density(float(r))
         assert 0.0 < value <= envelope
+
+
+@pytest.mark.parametrize("x, first", [
+    (0.5, 0.5),  # once 19.44
+    (3.0, 3.0),  # once 0.651
+    ([1.0, 1.5, 0.4, 3.0], 0.4),
+    (np.array([[1.0, 2.0], [2.0 + 1e-9, 1.5]]), 2.0 + 1e-9),
+    (math.nan, math.nan),
+])
+def test_the_density_is_an_error_outside_its_ring(ring_problem, x, first):
+    sol = solve_annulus(ring_problem)
+    with pytest.raises(ValueError) as info:
+        sol.density(x)
+    assert str(info.value) == f"the density is defined on [1.0, 2.0], not at {first!r}"
+
+
+def test_the_density_is_defined_up_to_the_slack_of_the_exponent_interval(ring_problem):
+    sol = solve_annulus(ring_problem)
+    ends = np.array([1.0 - 9e-13, 2.0 * (1.0 + 9e-13)])
+    assert np.isfinite(sol.density(ends)).all() and np.isfinite(sol.density(ends[0]))
+    # Where the exponent is not defined, the density was NaN.
+    logs = solve_annulus(AnnulusProblem(2, 1.0, 2.0, parse_exponent("2+log(r-0.5)", "r",
+                                                                    (1.0, 2.0))))
+    with pytest.raises(ValueError, match=r"defined on \[1.0, 2.0\], not at 0.4$"):
+        logs.density(0.4)
 
 
 def test_euler_lagrange_identity_holds_pointwise(ring_problem):
@@ -512,6 +548,46 @@ def test_a_dilated_ring_scales_the_modulus_between_the_ends_of_c_to_the_n_minus_
              + 1e-12)
     assert (min(factors) * sol.modulus * (1.0 - slack) <= scaled.modulus
             <= max(factors) * sol.modulus * (1.0 + slack))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 5, 10, 50]),
+    family=st.sampled_from(["{a}", "{a}+{b}*r", "{a}+{b}*exp(-r)", "{a}+{b}*log(r)"]),
+    a=st.floats(1.2, 4.0),
+    b=st.floats(0.0, 1.0),
+    r1=st.floats(1.0, 2.0),
+    ratio=st.floats(1.5, 4.0),
+    alpha=st.floats(0.5, 2.0),
+)
+@example(n=2, family="{a}+{b}*r", a=1.0, b=1.0, r1=1.0, ratio=2.0, alpha=2.0)  # 2.5797
+@example(n=5, family="{a}", a=5.0, b=0.0, r1=1.0, ratio=2.0, alpha=0.6)  # p = n: both sides agree
+def test_a_stretched_ring_scales_the_modulus_between_the_ends_of_phi(
+        n, family, a, b, r1, ratio, alpha):
+    # The radial stretch x -> x |x|^(alpha - 1) takes the ring (r1, r2) onto
+    # (r1^alpha, r2^alpha), with p~(r) = p(r^(1/alpha)), multiplying the energy density by
+    # phi(r) = alpha^(1 - p(r)) r^((alpha - 1)(n - p(r))).  So the modulus M~ of the
+    # stretched ring lies between the least and the largest of phi times M.  Their logs
+    # come from 4,097 samples on [r1, r2], widened by the largest step between neighbours.
+    # The stretched ring is solved at alpha times the step hint, so that the grids in s
+    # correspond, and each side is widened by both tight solves' residual and quadrature
+    # error, plus 1e-12.
+    text, r2 = family.format(a=a, b=b), r1 * ratio
+    p = parse_exponent(text, "r", (r1, r2))
+    stretched = parse_exponent(re.sub(r"\br\b", f"(r^{1.0 / alpha!r})", text), "r",
+                               (r1 ** alpha, r2 ** alpha))
+    sol = solve_annulus(AnnulusProblem(n, r1, r2, p), bis=_JUDGE_BISECTION)
+    mapped = solve_annulus(AnnulusProblem(n, r1 ** alpha, r2 ** alpha, stretched),
+                           QuadratureConfig(alpha * QuadratureConfig().step_hint),
+                           _JUDGE_BISECTION)
+    r = np.linspace(r1, r2, 4097)
+    pr = p.eval(r)
+    log_phi = (1.0 - pr) * math.log(alpha) + (alpha - 1.0) * (n - pr) * np.log(r)
+    widen = float(np.abs(np.diff(log_phi)).max())
+    slack = (sol.residual + sol.quadrature_error + mapped.residual + mapped.quadrature_error
+             + 1e-12)
+    assert (math.exp(log_phi.min() - widen) * sol.modulus * (1.0 - slack) <= mapped.modulus
+            <= math.exp(log_phi.max() + widen) * sol.modulus * (1.0 + slack))
 
 
 def _inner_end_gap(n, r1, r2, text, below=True):
@@ -1184,7 +1260,9 @@ def test_core_equals_the_plain_reference_construction_bit_for_bit(case):
                                             [4096, 4100, 8]),
     }[case]()
     inv, base, weights, starts, spans, brackets, rows = _reference_core(grids, p, log_w, log_j)
-    built = core._WeightedCore.build(grids, p, log_w, log_j, None)
+    # The cylinder's weight and Jacobian, scalar zeros in the reference, reach the core as None.
+    log_w, log_j = (None if np.isscalar(x) else x for x in (log_w, log_j))
+    built = core._WeightedCore.build(grids, p, log_w, log_j)
     for got, want in [(built.inv, inv), (built.base, base), (built.weights, weights),
                       (built.starts, starts)]:
         assert got.tobytes() == want.tobytes()
@@ -1196,8 +1274,12 @@ def test_core_equals_the_plain_reference_construction_bit_for_bit(case):
             assert solved == built.failures[r] and solved[0] is NonFiniteIntegrand
         else:
             assert solved == want
-        # A row alone, the single solve, gives the same numbers as in the pass.
-        w, j = (x if np.isscalar(x) else x[row] for x in (log_w, log_j))
-        assert core._WeightedCore.build([grids[r]], p[row], w, j, None).solve(cfg) == [solved]
+        # A row alone, the single solve's one-row loop, gives the same numbers as in the pass.
+        w, j = (x if x is None else x[row] for x in (log_w, log_j))
+        try:
+            alone = core._solve_built(core._build_row(grids[r], p[row], w, j), 1.0, cfg)
+        except NonFiniteIntegrand as exc:
+            alone = type(exc), str(exc)
+        assert alone == solved
     bad_rows = sum(failure is not None for failure in built.failures)
     assert bad_rows == (2 if case == "bad node" else 0)

@@ -288,6 +288,27 @@ def test_sweep_evaluates_the_exponent_once_per_pass(geometry, var, monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_sweep_of_several_passes_evaluates_the_exponent_once_per_pass(monkeypatch, capsys):
+    # Four rings of 30,001 to 30,301 nodes at step 1e-4, two to a pass of at most 65,536
+    # nodes: each row's bound is read while the record still holds its pass.  Reading the
+    # bounds after the sweep took 6 calls over 241,208 points.
+    calls = []
+
+    def counted(*args):
+        p = parse_exponent(*args)
+        return dataclasses.replace(p, eval=lambda x: calls.append(x.size) or p.eval(x))
+
+    monkeypatch.setattr(cli, "parse_exponent", counted)
+    values = ",".join(repr(math.exp(s)) for s in (3.00, 3.01, 3.02, 3.03))
+    argv = ["sweep", "--geometry", "annulus", "--p", "2+0.1*log(r)", "--values", values,
+            "--step-hint", "1e-4", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert calls == [60_102, 60_502]
+    rows = strict_json(capsys.readouterr().out)["rows"]
+    assert [row["error"] for row in rows] == [None] * 4
+    assert all(row["modulus"] < row["upper_bound"] for row in rows)
+
+
 def test_sweep_geometric_range():
     proc = run_cli(
         "sweep", "--geometry", "annulus", "--p", "2",

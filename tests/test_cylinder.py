@@ -86,6 +86,17 @@ def test_normalization_reference_values(cylinder_problem):
         assert cylinder_normalization_value(cylinder_problem, lam) == pytest.approx(value, abs=1e-9)
 
 
+def test_normalizations_keep_their_bits(cylinder_problem):
+    # Frozen from the core that evaluated a normalization as a pass of one row, which
+    # spent two array operations on the cylinder's zero log weight and log Jacobian.
+    other = CylinderProblem(2.5, 3.0, parse_exponent("1.2+exp(-t)", "t", (0.0, 3.0)))
+    got = [cylinder_normalization_value(prob, lam) for prob, lam in [
+        (cylinder_problem, 0.5), (cylinder_problem, 1.0), (cylinder_problem, 7.0),
+        (other, 1e-2), (other, 3.0)]]
+    assert got == [0.3377671632473262, 0.541489959176697, 2.142999533412385,
+                   0.0028944655328212313, 29.255475946986977]
+
+
 def test_normalization_is_exact_for_matching_constant_exponent():
     prob = _cylinder("2")
     assert cylinder_normalization_value(prob, 2.0) == 1.0
@@ -173,6 +184,21 @@ def test_constant_exponent_has_unit_density_and_modulus():
     assert sol.modulus == 1.0
     for t in np.linspace(0.0, 1.0, 9):
         assert sol.density(float(t)) == 1.0
+
+
+@pytest.mark.parametrize("x, first", [
+    (-1.0, -1.0),  # once inf
+    (-1e-300, -1e-300),
+    (np.array([0.0, 0.5, 1.0 + 1e-9]), 1.0 + 1e-9),
+    ([0.25, math.nan], math.nan),
+])
+def test_the_density_is_an_error_outside_its_cylinder(cylinder_problem, x, first):
+    sol = solve_cylinder(cylinder_problem)
+    with pytest.raises(ValueError) as info:
+        sol.density(x)
+    assert str(info.value) == f"the density is defined on [0.0, 1.0], not at {first!r}"
+    ends = np.array([0.0, 1.0 + 9e-13])
+    assert np.isfinite(sol.density(ends)).all() and np.isfinite(sol.density(ends[1]))
 
 
 def test_constant_exponent_longer_cylinder():

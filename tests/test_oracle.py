@@ -19,6 +19,7 @@ from vexmod import (
     solve_annulus,
     solve_cylinder,
 )
+from vexmod.rootfind import solve_multiplier
 from vexmod.oracle import (
     AveragingReport,
     GridDensity,
@@ -85,6 +86,31 @@ def test_discrete_euler_lagrange_condition_is_constant(ring_problem):
     stationarity = w * p * gd.values ** (p - 1.0)
     spread = stationarity.max() - stationarity.min()
     assert spread / np.median(stationarity) < 1e-8
+
+
+def test_discrete_minimize_keeps_the_bits_of_the_lockstep_kernel(ring_problem,
+                                                                 cylinder_problem):
+    # The minimizer once solved its grid as a pass of one row of the lockstep kernel; the
+    # one-row loop gives that pass's terms bit for bit.  Its end cells are frozen too.
+    rings = [ring_problem, AnnulusProblem(3, 0.5, 4.0, parse_exponent("1.5+0.3*log(r)", "r",
+                                                                      (0.5, 4.0)))]
+    cylinders = [cylinder_problem, CylinderProblem(2.5, 3.0, parse_exponent("1.2+exp(-t)", "t",
+                                                                            (0.0, 3.0)))]
+    grids = [annulus_grid(rings[0], 40), cylinder_grid(cylinders[0], 40),
+             annulus_grid(rings[1], 500), cylinder_grid(cylinders[1], 333)]
+    ends = []
+    for w, p, d in grids:
+        inv = 1.0 / (p - 1.0)
+        base = -inv * (np.log(p) + np.log(w))
+        terms = solve_multiplier(inv, base, np.array((np.ones(w.size), inv)), [0], [(d, 1.0)],
+                                 oracle._TIGHT).terms
+        values = discrete_minimize(w, p, d).values
+        assert values.tobytes() == (terms / (terms.sum() * d)).tobytes()
+        ends.append((float(values[0]), float(values[-1])))
+    assert ends == [(1.6134765454908613, 0.7449697636929888),
+                    (1.196804544174842, 0.8983015226573245),
+                    (11.522498983883668, 0.01548223479465601),
+                    (0.46577471879701743, 0.2464451437913931)]
 
 
 def test_discrete_minimize_agrees_with_slsqp(ring_problem):

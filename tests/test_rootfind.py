@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vexmod.rootfind import (
     _defect,
+    _solve_row,
     BisectionConfig,
     BracketFailure,
     MaxItersExceeded,
@@ -28,12 +29,19 @@ def _weights(inv, coef=None):
 
 
 def _one_row(inv, base, coef=None, span=UNIT, cfg=None):
-    """``solve_multiplier`` on a pass of one row: (l, |N - 1|, iters, scale, terms) or its
-    failure (exception class, message)."""
+    """The one-row loop ``_solve_row``: (l, |N - 1|, iters, scale, terms) or its failure
+    (exception class, message), which ``solve_multiplier`` on a pass of that one row
+    gives bit for bit."""
     sol = solve_multiplier(inv, base, _weights(inv, coef), [0], [span], cfg)
-    if sol.error[0] is not None:
+    try:
+        row = _solve_row(inv, base, _weights(inv, coef), *span, cfg)
+    except MaxItersExceeded as exc:
+        assert sol.error[0] == (MaxItersExceeded, str(exc))
         return sol.error[0]
-    return sol.log_lam[0], sol.residual[0], sol.iters[0], sol.scale[0], sol.terms
+    assert sol.error[0] is None
+    assert row[:4] == (sol.log_lam[0], sol.residual[0], sol.iters[0], sol.scale[0])
+    assert row[4].tobytes() == sol.terms.tobytes()
+    return row
 
 
 def _reference_newton(inv, base, coef, span, cfg):
@@ -176,8 +184,9 @@ _ROW_KINDS = {
 
 
 def _assert_rows_match_the_reference(rows, cfg):
-    """Solve the rows joined in one pass and each alone with the reference loop; every
-    row gets the reference's failure, or its iters and l within 4 ulps."""
+    """Solve the rows joined in one pass, and each alone with the reference loop and with
+    the one-row loop; every row gets the reference's failure, or its iters and l within
+    4 ulps, and the one-row loop gives it the pass's numbers."""
     starts = np.cumsum([0] + [row[0].size for row in rows[:-1]])
     inv, base = np.concatenate([row[0] for row in rows]), np.concatenate([row[1] for row in rows])
     coef = np.concatenate([np.ones(row[0].size) if row[2] is None else row[2] for row in rows])
@@ -187,13 +196,14 @@ def _assert_rows_match_the_reference(rows, cfg):
         ref = _reference_newton(row_inv, row_base, row_coef, span, cfg)
         refs.append(ref)
         if isinstance(ref[0], type):
-            assert sol.error[r] == ref
+            assert sol.error[r] == ref == _one_row(row_inv, row_base, row_coef, span, cfg)
             continue
         assert sol.error[r] is None
         assert sol.iters[r] == ref[2]
         assert abs(sol.log_lam[r] - ref[0]) <= 4.0 * math.ulp(ref[0])
         assert sol.residual[r] == pytest.approx(ref[1], rel=1e-6, abs=1e-15)
-        alone = _one_row(row_inv, row_base, row_coef, span, cfg)
+        alone = _one_row(row_inv, row_base, row_coef, span, cfg)  # the one-row loop, too
+        assert alone[:3] == (sol.log_lam[r], sol.residual[r], sol.iters[r])
         terms = sol.terms[starts[r]:starts[r] + row_inv.size]
         assert terms.tolist() == alone[4].tolist()  # masked neighbours leave it as alone
     return refs
